@@ -58,6 +58,16 @@ def _dps_for(x: Fraction) -> int:
     return max(_MIN_DPS, _digit_count(x.numerator) + 30)
 
 
+def _as_float(x: int) -> float:
+    """float(x), refused with ValueError where x is beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(
+            f"x of about {_digit_count(x)} digits is beyond float range (about 1.8e308)"
+        ) from None
+
+
 def _iroot4(n: int) -> int:
     return isqrt(isqrt(n))
 
@@ -181,10 +191,12 @@ def remainder(n: int) -> AnalysisSample:
     """Exact count at n minus the smooth main term, plus oscillation inputs.
 
     g_val samples the large-scale shape at sqrt(2)*n^(1/4); h_val
-    samples the small-scale shape at 2*sqrt(n).
+    samples the small-scale shape at 2*sqrt(n).  Raises ValueError for n
+    beyond float range, where the sample's float fields cannot hold it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    x = _as_float(n)
     a = count_le(n)
     nq = Fraction(n)
     with mp.workdps(_dps_for(nq)):
@@ -196,7 +208,7 @@ def remainder(n: int) -> AnalysisSample:
         g_val = g_func(float(_frac_fourth_root(4 * nq)))
         h_val = h_func(float(_frac_sqrt(4 * nq)))
     return AnalysisSample(
-        x=float(n),
+        x=x,
         a_of_x=a,
         r=float(r),
         r_normalized=float(r_norm),
@@ -313,8 +325,9 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
-    integers exact.  Infeasible plans are rejected before any output is
-    written.
+    integers exact.  Infeasible plans, those above max_rows and remainder
+    plans with a sample beyond float range, are rejected with ValueError
+    before any output is written.
     """
     if plan.kind not in _PLAN_KINDS:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
@@ -359,11 +372,13 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     if at_members:
         expected = count_le(plan.hi) - (count_le(plan.lo - 1) if plan.lo > 1 else 0)
         _check_rows(expected, plan)
-        xs = (rec.value for rec in enumerate_range(plan.lo, plan.hi))
+        xs = [rec.value for rec in enumerate_range(plan.lo, plan.hi)]
     else:
         expected = (plan.hi - plan.lo) // plan.step + 1
         _check_rows(expected, plan)
-        xs = iter(range(plan.lo, plan.hi + 1, plan.step))
+        xs = range(plan.lo, plan.hi + 1, plan.step)
+    if xs:
+        _as_float(xs[-1])  # samples ascend, so the last one bounds them all
     out.write(header)
     rows = 0
     for x in xs:

@@ -20,7 +20,7 @@ from typing import TextIO
 
 from .core import (
     AlmostSquareRecord,
-    FlockId,
+    _flock_extent,
     count_le,
     enumerate_range,
     flock_members,
@@ -85,16 +85,6 @@ def _print_records(recs: list[AlmostSquareRecord], fmt: str, out: TextIO) -> Non
             out.write(f"{r.value} = {r.rect.width} x {r.rect.length}\n")
 
 
-def _as_record(n: int) -> AlmostSquareRecord | None:
-    rect = is_almost_square(n)
-    if rect is None:
-        return None
-    fid = FlockId.from_semiperimeter(rect.semiperimeter)
-    return AlmostSquareRecord(
-        value=n, rect=rect, semiperimeter=rect.semiperimeter, flock=fid
-    )
-
-
 # --------------------------------------------------------------------------
 # verb handlers
 # --------------------------------------------------------------------------
@@ -102,29 +92,29 @@ def _as_record(n: int) -> AlmostSquareRecord | None:
 def cmd_check(args: argparse.Namespace) -> int:
     _require(args.n >= 1, "n must be >= 1")
     out = sys.stdout
-    rec = _as_record(args.n)
+    rec = floor_almost_square(args.n)
+    member = rec.value == args.n
     if args.format == "json":
-        payload: dict[str, object] = {"n": str(args.n), "member": rec is not None}
-        if rec is not None:
+        payload: dict[str, object] = {"n": str(args.n), "member": member}
+        if member:
             payload.update(_record_fields(rec))
         json.dump(payload, out)
         out.write("\n")
     elif args.format == "csv":
         out.write("n,member,width,length,semiperimeter\n")
-        if rec is None:
-            out.write(f"{args.n},0,,,\n")
-        else:
+        if member:
             out.write(
                 f"{args.n},1,{rec.rect.width},{rec.rect.length},{rec.semiperimeter}\n"
             )
-    else:
-        if rec is None:
-            out.write(f"{args.n} is not an almost-square\n")
         else:
-            out.write(
-                f"{args.n} is an almost-square: {rec.rect.width} x {rec.rect.length} "
-                f"(semiperimeter {rec.semiperimeter}, flock {rec.flock.k})\n"
-            )
+            out.write(f"{args.n},0,,,\n")
+    elif member:
+        out.write(
+            f"{args.n} is an almost-square: {rec.rect.width} x {rec.rect.length} "
+            f"(semiperimeter {rec.semiperimeter}, flock {rec.flock.k})\n"
+        )
+    else:
+        out.write(f"{args.n} is not an almost-square\n")
     return 0
 
 
@@ -167,12 +157,21 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_flock(args: argparse.Namespace) -> int:
     _require(args.k >= 1, "flock index k must be >= 1")
+    size = 1 + _flock_extent(args.k)
+    _require(
+        size <= _LIST_ROW_CAP,
+        f"flock {args.k} holds {size} members, above the cap of {_LIST_ROW_CAP}",
+    )
     _print_records(flock_members(args.k), args.format, sys.stdout)
     return 0
 
 
 def cmd_pioneers(args: argparse.Namespace) -> int:
     _require(args.count >= 1, "count must be >= 1")
+    _require(
+        args.count <= _LIST_ROW_CAP,
+        f"{args.count} pioneers requested, above the cap of {_LIST_ROW_CAP}",
+    )
     rows = []
     for j in range(1, args.count + 1):
         value, fid = pioneer(j)

@@ -12,10 +12,16 @@ how far the rectangle is from square:
     odd flock:   (m+a)(m-a-1)  for a = a_m down to 0
     even flock:  (m+b)(m-b)    for b = b_m down to 0
 
-where a_m = floor((sqrt(2m-1)-1)/2) and b_m = floor(sqrt(m/2)).  That
-structure is what every routine below exploits: membership reduces to a
-perfect-square or pronic-gap test, counting to a closed form in
-floor(sqrt(2m)), and ranked access to inverting that count.
+where a_m = floor((sqrt(2m-1)-1)/2) and b_m = floor(sqrt(m/2)).  One
+primitive, _locate(n), turns that structure into a position: m, the
+side (odd or even), the least offset whose member is <= n (from the
+square or pronic gap above n), and whether n hits it exactly.  The
+queries are views on that position and on one per-flock record builder:
+membership checks the offset is exact and within the flock's extent,
+count_le adds the closed-form count in floor(sqrt(2m)), the floor is the
+member at the offset (or the last member of the previous flock),
+enumeration walks forward from it, and flock_members and nth read
+records off the builder.
 
 Everything in this module is exact integer arithmetic, so results are
 bit-exact for integers of any size and run in time polynomial in the
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 from math import ceil, gcd, isqrt
+from typing import Iterator
 
 __all__ = [
     "AlmostSquareRecord",
@@ -179,11 +186,6 @@ class RatioValue:
 # integer root helpers
 # --------------------------------------------------------------------------
 
-def _ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _icbrt(n: int) -> int:
     """Floor cube root, exact for arbitrary magnitude."""
     if n < 0:
@@ -211,6 +213,10 @@ def _odd_extent(m: int) -> int:
 
 def _even_extent(m: int) -> int:
     return isqrt(m // 2)
+
+
+def _flock_extent(k: int) -> int:
+    return _odd_extent((k + 1) // 2) if k % 2 else _even_extent(k // 2)
 
 
 # --------------------------------------------------------------------------
@@ -260,10 +266,38 @@ def seq_b(m: int) -> int:
 # flocks and membership
 # --------------------------------------------------------------------------
 
-def _record(rect: Rectangle, fid: FlockId) -> AlmostSquareRecord:
-    return AlmostSquareRecord(
-        value=rect.area, rect=rect, semiperimeter=fid.k, flock=fid
-    )
+def _locate(n: int) -> tuple[int, bool, int, bool]:
+    """Where n >= 1 sits in the flock structure: (m, even, offset, exact).
+
+    m is the ceiling square root of n.  n lies on the even side
+    (m(m-1), m^2] or the odd side ((m-1)^2, m(m-1)]; offset is the least
+    offset on that side whose member m^2 - b^2 or m(m-1) - a(a+1) is
+    <= n, and exact says whether that member is n itself.  The offset
+    may exceed the flock's extent, in which case no member of the flock
+    is <= n.
+    """
+    m = isqrt(n - 1) + 1  # the ceiling square root, as (m-1)^2 < n <= m^2
+    gap = m * m - n
+    if gap < m:  # n > m(m-1)
+        b = isqrt(gap)
+        if b * b == gap:
+            return m, True, b, True
+        return m, True, b + 1, False
+    gap -= m
+    a = isqrt(gap)
+    if a * (a + 1) < gap:
+        a += 1
+    return m, False, a, a * (a + 1) == gap
+
+
+def _flock_records(k: int, start: int) -> Iterator[AlmostSquareRecord]:
+    """Records of flock k >= 2 from offset start down to 0, in increasing value order."""
+    fid = FlockId.from_semiperimeter(k)
+    m = fid.m
+    short = k - m  # the width at offset 0: m - 1 on the odd side, m on the even
+    for offset in range(start, -1, -1):
+        width, length = short - offset, m + offset
+        yield AlmostSquareRecord(width * length, Rectangle(width, length), k, fid)
 
 
 def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
@@ -271,18 +305,10 @@ def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
 
     Accepts a FlockId or a bare semiperimeter k >= 1.  Flock 1 is empty.
     """
-    fid = flock if isinstance(flock, FlockId) else FlockId.from_semiperimeter(flock)
-    if fid.k == 1:
-        return []
-    m = fid.m
-    out: list[AlmostSquareRecord] = []
-    if fid.parity == "odd":
-        for a in range(_odd_extent(m), -1, -1):
-            out.append(_record(Rectangle(m - a - 1, m + a), fid))
-    else:
-        for b in range(_even_extent(m), -1, -1):
-            out.append(_record(Rectangle(m - b, m + b), fid))
-    return out
+    k = flock.k if isinstance(flock, FlockId) else flock
+    if k < 1:
+        raise ValueError("flock semiperimeter k must be >= 1")
+    return list(_flock_records(k, _flock_extent(k))) if k > 1 else []
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -296,18 +322,12 @@ def is_almost_square(n: int) -> Rectangle | None:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = _ceil_sqrt(n)
-    if n > m * (m - 1):
-        gap = m * m - n
-        b = isqrt(gap)
-        if b * b == gap and b <= _even_extent(m):
-            return Rectangle(m - b, m + b)
+    m, even, offset, exact = _locate(n)
+    if not exact:
         return None
-    gap = m * (m - 1) - n
-    a = (isqrt(4 * gap + 1) - 1) // 2
-    if a * (a + 1) == gap and a <= _odd_extent(m):
-        return Rectangle(m - a - 1, m + a)
-    return None
+    if even:
+        return Rectangle(m - offset, m + offset) if offset <= _even_extent(m) else None
+    return Rectangle(m - offset - 1, m + offset) if offset <= _odd_extent(m) else None
 
 
 def tri_decompose(n: int) -> tuple[int, int]:
@@ -352,36 +372,14 @@ def count_le(n: int) -> int:
     """Number of almost-squares not exceeding n (exact, polynomial time)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = _ceil_sqrt(n)
-    pivot = m * (m - 1)
-    if n > pivot:
-        # members above n in the even flock are m^2 - b'^2 for b' < b
-        b = _ceil_sqrt(m * m - n)
+    m, even, offset, _ = _locate(n)
+    if even:
+        # members above n in the even flock are those at offsets below offset
         b_max = _even_extent(m)
-        return count_at_square(m) - (b if b <= b_max else b_max + 1)
-    gap = pivot - n
-    a = isqrt(gap)
-    if a * (a + 1) < gap:
-        a += 1
-    # a is now the least offset with a(a+1) >= gap
-    if a <= _odd_extent(m):
-        return count_at_square(m) - _even_extent(m) - 1 - a
+        return count_at_square(m) - (offset if offset <= b_max else b_max + 1)
+    if offset <= _odd_extent(m):
+        return count_at_square(m) - _even_extent(m) - 1 - offset
     return count_at_square(m - 1)
-
-
-_FIRST_FIVE: tuple[AlmostSquareRecord, ...] = ()
-
-
-def _first_five() -> tuple[AlmostSquareRecord, ...]:
-    global _FIRST_FIVE
-    if not _FIRST_FIVE:
-        table: list[AlmostSquareRecord] = []
-        k = 1
-        while len(table) < 5:
-            table.extend(flock_members(k))
-            k += 1
-        _FIRST_FIVE = tuple(table[:5])
-    return _FIRST_FIVE
 
 
 def _seed_square_param(j: int) -> int:
@@ -403,9 +401,6 @@ def nth(j: int) -> AlmostSquareRecord:
     """
     if j < 1:
         raise ValueError("index must be >= 1")
-    first = _first_five()
-    if j <= len(first):
-        return first[j - 1]
     m = _seed_square_param(j)
     while count_at_square(m) < j:
         m += 1
@@ -414,21 +409,24 @@ def nth(j: int) -> AlmostSquareRecord:
     offset = count_at_square(m) - j
     b_max = _even_extent(m)
     if offset <= b_max:
-        b = offset
-        fid = FlockId(2 * m, m, "even")
-        rect = Rectangle(m - b, m + b)
-    else:
-        a = offset - b_max - 1
-        fid = FlockId(2 * m - 1, m, "odd")
-        rect = Rectangle(m - a - 1, m + a)
-    return _record(rect, fid)
+        return next(_flock_records(2 * m, offset))
+    return next(_flock_records(2 * m - 1, offset - b_max - 1))
 
 
 def floor_almost_square(n: int) -> AlmostSquareRecord:
-    """The largest almost-square not exceeding n."""
+    """The largest almost-square not exceeding n.
+
+    It is the member at n's located offset; when that offset is past the
+    flock's extent, it is the last member of the flock before, m(m-1)
+    after an even side and (m-1)^2 after an odd side.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return nth(count_le(n))
+    m, even, offset, _ = _locate(n)
+    k = 2 * m if even else 2 * m - 1
+    if offset > _flock_extent(k):
+        k, offset = k - 1, 0
+    return next(_flock_records(k, offset))
 
 
 def pioneer(j: int) -> tuple[int, FlockId]:
@@ -445,15 +443,24 @@ def pioneer(j: int) -> tuple[int, FlockId]:
 
 
 def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
-    """All almost-squares in [lo, hi] in increasing order."""
+    """All almost-squares in [lo, hi] in increasing order.
+
+    The walk starts at the least member >= lo, found by locating lo, and
+    goes forward flock by flock until a value exceeds hi, so its work is
+    in proportion to the members returned.
+    """
     if lo < 1:
         raise ValueError("lo must be >= 1")
     if hi < lo:
         raise ValueError("lo must not exceed hi")
+    m, even, offset, exact = _locate(lo)
+    k = 2 * m if even else 2 * m - 1
+    start = min(offset if exact else offset - 1, _flock_extent(k))
     out: list[AlmostSquareRecord] = []
-    for m in range(_ceil_sqrt(lo), _ceil_sqrt(hi) + 1):
-        for k in (2 * m - 1, 2 * m):
-            for rec in flock_members(k):
-                if lo <= rec.value <= hi:
-                    out.append(rec)
-    return out
+    while True:
+        for rec in _flock_records(k, start):
+            if rec.value > hi:
+                return out
+            out.append(rec)
+        k += 1
+        start = _flock_extent(k)

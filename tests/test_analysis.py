@@ -120,6 +120,11 @@ class TestRemainder:
         with pytest.raises(ValueError):
             remainder(0)
 
+    def test_float_range_edge(self):
+        assert remainder(10**308).x == 1e308
+        with pytest.raises(ValueError, match="beyond float range"):
+            remainder(10**310)
+
     def test_decomposition_residual_and_normalized_bounds(self):
         # one pass over all members to 1e7: the residual after removing
         # the g/h oscillation stays under the recorded bound, and the
@@ -264,6 +269,19 @@ class TestEmitSeries:
         with pytest.raises(ValueError):
             emit_series(SamplingPlan("A-of-x", 1, 10**7, max_rows=100), out)
         assert out.getvalue() == ""
+
+    def test_beyond_float_range_rejected_before_output(self):
+        big = 10**310  # a perfect square, so a member too
+        for plan in (
+            SamplingPlan("R-of-x", big, big, at_members=False),
+            SamplingPlan("R-normalized", big - 10, big),
+        ):
+            out = io.StringIO()
+            with pytest.raises(ValueError, match="beyond float range"):
+                emit_series(plan, out)
+            assert out.getvalue() == ""
+        out = io.StringIO()
+        assert emit_series(SamplingPlan("A-of-x", big, big + 2), out) == 3
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

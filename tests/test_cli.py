@@ -1,9 +1,11 @@
 """CLI behavior: verbs, formats, exit codes, and big-integer handling."""
 
 import json
+import time
 
 import pytest
 
+from almost_squares import cli
 from almost_squares.cli import main
 from almost_squares.core import count_le, enumerate_range
 from reference_data import FIRST_59
@@ -97,6 +99,15 @@ class TestListVerb:
         assert lines[0] == "value,width,length,semiperimeter,flock"
         assert lines[1] == "176,11,16,27,27"
 
+    def test_sparse_window_at_1e30(self, capsys):
+        lo = 10**30
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "list", str(lo), str(lo + 100))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        # 10^30 = (10^15)^2 closes its flock; the next member is 10^30 + 10^15
+        assert out == f"{lo} = {10**15} x {10**15}\n"
+
     def test_rejects_swapped(self, capsys):
         code, _, err = run(capsys, "list", "10", "5")
         assert code == 2
@@ -114,6 +125,14 @@ class TestFlockVerb:
         assert code == 0
         assert out == ""
 
+    def test_huge_flock_refused_up_front(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "flock", str(10**32))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("almost-squares: flock ") and err.count("\n") == 1
+
 
 class TestPioneers:
     def test_first_four(self, capsys):
@@ -124,6 +143,16 @@ class TestPioneers:
         assert lines[1] == "1,3,1,3,4"
         assert lines[3] == "3,60,6,10,16"
         assert lines[4] == "4,150,10,15,25"
+
+    def test_count_above_cap_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 5)
+        code, out, _ = run(capsys, "pioneers", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        code, out, err = run(capsys, "pioneers", "6")
+        assert code == 2
+        assert out == ""
+        assert "above the cap" in err and err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -155,6 +184,16 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "rows" in err
+
+    def test_beyond_float_range_refused(self, capsys):
+        big = str(10**310)
+        code, out, err = run(
+            capsys, "analyze", "--plan", "R-of-x", "--grid", "--lo", big, "--hi", big
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("almost-squares: ") and err.count("\n") == 1
+        assert "float range" in err
 
 
 class TestTrigrid:

@@ -1,5 +1,7 @@
 """Unit tests for the exact integer core."""
 
+import time
+
 import pytest
 
 from almost_squares.core import (
@@ -403,6 +405,13 @@ class TestEnumerateRange:
             assert len(recs) == expected
             values = [r.value for r in recs]
             assert values == sorted(values)
+
+    def test_sparse_window_work_tracks_output(self):
+        # flocks near 10^30 hold about 2*10^7 members; the window holds one
+        t0 = time.perf_counter()
+        recs = enumerate_range(10**30, 10**30 + 1000)
+        assert time.perf_counter() - t0 < 1.0
+        assert [r.value for r in recs] == [10**30]
 
 
 class TestRatioValue:

@@ -10,6 +10,7 @@ from almost_squares.core import (
     _icbrt,
     count_le,
     count_triangular_le,
+    enumerate_range,
     flock_members,
     floor_almost_square,
     is_almost_square,
@@ -97,6 +98,33 @@ def test_floor_is_tight(n):
     assert rec.value <= n
     assert count_le(n) == count_le(rec.value)
     assert is_almost_square(rec.value) == rec.rect
+
+
+@given(st.integers(min_value=1, max_value=10**200))
+def test_floor_is_member_of_rank_count(n):
+    # the definition floor_almost_square was computed by before it became
+    # a view on the located offset
+    assert floor_almost_square(n) == nth(count_le(n))
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=0, max_value=20_000),
+)
+def test_enumerate_range_matches_filtered_flocks(lo, width):
+    # the whole-flock filter enumerate_range used before it walked from
+    # the located offset
+    hi = lo + width
+    expected = [
+        rec
+        # m runs over the ceiling square roots from lo's to hi's
+        for m in range(isqrt(lo - 1) + 1, isqrt(hi - 1) + 2)
+        for k in (2 * m - 1, 2 * m)
+        for rec in flock_members(k)
+        if lo <= rec.value <= hi
+    ]
+    assert enumerate_range(lo, hi) == expected
 
 
 @given(st.integers(min_value=1, max_value=10**6))
