@@ -3,7 +3,7 @@
 The integers whose optimal integer-sided rectangle sets or ties the
 record for the area-to-semiperimeter ratio.  The core and oracle APIs
 are re-exported here; the floating-point analysis names load lazily on
-first use so that pure-integer work never imports numpy or mpmath.
+first use so that pure-integer work never imports numpy.
 """
 
 from .core import (

@@ -8,11 +8,15 @@ sqrt(x)/2, the two period-1 shapes g and h that explain the large and
 small oscillations, probes of the lim inf / lim sup of the normalized
 remainder, and CSV emission of the series behind all of it.
 
-Fractional parts are evaluated with mpmath at generous working
-precision, and the discontinuity points are pinned with exact integer
-root checks: gamma(4) really is 0 and b_value(4).b really is 4.0, not
-3.5 from a fractional part that rounded to 0.999... just below the
-jump.
+Every real quantity here is a root of a rational: x^(1/4), sqrt(x),
+(64x^3)^(1/4) = 2*sqrt(2)*x^(3/4), and the fractional parts of
+(4x)^(1/4), (x/4)^(1/4) and sqrt(4x).  Each is taken in exact integer
+fixed point as floor(root * 2^P), an isqrt of a shifted integer (two
+nested isqrts for a fourth root), and each float field is one correctly
+rounded int/int division of integer terms.  At a perfect power the
+scaled root is an exact multiple of 2^P, so its fractional part is an
+exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
+from a fractional part that rounded to 0.999... just below the jump.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from math import isqrt
 from typing import TextIO
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .core import count_le, enumerate_range, is_almost_square, triangular
 
@@ -45,20 +48,12 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
-_MIN_DPS = 60
-
 
 def _digit_count(n: int) -> int:
     return max(1, (abs(n).bit_length() * 30103) // 100000 + 1)
 
 
-def _dps_for(x: Fraction) -> int:
-    # enough digits to hold x exactly plus comfortable headroom for the
-    # fractional parts of its roots
-    return max(_MIN_DPS, _digit_count(x.numerator) + 30)
-
-
-def _as_float(x: int) -> float:
+def _as_float(x: int | float) -> float:
     """float(x), refused with ValueError where x is beyond float range."""
     try:
         return float(x)
@@ -68,36 +63,17 @@ def _as_float(x: int) -> float:
         ) from None
 
 
-def _iroot4(n: int) -> int:
-    return isqrt(isqrt(n))
+def _frac_bits(num: int) -> int:
+    # A root of a rational with an N-bit numerator that is not an integer
+    # lies at least 2^-(N+5) from every integer, so N + 160 fraction bits
+    # hold each nonzero fractional part to well over float precision.
+    return num.bit_length() + 160
 
 
-def _frac_fourth_root(y: Fraction) -> mpf:
-    """Fractional part of y**(1/4) for rational y >= 0.
-
-    Integer perfect fourth powers are detected exactly so the result is
-    a true 0 at the discontinuities of the fractional part.
-    """
-    if y.denominator == 1:
-        n = y.numerator
-        r = _iroot4(n)
-        if r**4 == n:
-            return mpf(0)
-        return mp.root(mpf(n), 4) - r
-    f = mp.root(mpf(y.numerator) / y.denominator, 4)
-    return f - mp.floor(f)
-
-
-def _frac_sqrt(y: Fraction) -> mpf:
-    """Fractional part of sqrt(y) for rational y >= 0, exact at squares."""
-    if y.denominator == 1:
-        n = y.numerator
-        r = isqrt(n)
-        if r * r == n:
-            return mpf(0)
-        return mp.sqrt(mpf(n)) - r
-    f = mp.sqrt(mpf(y.numerator) / y.denominator)
-    return f - mp.floor(f)
+def _root(num: int, den: int, e: int, bits: int) -> int:
+    """floor((num/den)^(1/e) * 2^bits) for e in {2, 4}, exactly."""
+    r = isqrt((num << e * bits) // den)
+    return isqrt(r) if e == 4 else r
 
 
 # --------------------------------------------------------------------------
@@ -126,31 +102,36 @@ def b_value(x: int | float) -> BTerms:
 
     At every perfect square x = m^2 the value agrees with the exact
     count of almost-squares up to m^2 (to the accuracy of the float
-    conversion of the result).
+    conversion of the result).  Raises ValueError for x beyond float
+    range, as remainder does.
     """
     xq = Fraction(x)
     if xq < 1:
         raise ValueError("x must be >= 1")
-    with mp.workdps(_dps_for(xq)):
-        gamma = _frac_fourth_root(4 * xq)
-        delta = _frac_fourth_root(xq / 4)
-        xm = mpf(xq.numerator) / xq.denominator
-        quarter = mp.root(xm, 4)
-        c = 2 * mp.sqrt(2) / 3
-        b0 = (
-            c * quarter**3
-            + mp.sqrt(xm) / 2
-            + (c + gamma * (1 - gamma) / mp.sqrt(2)) * quarter
-        )
-        b1 = gamma**3 / 6 - gamma**2 / 4 - 5 * gamma / 12 - delta / 2 - 1
-        return BTerms(
-            x=float(xm),
-            gamma=float(gamma),
-            delta=float(delta),
-            b0=float(b0),
-            b1=float(b1),
-            b=float(b0 + b1),
-        )
+    xf = _as_float(x)
+    p, q = xq.numerator, xq.denominator
+    bits = _frac_bits(4 * p)
+    one = 1 << bits
+    gamma = _root(4 * p, q, 4, bits) % one
+    delta_root = _root(p, 4 * q, 4, bits)  # (x/4)^(1/4) = x^(1/4)/sqrt(2)
+    delta = delta_root % one
+    # b0 and b1 scaled by 12*2^(3P), with 2*sqrt(2)*x^(3/4) = (64x^3)^(1/4)
+    # and 2*sqrt(2)*x^(1/4) = (64x)^(1/4)
+    b0 = (
+        4 * _root(64 * p**3, q**3, 4, bits)
+        + 6 * _root(p, q, 2, bits)
+        + 4 * _root(64 * p, q, 4, bits)
+    ) * one**2 + 12 * gamma * (one - gamma) * delta_root
+    b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
+    scale = 12 * one**3
+    return BTerms(
+        x=xf,
+        gamma=gamma / one,
+        delta=delta / one,
+        b0=b0 / scale,
+        b1=b1 / scale,
+        b=(b0 + b1) / scale,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -198,22 +179,17 @@ def remainder(n: int) -> AnalysisSample:
         raise ValueError("n must be >= 1")
     x = _as_float(n)
     a = count_le(n)
-    nq = Fraction(n)
-    with mp.workdps(_dps_for(nq)):
-        xm = mpf(n)
-        quarter = mp.root(xm, 4)
-        main = 2 * mp.sqrt(2) / 3 * quarter**3 + mp.sqrt(xm) / 2
-        r = mpf(a) - main
-        r_norm = r / quarter
-        g_val = g_func(float(_frac_fourth_root(4 * nq)))
-        h_val = h_func(float(_frac_sqrt(4 * nq)))
+    bits = _frac_bits(4 * n)
+    one = 1 << bits
+    # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3
+    r6 = 6 * a * one - 2 * _root(64 * n**3, 1, 4, bits) - 3 * _root(n, 1, 2, bits)
     return AnalysisSample(
         x=x,
         a_of_x=a,
-        r=float(r),
-        r_normalized=float(r_norm),
-        g_val=g_val,
-        h_val=h_val,
+        r=r6 / (6 * one),
+        r_normalized=r6 / (6 * _root(n, 1, 4, bits)),
+        g_val=g_func((_root(4 * n, 1, 4, bits) % one) / one),
+        h_val=h_func((_root(4 * n, 1, 2, bits) % one) / one),
     )
 
 

@@ -30,7 +30,7 @@ from .core import (
     pioneer,
     triangular,
 )
-from .oracle import DEFAULT_SCAN_CAP, brute_record_set
+from .oracle import DEFAULT_SCAN_CAP, _MAX_SCAN_LIMIT, brute_record_set
 
 __all__ = ["build_parser", "main", "run_main"]
 
@@ -231,6 +231,10 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
     _require(limit >= 1, "limit must be >= 1")
+    _require(
+        limit <= _MAX_SCAN_LIMIT,
+        f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}",
+    )
     if limit > 50_000:
         t0 = time.perf_counter()
         brute_record_set(10_000)

@@ -30,6 +30,10 @@ __all__ = [
 # full scans above this take more than a couple of desk-side minutes
 DEFAULT_SCAN_CAP = 200_000
 
+# the scan grows like limit^1.5 (0.8 s at 10^5, 6 s at 4*10^5); at this
+# limit it takes about a minute, and oracle-verify refuses anything above
+_MAX_SCAN_LIMIT = 2_000_000
+
 
 @dataclass(frozen=True)
 class DivisorPair:

@@ -2,12 +2,19 @@
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import almost_squares
 from almost_squares.analysis import (
+    AnalysisSample,
+    BTerms,
     SamplingPlan,
     b_value,
     emit_series,
@@ -25,6 +32,184 @@ SQRT2 = math.sqrt(2.0)
 
 # measured over all members <= 10**7; a regression bound, not a theorem
 RESIDUAL_BOUND = 2.0
+
+# repr-exact fields recorded from the earlier extended-precision (mpmath)
+# implementation, well beyond the demo range.  4e280+1 and 4e280+4 sit
+# next to fourth powers, where g, gamma and delta are about 1e-211 and
+# need about as many fraction bits as x itself has bits.
+REMAINDER_GOLDEN = [
+    pytest.param(
+        10**12 + 7,
+        AnalysisSample(
+            x=1000000000007.0,
+            a_of_x=943310102,
+            r=1060.412985136664,
+            r_normalized=1.060412985134808,
+            g_val=0.11876104980143354,
+            h_val=4.9497474682971705e-06,
+        ),
+        id="1e12+7",
+    ),
+    pytest.param(
+        10**40 + 3,
+        AnalysisSample(
+            x=1e+40,
+            a_of_x=942809041632063365878611182654,
+            r=10818699847.534615,
+            r_normalized=1.0818699847534614,
+            g_val=0.13906094335197633,
+            h_val=2.1213203435596425e-20,
+        ),
+        id="1e40+3",
+    ),
+    pytest.param(
+        4908608757122565690308565067218363237132611264780998192685820855842445335770939672175222992610107420,
+        AnalysisSample(
+            x=4.908608757122565e+99,
+            a_of_x=552894859527394875569343557029664471230935979729073119167520324055862885879,
+            r=5.851355963301736e+24,
+            r_normalized=0.6990639626748218,
+            g_val=0.06787315711764405,
+            h_val=0.31161823602488564,
+        ),
+        id="member-100-digits",
+    ),
+    pytest.param(
+        10**300 + 1,
+        AnalysisSample(
+            x=1e+300,
+            a_of_x=942809041582063365867792482806465385713114583584632048784453158660488318975238025900258356218427715156675897487274864683283224037233824808429414331400967616335211156770435199660516707347504889438391488385349566059554160629758,
+            r=1.0103953930627128e+75,
+            r_normalized=1.0103953930627128,
+            g_val=0.06758635148064945,
+            h_val=7.071067811865475e-151,
+        ),
+        id="1e300+1",
+    ),
+    pytest.param(
+        10**308,
+        AnalysisSample(
+            x=1e+308,
+            a_of_x=942809041582063365867792482806465385713114583584632048784453158660488318974743025900258356218427715156675897487274864683283224037233824808429414331399957329961342243699670475090110745395808801176286369352643419448973404873359879614,
+            r=1.09019193799748e+77,
+            r_normalized=1.09019193799748,
+            g_val=0.14738289641541663,
+            h_val=0.0,
+        ),
+        id="1e308",
+    ),
+    pytest.param(
+        4 * 10**16 + 10**8,
+        AnalysisSample(
+            x=4.00000001e+16,
+            a_of_x=2666766679999,
+            r=8332.208334895911,
+            r_normalized=0.589176101218162,
+            g_val=8.838724271111082e-06,
+            h_val=0.3535533903723029,
+        ),
+        id="limit-probe-low-1e4",
+    ),
+    pytest.param(
+        (2 * 10**8 + 10**4) ** 2,
+        AnalysisSample(
+            x=4.00040001e+16,
+            a_of_x=2666966689999,
+            r=15832.35416627605,
+            r_normalized=1.1194885124491085,
+            g_val=0.17677669526901688,
+            h_val=0.0,
+        ),
+        id="limit-probe-high-1e4",
+    ),
+    pytest.param(
+        4 * 10**280 + 1,
+        AnalysisSample(
+            x=4e+280,
+            a_of_x=2666666666666666666666666666666666666666666666666666666666666666666666766666666666666666666666666666666666666666666666666666666666666666666679999999999999999999999999999999999999999999999999999999999999999999999,
+            r=1.3333333333333333e+70,
+            r_normalized=0.9428090415820634,
+            g_val=8.838834764831843e-212,
+            h_val=3.5355339059327376e-141,
+        ),
+        id="4e280+1",
+    ),
+]
+
+B_VALUE_GOLDEN = [
+    pytest.param(
+        20.25,
+        BTerms(
+            x=20.25,
+            gamma=0.0,
+            delta=0.5,
+            b0=13.25,
+            b1=-1.25,
+            b=12.0,
+        ),
+        id="20.25",
+    ),
+    pytest.param(
+        4,
+        BTerms(
+            x=4.0,
+            gamma=0.0,
+            delta=0.0,
+            b0=5.0,
+            b1=-1.0,
+            b=4.0,
+        ),
+        id="4",
+    ),
+    pytest.param(
+        196,
+        BTerms(
+            x=196.0,
+            gamma=0.29150262212918115,
+            delta=0.6457513110645906,
+            b0=60.46145017954556,
+            b1=-1.4614501795455577,
+            b=59.0,
+        ),
+        id="196",
+    ),
+    pytest.param(
+        10**30 + 1,
+        BTerms(
+            x=1e+30,
+            gamma=0.5499957939281834,
+            delta=0.7749978969640917,
+            b0=2.981424019999723e+22,
+            b1=-1.6645591754502929,
+            b=2.981424019999723e+22,
+        ),
+        id="1e30+1",
+    ),
+    pytest.param(
+        107420017.8254449,
+        BTerms(
+            x=107420017.8254449,
+            gamma=0.9747399789409527,
+            delta=0.9873699894704763,
+            b0=1000084.2371474184,
+            b1=-1.9830031550659737,
+            b=1000082.2541442633,
+        ),
+        id="z-bracket-1e6",
+    ),
+    pytest.param(
+        4 * 10**280 + 4,
+        BTerms(
+            x=4e+280,
+            gamma=5e-211,
+            delta=2.5e-211,
+            b0=2.666666666666667e+210,
+            b1=-1.0,
+            b=2.666666666666667e+210,
+        ),
+        id="4e280+4",
+    ),
+]
 
 
 class TestBValue:
@@ -67,6 +252,30 @@ class TestBValue:
 
     def test_float_inputs(self):
         assert b_value(20.25).gamma == pytest.approx(0.0, abs=1e-12)
+
+    def test_float_range_edge(self):
+        assert b_value(10**308).x == 1e308
+        with pytest.raises(ValueError, match="beyond float range"):
+            b_value(10**310)
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("n, want", REMAINDER_GOLDEN)
+    def test_remainder(self, n, want):
+        assert repr(remainder(n)) == repr(want)
+
+    @pytest.mark.parametrize("x, want", B_VALUE_GOLDEN)
+    def test_b_value(self, x, want):
+        assert repr(b_value(x)) == repr(want)
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = "import sys, almost_squares.analysis; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(almost_squares.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 class TestOscillationShapes:

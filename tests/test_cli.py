@@ -212,6 +212,14 @@ class TestOracleVerify:
         assert "membership: 2000/2000 ok, 0 mismatches" in out
         assert "counts:     2000/2000 ok, 0 mismatches" in out
 
+    def test_huge_limit_refused_up_front(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "oracle-verify", "--limit", "1000000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "above the oracle scan cap" in err and err.count("\n") == 1
+
 
 class TestBigIntegers:
     def test_thousand_digit_inputs(self, capsys):
