@@ -252,3 +252,610 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "12abc"])
         assert exc.value.code == 2
+
+
+# --------------------------------------------------------------------------
+# output matrix
+# --------------------------------------------------------------------------
+
+S = 3**628  # a 300-digit square, so a member; S + 1 is not
+
+# (argv, exit code, stdout, stderr) for every verb but analyze, trigrid and
+# oracle-verify, in all three formats: members and non-members, 0, a
+# negative n, 300 digits, empty results, a swapped window and the cap
+# refusals.  The bytes are the output contract that README's CLI table
+# describes.
+OUTPUT_MATRIX = [
+    (
+        ("check", "182"),
+        0,
+        "182 is an almost-square: 13 x 14 (semiperimeter 27, flock 27)\n",
+        "",
+    ),
+    (
+        ("check", "182", "--format", "json"),
+        0,
+        (
+            '{"n": "182", "member": true, "value": "182", "width": "13", "length": "14"'
+            ', "semiperimeter": "27", "flock": "27"}\n'
+        ),
+        "",
+    ),
+    (
+        ("check", "182", "--format", "csv"),
+        0,
+        "n,member,width,length,semiperimeter\n182,1,13,14,27\n",
+        "",
+    ),
+    (("check", "190"), 0, "190 is not an almost-square\n", ""),
+    (("check", "190", "--format", "json"), 0, '{"n": "190", "member": false}\n', ""),
+    (
+        ("check", "190", "--format", "csv"),
+        0,
+        "n,member,width,length,semiperimeter\n190,0,,,\n",
+        "",
+    ),
+    (
+        ("check", "1"),
+        0,
+        "1 is an almost-square: 1 x 1 (semiperimeter 2, flock 2)\n",
+        "",
+    ),
+    (
+        ("check", "1", "--format", "json"),
+        0,
+        (
+            '{"n": "1", "member": true, "value": "1", "width": "1", "length": "1", "sem'
+            'iperimeter": "2", "flock": "2"}\n'
+        ),
+        "",
+    ),
+    (
+        ("check", "1", "--format", "csv"),
+        0,
+        "n,member,width,length,semiperimeter\n1,1,1,1,2\n",
+        "",
+    ),
+    (("check", "0"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("check", "0", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("check", "0", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("check", "-3"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("check", "-3", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("check", "-3", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (
+        ("check", str(S)),
+        0,
+        (
+            "42869455157374046128907284769938501207428478110726879601255183296284571189"
+            "87540465725915967777102409501569842971718570571459613587568955688612487480"
+            "71196991531661519158084558865709211873476784795381454819216894414171505441"
+            "86165433308429571386227871874197065738264734316763843026931455314493955230"
+            "6961 is an almost-square: 654747700701377386126856657861679570529800895801"
+            "42457318255913325894648406106558087677197823626938030281903131436254696896"
+            "1704181923607153180171236969 x 6547477007013773861268566578616795705298008"
+            "95801424573182559133258946484061065580876771978236269380302819031314362546"
+            "968961704181923607153180171236969 (semiperimeter 1309495401402754772253713"
+            "31572335914105960179160284914636511826651789296812213116175354395647253876"
+            "0605638062628725093937923408363847214306360342473938, flock 13094954014027"
+            "54772253713315723359141059601791602849146365118266517892968122131161753543"
+            "956472538760605638062628725093937923408363847214306360342473938)\n"
+        ),
+        "",
+    ),
+    (
+        ("check", str(S), "--format", "json"),
+        0,
+        (
+            '{"n": "4286945515737404612890728476993850120742847811072687960125518329628'
+            "45711898754046572591596777710240950156984297171857057145961358756895568861"
+            "24874807119699153166151915808455886570921187347678479538145481921689441417"
+            "15054418616543330842957138622787187419706573826473431676384302693145531449"
+            '39552306961", "member": true, "value": "4286945515737404612890728476993850'
+            "12074284781107268796012551832962845711898754046572591596777710240950156984"
+            "29717185705714596135875689556886124874807119699153166151915808455886570921"
+            "18734767847953814548192168944141715054418616543330842957138622787187419706"
+            '57382647343167638430269314553144939552306961", "width": "65474770070137738'
+            "61268566578616795705298008958014245731825591332589464840610655808767719782"
+            '36269380302819031314362546968961704181923607153180171236969", "length": "6'
+            "54747700701377386126856657861679570529800895801424573182559133258946484061"
+            "06558087677197823626938030281903131436254696896170418192360715318017123696"
+            '9", "semiperimeter": "1309495401402754772253713315723359141059601791602849'
+            "14636511826651789296812213116175354395647253876060563806262872509393792340"
+            '8363847214306360342473938", "flock": "130949540140275477225371331572335914'
+            "10596017916028491463651182665178929681221311617535439564725387606056380626"
+            '28725093937923408363847214306360342473938"}\n'
+        ),
+        "",
+    ),
+    (
+        ("check", str(S), "--format", "csv"),
+        0,
+        (
+            "n,member,width,length,semiperimeter\n4286945515737404612890728476993850120"
+            "74284781107268796012551832962845711898754046572591596777710240950156984297"
+            "17185705714596135875689556886124874807119699153166151915808455886570921187"
+            "34767847953814548192168944141715054418616543330842957138622787187419706573"
+            "82647343167638430269314553144939552306961,1,654747700701377386126856657861"
+            "67957052980089580142457318255913325894648406106558087677197823626938030281"
+            "9031314362546968961704181923607153180171236969,654747700701377386126856657"
+            "86167957052980089580142457318255913325894648406106558087677197823626938030"
+            "2819031314362546968961704181923607153180171236969,130949540140275477225371"
+            "33157233591410596017916028491463651182665178929681221311617535439564725387"
+            "60605638062628725093937923408363847214306360342473938\n"
+        ),
+        "",
+    ),
+    (
+        ("check", str(S + 1)),
+        0,
+        (
+            "42869455157374046128907284769938501207428478110726879601255183296284571189"
+            "87540465725915967777102409501569842971718570571459613587568955688612487480"
+            "71196991531661519158084558865709211873476784795381454819216894414171505441"
+            "86165433308429571386227871874197065738264734316763843026931455314493955230"
+            "6962 is not an almost-square\n"
+        ),
+        "",
+    ),
+    (
+        ("check", str(S + 1), "--format", "json"),
+        0,
+        (
+            '{"n": "4286945515737404612890728476993850120742847811072687960125518329628'
+            "45711898754046572591596777710240950156984297171857057145961358756895568861"
+            "24874807119699153166151915808455886570921187347678479538145481921689441417"
+            "15054418616543330842957138622787187419706573826473431676384302693145531449"
+            '39552306962", "member": false}\n'
+        ),
+        "",
+    ),
+    (
+        ("check", str(S + 1), "--format", "csv"),
+        0,
+        (
+            "n,member,width,length,semiperimeter\n4286945515737404612890728476993850120"
+            "74284781107268796012551832962845711898754046572591596777710240950156984297"
+            "17185705714596135875689556886124874807119699153166151915808455886570921187"
+            "34767847953814548192168944141715054418616543330842957138622787187419706573"
+            "82647343167638430269314553144939552306962,0,,,\n"
+        ),
+        "",
+    ),
+    (("floor", "190"), 0, "182 = 13 x 14 (semiperimeter 27, flock 27)\n", ""),
+    (
+        ("floor", "190", "--format", "json"),
+        0,
+        (
+            '{"value": "182", "width": "13", "length": "14", "semiperimeter": "27", "fl'
+            'ock": "27"}\n'
+        ),
+        "",
+    ),
+    (
+        ("floor", "190", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n182,13,14,27,27\n",
+        "",
+    ),
+    (("floor", "1"), 0, "1 = 1 x 1 (semiperimeter 2, flock 2)\n", ""),
+    (
+        ("floor", "1", "--format", "json"),
+        0,
+        (
+            '{"value": "1", "width": "1", "length": "1", "semiperimeter": "2", "flock":'
+            ' "2"}\n'
+        ),
+        "",
+    ),
+    (
+        ("floor", "1", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n1,1,1,2,2\n",
+        "",
+    ),
+    (("floor", "0"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("floor", "0", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("floor", "0", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("floor", "-3"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("floor", "-3", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("floor", "-3", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (
+        ("floor", str(S + 1)),
+        0,
+        (
+            "42869455157374046128907284769938501207428478110726879601255183296284571189"
+            "87540465725915967777102409501569842971718570571459613587568955688612487480"
+            "71196991531661519158084558865709211873476784795381454819216894414171505441"
+            "86165433308429571386227871874197065738264734316763843026931455314493955230"
+            "6961 = 6547477007013773861268566578616795705298008958014245731825591332589"
+            "46484061065580876771978236269380302819031314362546968961704181923607153180"
+            "171236969 x 65474770070137738612685665786167957052980089580142457318255913"
+            "32589464840610655808767719782362693803028190313143625469689617041819236071"
+            "53180171236969 (semiperimeter 13094954014027547722537133157233591410596017"
+            "91602849146365118266517892968122131161753543956472538760605638062628725093"
+            "937923408363847214306360342473938, flock 130949540140275477225371331572335"
+            "91410596017916028491463651182665178929681221311617535439564725387606056380"
+            "62628725093937923408363847214306360342473938)\n"
+        ),
+        "",
+    ),
+    (
+        ("floor", str(S + 1), "--format", "json"),
+        0,
+        (
+            '{"value": "428694551573740461289072847699385012074284781107268796012551832'
+            "96284571189875404657259159677771024095015698429717185705714596135875689556"
+            "88612487480711969915316615191580845588657092118734767847953814548192168944"
+            "14171505441861654333084295713862278718741970657382647343167638430269314553"
+            '144939552306961", "width": "6547477007013773861268566578616795705298008958'
+            "01424573182559133258946484061065580876771978236269380302819031314362546968"
+            '961704181923607153180171236969", "length": "654747700701377386126856657861'
+            "67957052980089580142457318255913325894648406106558087677197823626938030281"
+            '9031314362546968961704181923607153180171236969", "semiperimeter": "1309495'
+            "40140275477225371331572335914105960179160284914636511826651789296812213116"
+            '1753543956472538760605638062628725093937923408363847214306360342473938", "'
+            'flock": "13094954014027547722537133157233591410596017916028491463651182665'
+            "17892968122131161753543956472538760605638062628725093937923408363847214306"
+            '360342473938"}\n'
+        ),
+        "",
+    ),
+    (
+        ("floor", str(S + 1), "--format", "csv"),
+        0,
+        (
+            "value,width,length,semiperimeter,flock\n4286945515737404612890728476993850"
+            "12074284781107268796012551832962845711898754046572591596777710240950156984"
+            "29717185705714596135875689556886124874807119699153166151915808455886570921"
+            "18734767847953814548192168944141715054418616543330842957138622787187419706"
+            "57382647343167638430269314553144939552306961,65474770070137738612685665786"
+            "16795705298008958014245731825591332589464840610655808767719782362693803028"
+            "19031314362546968961704181923607153180171236969,65474770070137738612685665"
+            "78616795705298008958014245731825591332589464840610655808767719782362693803"
+            "02819031314362546968961704181923607153180171236969,13094954014027547722537"
+            "13315723359141059601791602849146365118266517892968122131161753543956472538"
+            "760605638062628725093937923408363847214306360342473938,1309495401402754772"
+            "25371331572335914105960179160284914636511826651789296812213116175354395647"
+            "2538760605638062628725093937923408363847214306360342473938\n"
+        ),
+        "",
+    ),
+    (("count", "200"), 0, "59\n", ""),
+    (("count", "200", "--format", "json"), 0, '{"n": "200", "count": "59"}\n', ""),
+    (("count", "200", "--format", "csv"), 0, "n,count\n200,59\n", ""),
+    (("count", "0"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("count", "0", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("count", "0", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("count", "-3"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("count", "-3", "--format", "json"), 2, "", "almost-squares: n must be >= 1\n"),
+    (("count", "-3", "--format", "csv"), 2, "", "almost-squares: n must be >= 1\n"),
+    (
+        ("count", str(S + 1)),
+        0,
+        (
+            "49949910194212638417810318605208962135750880720047913914997176616758270680"
+            "39957087335514721379053980706455254132386306606219691259508711443065208563"
+            "38436401476789989488277398452965305489987557782869079078460187739882779842"
+            "569\n"
+        ),
+        "",
+    ),
+    (
+        ("count", str(S + 1), "--format", "json"),
+        0,
+        (
+            '{"n": "4286945515737404612890728476993850120742847811072687960125518329628'
+            "45711898754046572591596777710240950156984297171857057145961358756895568861"
+            "24874807119699153166151915808455886570921187347678479538145481921689441417"
+            "15054418616543330842957138622787187419706573826473431676384302693145531449"
+            '39552306962", "count": "49949910194212638417810318605208962135750880720047'
+            "91391499717661675827068039957087335514721379053980706455254132386306606219"
+            "69125950871144306520856338436401476789989488277398452965305489987557782869"
+            '079078460187739882779842569"}\n'
+        ),
+        "",
+    ),
+    (
+        ("count", str(S + 1), "--format", "csv"),
+        0,
+        (
+            "n,count\n42869455157374046128907284769938501207428478110726879601255183296"
+            "28457118987540465725915967777102409501569842971718570571459613587568955688"
+            "61248748071196991531661519158084558865709211873476784795381454819216894414"
+            "17150544186165433308429571386227871874197065738264734316763843026931455314"
+            "4939552306962,499499101942126384178103186052089621357508807200479139149971"
+            "76616758270680399570873355147213790539807064552541323863066062196912595087"
+            "11443065208563384364014767899894882773984529653054899875577828690790784601"
+            "87739882779842569\n"
+        ),
+        "",
+    ),
+    (("nth", "59"), 0, "196 = 14 x 14 (semiperimeter 28, flock 28)\n", ""),
+    (
+        ("nth", "59", "--format", "json"),
+        0,
+        (
+            '{"value": "196", "width": "14", "length": "14", "semiperimeter": "28", "fl'
+            'ock": "28"}\n'
+        ),
+        "",
+    ),
+    (
+        ("nth", "59", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n196,14,14,28,28\n",
+        "",
+    ),
+    (("nth", "1"), 0, "1 = 1 x 1 (semiperimeter 2, flock 2)\n", ""),
+    (
+        ("nth", "1", "--format", "json"),
+        0,
+        (
+            '{"value": "1", "width": "1", "length": "1", "semiperimeter": "2", "flock":'
+            ' "2"}\n'
+        ),
+        "",
+    ),
+    (
+        ("nth", "1", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n1,1,1,2,2\n",
+        "",
+    ),
+    (("nth", "0"), 2, "", "almost-squares: index must be >= 1\n"),
+    (("nth", "0", "--format", "json"), 2, "", "almost-squares: index must be >= 1\n"),
+    (("nth", "0", "--format", "csv"), 2, "", "almost-squares: index must be >= 1\n"),
+    (("nth", "-3"), 2, "", "almost-squares: index must be >= 1\n"),
+    (("nth", "-3", "--format", "json"), 2, "", "almost-squares: index must be >= 1\n"),
+    (("nth", "-3", "--format", "csv"), 2, "", "almost-squares: index must be >= 1\n"),
+    (
+        ("list", "1", "20"),
+        0,
+        (
+            "1 = 1 x 1\n2 = 1 x 2\n3 = 1 x 3\n4 = 2 x 2\n6 = 2 x 3\n8 = 2 x 4\n9 = 3 x "
+            "3\n12 = 3 x 4\n15 = 3 x 5\n16 = 4 x 4\n18 = 3 x 6\n20 = 4 x 5\n"
+        ),
+        "",
+    ),
+    (
+        ("list", "1", "20", "--format", "json"),
+        0,
+        (
+            '{"members": [{"value": "1", "width": "1", "length": "1", "semiperimeter": '
+            '"2", "flock": "2"}, {"value": "2", "width": "1", "length": "2", "semiperim'
+            'eter": "3", "flock": "3"}, {"value": "3", "width": "1", "length": "3", "se'
+            'miperimeter": "4", "flock": "4"}, {"value": "4", "width": "2", "length": "'
+            '2", "semiperimeter": "4", "flock": "4"}, {"value": "6", "width": "2", "len'
+            'gth": "3", "semiperimeter": "5", "flock": "5"}, {"value": "8", "width": "2'
+            '", "length": "4", "semiperimeter": "6", "flock": "6"}, {"value": "9", "wid'
+            'th": "3", "length": "3", "semiperimeter": "6", "flock": "6"}, {"value": "1'
+            '2", "width": "3", "length": "4", "semiperimeter": "7", "flock": "7"}, {"va'
+            'lue": "15", "width": "3", "length": "5", "semiperimeter": "8", "flock": "8'
+            '"}, {"value": "16", "width": "4", "length": "4", "semiperimeter": "8", "fl'
+            'ock": "8"}, {"value": "18", "width": "3", "length": "6", "semiperimeter": '
+            '"9", "flock": "9"}, {"value": "20", "width": "4", "length": "5", "semiperi'
+            'meter": "9", "flock": "9"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ("list", "1", "20", "--format", "csv"),
+        0,
+        (
+            "value,width,length,semiperimeter,flock\n1,1,1,2,2\n2,1,2,3,3\n3,1,3,4,4\n4"
+            ",2,2,4,4\n6,2,3,5,5\n8,2,4,6,6\n9,3,3,6,6\n12,3,4,7,7\n15,3,5,8,8\n16,4,4,"
+            "8,8\n18,3,6,9,9\n20,4,5,9,9\n"
+        ),
+        "",
+    ),
+    (("list", "5", "5"), 0, "", ""),
+    (("list", "5", "5", "--format", "json"), 0, '{"members": []}\n', ""),
+    (
+        ("list", "5", "5", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n",
+        "",
+    ),
+    (("list", "20", "1"), 2, "", "almost-squares: lo must not exceed hi\n"),
+    (
+        ("list", "20", "1", "--format", "json"),
+        2,
+        "",
+        "almost-squares: lo must not exceed hi\n",
+    ),
+    (
+        ("list", "20", "1", "--format", "csv"),
+        2,
+        "",
+        "almost-squares: lo must not exceed hi\n",
+    ),
+    (("list", "0", "5"), 2, "", "almost-squares: lo must be >= 1\n"),
+    (
+        ("list", "0", "5", "--format", "json"),
+        2,
+        "",
+        "almost-squares: lo must be >= 1\n",
+    ),
+    (("list", "0", "5", "--format", "csv"), 2, "", "almost-squares: lo must be >= 1\n"),
+    (("list", "-3", "-1"), 2, "", "almost-squares: lo must be >= 1\n"),
+    (
+        ("list", "-3", "-1", "--format", "json"),
+        2,
+        "",
+        "almost-squares: lo must be >= 1\n",
+    ),
+    (
+        ("list", "-3", "-1", "--format", "csv"),
+        2,
+        "",
+        "almost-squares: lo must be >= 1\n",
+    ),
+    (
+        ("list", "170", "200"),
+        0,
+        (
+            "176 = 11 x 16\n180 = 12 x 15\n182 = 13 x 14\n192 = 12 x 16\n195 = 13 x 15"
+            "\n196 = 14 x 14\n"
+        ),
+        "",
+    ),
+    (
+        ("list", "170", "200", "--format", "json"),
+        0,
+        (
+            '{"members": [{"value": "176", "width": "11", "length": "16", "semiperimete'
+            'r": "27", "flock": "27"}, {"value": "180", "width": "12", "length": "15", '
+            '"semiperimeter": "27", "flock": "27"}, {"value": "182", "width": "13", "le'
+            'ngth": "14", "semiperimeter": "27", "flock": "27"}, {"value": "192", "widt'
+            'h": "12", "length": "16", "semiperimeter": "28", "flock": "28"}, {"value":'
+            ' "195", "width": "13", "length": "15", "semiperimeter": "28", "flock": "28'
+            '"}, {"value": "196", "width": "14", "length": "14", "semiperimeter": "28",'
+            ' "flock": "28"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ("list", "170", "200", "--format", "csv"),
+        0,
+        (
+            "value,width,length,semiperimeter,flock\n176,11,16,27,27\n180,12,15,27,27\n"
+            "182,13,14,27,27\n192,12,16,28,28\n195,13,15,28,28\n196,14,14,28,28\n"
+        ),
+        "",
+    ),
+    (("flock", "1"), 0, "", ""),
+    (("flock", "1", "--format", "json"), 0, '{"members": []}\n', ""),
+    (
+        ("flock", "1", "--format", "csv"),
+        0,
+        "value,width,length,semiperimeter,flock\n",
+        "",
+    ),
+    (("flock", "16"), 0, "60 = 6 x 10\n63 = 7 x 9\n64 = 8 x 8\n", ""),
+    (
+        ("flock", "16", "--format", "json"),
+        0,
+        (
+            '{"members": [{"value": "60", "width": "6", "length": "10", "semiperimeter"'
+            ': "16", "flock": "16"}, {"value": "63", "width": "7", "length": "9", "semi'
+            'perimeter": "16", "flock": "16"}, {"value": "64", "width": "8", "length": '
+            '"8", "semiperimeter": "16", "flock": "16"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ("flock", "16", "--format", "csv"),
+        0,
+        (
+            "value,width,length,semiperimeter,flock\n60,6,10,16,16\n63,7,9,16,16\n64,8,"
+            "8,16,16\n"
+        ),
+        "",
+    ),
+    (("flock", "0"), 2, "", "almost-squares: flock index k must be >= 1\n"),
+    (
+        ("flock", "0", "--format", "json"),
+        2,
+        "",
+        "almost-squares: flock index k must be >= 1\n",
+    ),
+    (
+        ("flock", "0", "--format", "csv"),
+        2,
+        "",
+        "almost-squares: flock index k must be >= 1\n",
+    ),
+    (
+        ("flock", "100000000000000000000000000000000"),
+        2,
+        "",
+        (
+            "almost-squares: flock 100000000000000000000000000000000 holds 500000000000"
+            "0001 members, above the cap of 10000000\n"
+        ),
+    ),
+    (
+        ("flock", "100000000000000000000000000000000", "--format", "json"),
+        2,
+        "",
+        (
+            "almost-squares: flock 100000000000000000000000000000000 holds 500000000000"
+            "0001 members, above the cap of 10000000\n"
+        ),
+    ),
+    (
+        ("flock", "100000000000000000000000000000000", "--format", "csv"),
+        2,
+        "",
+        (
+            "almost-squares: flock 100000000000000000000000000000000 holds 500000000000"
+            "0001 members, above the cap of 10000000\n"
+        ),
+    ),
+    (
+        ("pioneers", "4"),
+        0,
+        (
+            "1: 3 = 1 x 3 (flock 4)\n2: 18 = 3 x 6 (flock 9)\n3: 60 = 6 x 10 (flock 16)"
+            "\n4: 150 = 10 x 15 (flock 25)\n"
+        ),
+        "",
+    ),
+    (
+        ("pioneers", "4", "--format", "json"),
+        0,
+        (
+            '{"pioneers": [{"index": "1", "value": "3", "width": "1", "length": "3", "f'
+            'lock": "4"}, {"index": "2", "value": "18", "width": "3", "length": "6", "f'
+            'lock": "9"}, {"index": "3", "value": "60", "width": "6", "length": "10", "'
+            'flock": "16"}, {"index": "4", "value": "150", "width": "10", "length": "15'
+            '", "flock": "25"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ("pioneers", "4", "--format", "csv"),
+        0,
+        (
+            "index,value,width,length,flock\n1,3,1,3,4\n2,18,3,6,9\n3,60,6,10,16\n4,150"
+            ",10,15,25\n"
+        ),
+        "",
+    ),
+    (("pioneers", "0"), 2, "", "almost-squares: count must be >= 1\n"),
+    (
+        ("pioneers", "0", "--format", "json"),
+        2,
+        "",
+        "almost-squares: count must be >= 1\n",
+    ),
+    (
+        ("pioneers", "0", "--format", "csv"),
+        2,
+        "",
+        "almost-squares: count must be >= 1\n",
+    ),
+    (
+        ("pioneers", "20000000"),
+        2,
+        "",
+        "almost-squares: 20000000 pioneers requested, above the cap of 10000000\n",
+    ),
+    (
+        ("pioneers", "20000000", "--format", "json"),
+        2,
+        "",
+        "almost-squares: 20000000 pioneers requested, above the cap of 10000000\n",
+    ),
+    (
+        ("pioneers", "20000000", "--format", "csv"),
+        2,
+        "",
+        "almost-squares: 20000000 pioneers requested, above the cap of 10000000\n",
+    ),
+]
+
+
+def test_output_matrix_is_pinned(capsys):
+    for argv, code, out, err in OUTPUT_MATRIX:
+        assert run(capsys, *argv) == (code, out, err), argv
