@@ -103,8 +103,10 @@ def b_value(x: int | float) -> BTerms:
     At every perfect square x = m^2 the value agrees with the exact
     count of almost-squares up to m^2 (to the accuracy of the float
     conversion of the result).  Raises ValueError for x beyond float
-    range, as remainder does.
+    range or not finite, as remainder does.
     """
+    if isinstance(x, float) and not math.isfinite(x):  # Fraction(inf) overflows
+        raise ValueError(f"x must be finite, not {x}")
     xq = Fraction(x)
     if xq < 1:
         raise ValueError("x must be >= 1")

@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 import time
-from typing import TextIO
+from collections.abc import Iterable, Iterator
+from itertools import starmap
 
 from .core import (
     AlmostSquareRecord,
@@ -36,53 +37,50 @@ __all__ = ["build_parser", "main", "run_main"]
 
 _LIST_ROW_CAP = 10_000_000
 
+_RECORD = ("value", "width", "length", "semiperimeter", "flock")
+_RECORD_TEXT = "{} = {} x {} (semiperimeter {}, flock {})\n"
+_MEMBER_TEXT = "{} = {} x {}\n"  # one line per member of a list or flock
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
 
 
-def _record_fields(rec: AlmostSquareRecord) -> dict[str, str]:
-    return {
-        "value": str(rec.value),
-        "width": str(rec.rect.width),
-        "length": str(rec.rect.length),
-        "semiperimeter": str(rec.semiperimeter),
-        "flock": str(rec.flock.k),
-    }
+def _record_rows(recs: Iterable[AlmostSquareRecord]) -> Iterator[tuple[int, ...]]:
+    """Each record's cells in _RECORD order."""
+    for r in recs:
+        yield r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k
 
 
-def _print_record(rec: AlmostSquareRecord, fmt: str, out: TextIO) -> None:
+def _emit(
+    fmt: str,
+    columns: tuple[str, ...],
+    rows: Iterable[tuple[object, ...]],
+    text: str,
+    key: str | None = None,
+) -> None:
+    """Write rows (tuples in column order) to stdout in one of the three formats.
+
+    text fills the template ``text`` with each row's cells by position.
+    csv writes the column names, then each row's cells joined by commas.
+    json renders every int as a decimal string and keeps bools; with no
+    ``key`` the single row is a bare object, otherwise the rows are a list
+    under ``key``.
+    """
+    out = sys.stdout
     if fmt == "json":
-        json.dump(_record_fields(rec), out)
+        objs = [
+            {c: v if isinstance(v, bool) else str(v) for c, v in zip(columns, row)}
+            for row in rows
+        ]
+        json.dump(objs[0] if key is None else {key: objs}, out)
         out.write("\n")
-    elif fmt == "csv":
-        out.write("value,width,length,semiperimeter,flock\n")
-        out.write(
-            f"{rec.value},{rec.rect.width},{rec.rect.length},"
-            f"{rec.semiperimeter},{rec.flock.k}\n"
-        )
-    else:
-        out.write(
-            f"{rec.value} = {rec.rect.width} x {rec.rect.length} "
-            f"(semiperimeter {rec.semiperimeter}, flock {rec.flock.k})\n"
-        )
-
-
-def _print_records(recs: list[AlmostSquareRecord], fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        json.dump({"members": [_record_fields(r) for r in recs]}, out)
-        out.write("\n")
-    elif fmt == "csv":
-        out.write("value,width,length,semiperimeter,flock\n")
-        for r in recs:
-            out.write(
-                f"{r.value},{r.rect.width},{r.rect.length},"
-                f"{r.semiperimeter},{r.flock.k}\n"
-            )
-    else:
-        for r in recs:
-            out.write(f"{r.value} = {r.rect.width} x {r.rect.length}\n")
+        return
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
+        text = ",".join(["{}"] * len(columns)) + "\n"
+    out.writelines(starmap(text.format, rows))
 
 
 # --------------------------------------------------------------------------
@@ -90,56 +88,35 @@ def _print_records(recs: list[AlmostSquareRecord], fmt: str, out: TextIO) -> Non
 # --------------------------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _require(args.n >= 1, "n must be >= 1")
-    out = sys.stdout
-    rec = floor_almost_square(args.n)
-    member = rec.value == args.n
-    if args.format == "json":
-        payload: dict[str, object] = {"n": str(args.n), "member": member}
-        if member:
-            payload.update(_record_fields(rec))
-        json.dump(payload, out)
-        out.write("\n")
-    elif args.format == "csv":
-        out.write("n,member,width,length,semiperimeter\n")
-        if member:
-            out.write(
-                f"{args.n},1,{rec.rect.width},{rec.rect.length},{rec.semiperimeter}\n"
-            )
-        else:
-            out.write(f"{args.n},0,,,\n")
-    elif member:
-        out.write(
-            f"{args.n} is an almost-square: {rec.rect.width} x {rec.rect.length} "
-            f"(semiperimeter {rec.semiperimeter}, flock {rec.flock.k})\n"
-        )
+    n = args.n
+    (cells,) = _record_rows([floor_almost_square(n)])
+    member = cells[0] == n
+    if member:
+        columns, row = ("n", "member", *_RECORD), (n, True, *cells)
+        text = "{0} is an almost-square: {3} x {4} (semiperimeter {5}, flock {6})\n"
     else:
-        out.write(f"{args.n} is not an almost-square\n")
+        columns, row = ("n", "member"), (n, False)
+        text = "{0} is not an almost-square\n"
+    if args.format == "csv":  # one column set for both answers: 1/0 and blank cells
+        columns = ("n", "member", "width", "length", "semiperimeter")
+        row = (n, 1, *cells[1:4]) if member else (n, 0, "", "", "")
+    _emit(args.format, columns, [row], text)
     return 0
 
 
 def cmd_floor(args: argparse.Namespace) -> int:
-    _require(args.n >= 1, "n must be >= 1")
-    _print_record(floor_almost_square(args.n), args.format, sys.stdout)
+    rec = floor_almost_square(args.n)
+    _emit(args.format, _RECORD, _record_rows([rec]), _RECORD_TEXT)
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    _require(args.n >= 1, "n must be >= 1")
-    value = count_le(args.n)
-    if args.format == "json":
-        json.dump({"n": str(args.n), "count": str(value)}, sys.stdout)
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        sys.stdout.write(f"n,count\n{args.n},{value}\n")
-    else:
-        sys.stdout.write(f"{value}\n")
+    _emit(args.format, ("n", "count"), [(args.n, count_le(args.n))], "{1}\n")
     return 0
 
 
 def cmd_nth(args: argparse.Namespace) -> int:
-    _require(args.index >= 1, "index must be >= 1")
-    _print_record(nth(args.index), args.format, sys.stdout)
+    _emit(args.format, _RECORD, _record_rows([nth(args.index)]), _RECORD_TEXT)
     return 0
 
 
@@ -151,7 +128,8 @@ def cmd_list(args: argparse.Namespace) -> int:
         expected <= _LIST_ROW_CAP,
         f"range holds {expected} members; use 'count' or 'analyze' instead",
     )
-    _print_records(enumerate_range(args.lo, args.hi), args.format, sys.stdout)
+    rows = _record_rows(enumerate_range(args.lo, args.hi))
+    _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
     return 0
 
 
@@ -162,8 +140,14 @@ def cmd_flock(args: argparse.Namespace) -> int:
         size <= _LIST_ROW_CAP,
         f"flock {args.k} holds {size} members, above the cap of {_LIST_ROW_CAP}",
     )
-    _print_records(flock_members(args.k), args.format, sys.stdout)
+    rows = _record_rows(flock_members(args.k))
+    _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
     return 0
+
+
+def _pioneer_row(j: int) -> tuple[int, int, int, int, int]:
+    value, fid = pioneer(j)
+    return j, value, triangular(j + 1), triangular(j + 2), fid.k
 
 
 def cmd_pioneers(args: argparse.Namespace) -> int:
@@ -172,35 +156,9 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
         args.count <= _LIST_ROW_CAP,
         f"{args.count} pioneers requested, above the cap of {_LIST_ROW_CAP}",
     )
-    rows = []
-    for j in range(1, args.count + 1):
-        value, fid = pioneer(j)
-        rows.append((j, value, triangular(j + 1), triangular(j + 2), fid.k))
-    out = sys.stdout
-    if args.format == "json":
-        json.dump(
-            {
-                "pioneers": [
-                    {
-                        "index": str(j),
-                        "value": str(v),
-                        "width": str(w),
-                        "length": str(length),
-                        "flock": str(k),
-                    }
-                    for j, v, w, length, k in rows
-                ]
-            },
-            out,
-        )
-        out.write("\n")
-    elif args.format == "csv":
-        out.write("index,value,width,length,flock\n")
-        for j, v, w, length, k in rows:
-            out.write(f"{j},{v},{w},{length},{k}\n")
-    else:
-        for j, v, w, length, k in rows:
-            out.write(f"{j}: {v} = {w} x {length} (flock {k})\n")
+    columns = ("index", "value", "width", "length", "flock")
+    rows = map(_pioneer_row, range(1, args.count + 1))
+    _emit(args.format, columns, rows, "{}: {} = {} x {} (flock {})\n", key="pioneers")
     return 0
 
 

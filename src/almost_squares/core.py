@@ -100,28 +100,22 @@ class FlockId:
     """
 
     k: int
-    m: int
-    parity: str
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("flock semiperimeter k must be >= 1")
-        if self.k % 2:
-            expected = ((self.k + 1) // 2, "odd")
-        else:
-            expected = (self.k // 2, "even")
-        if (self.m, self.parity) != expected:
-            raise ValueError(
-                f"inconsistent flock id k={self.k}, m={self.m}, parity={self.parity!r}"
-            )
+
+    @property
+    def m(self) -> int:
+        return (self.k + 1) // 2
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.k % 2 else "even"
 
     @classmethod
     def from_semiperimeter(cls, k: int) -> "FlockId":
-        if k < 1:
-            raise ValueError("flock semiperimeter k must be >= 1")
-        if k % 2:
-            return cls(k=k, m=(k + 1) // 2, parity="odd")
-        return cls(k=k, m=k // 2, parity="even")
+        return cls(k)
 
     def value_interval(self) -> tuple[int, int]:
         """Bounds (lo, hi] of the values this flock may contain."""

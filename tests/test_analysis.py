@@ -258,6 +258,11 @@ class TestBValue:
         with pytest.raises(ValueError, match="beyond float range"):
             b_value(10**310)
 
+    def test_non_finite_floats_refused(self):
+        for x in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="must be finite"):
+                b_value(x)
+
 
 class TestGoldenValues:
     @pytest.mark.parametrize("n, want", REMAINDER_GOLDEN)

@@ -1,9 +1,13 @@
 """CLI behavior: verbs, formats, exit codes, and big-integer handling."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almost_squares import cli
 from almost_squares.cli import main
@@ -252,6 +256,66 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "12abc"])
         assert exc.value.code == 2
+
+
+# --------------------------------------------------------------------------
+# fuzzed argv
+# --------------------------------------------------------------------------
+
+# mostly positive, so that most argvs reach the verb instead of its refusal
+INTS = st.integers(1, 10**60) | st.integers(-(10**60), 10**60)
+
+
+@st.composite
+def argvs(draw):
+    """An argv for any verb; work stays small (narrow windows, few rows)."""
+    verb = draw(st.sampled_from(
+        ["check", "floor", "count", "nth", "list", "flock", "pioneers",
+         "analyze", "trigrid", "oracle-verify"]
+    ))
+    fmt = draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"],
+                                ["--format", "csv"]]))
+    if verb in ("check", "floor", "count", "nth"):
+        args = [draw(INTS), *fmt]
+    elif verb == "list":
+        lo = draw(INTS)
+        args = [lo, lo + draw(st.integers(-10, 1000)), *fmt]
+    elif verb == "flock":
+        # small flocks, and flocks above the row cap (refused in closed form)
+        args = [draw(st.integers(-10, 10**6) | st.integers(10**15, 10**60)), *fmt]
+    elif verb == "pioneers":
+        args = [draw(st.integers(-10, 100)), *fmt]
+    elif verb == "analyze":
+        lo = draw(INTS)
+        plan = draw(st.sampled_from(["A-of-x", "R-of-x", "R-normalized"]))
+        args = ["--plan", plan, "--lo", lo, "--hi", lo + draw(st.integers(-10, 300)),
+                "--step", draw(st.integers(-1, 50)),
+                "--max-rows", draw(st.integers(-1, 100))]
+        args += draw(st.sampled_from([[], ["--grid"]]))
+    elif verb == "trigrid":
+        args = [draw(st.integers(-5, 40)), "--max-rows", draw(st.integers(-2, 2000))]
+    else:
+        args = ["--limit", draw(st.integers(-5, 2000))]
+    argv = [verb, *map(str, args)]
+    if draw(st.integers(0, 3)) == 0:  # a token argparse must refuse
+        junk = draw(st.sampled_from(["x1", "--bogus", "1.5", ""]))
+        argv.insert(draw(st.integers(1, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse refusing the argv
+            code = stop.code
+    assert time.perf_counter() - t0 < 5.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 # --------------------------------------------------------------------------

@@ -454,11 +454,17 @@ class TestDomainTypes:
             Rectangle(0, 5)
 
     def test_flock_id_consistency(self):
-        with pytest.raises(ValueError):
-            FlockId(k=4, m=3, parity="even")
-        with pytest.raises(ValueError):
-            FlockId(k=5, m=3, parity="even")
-        assert FlockId.from_semiperimeter(5) == FlockId(k=5, m=3, parity="odd")
+        # m and parity follow from k: k = 2m-1 is odd, k = 2m is even
+        cases = [(1, 1, "odd"), (4, 2, "even"), (5, 3, "odd"), (10**40, 5 * 10**39, "even")]
+        for k, m, parity in cases:
+            fid = FlockId(k=k)
+            assert (fid.m, fid.parity) == (m, parity)
+            assert FlockId.from_semiperimeter(k) == fid
+        for k in (0, -3):
+            with pytest.raises(ValueError):
+                FlockId(k=k)
+            with pytest.raises(ValueError):
+                FlockId.from_semiperimeter(k)
 
     def test_record_ratio(self):
         rec = AlmostSquareRecord(
