@@ -1,5 +1,6 @@
 """Tests for the floating-point analysis layer."""
 
+import hashlib
 import io
 import math
 import os
@@ -507,6 +508,107 @@ class TestEmitSeries:
         emit_series(plan, a)
         emit_series(plan, b)
         assert a.getvalue() == b.getvalue()
+
+
+B = 10**310  # beyond float range
+
+# (plan, rows, sha256 of the output) or (plan, exception type, message) for
+# every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
+# count and a negative cap, tri-grid windows that start past 1 or below 2,
+# and remainder plans at and beyond float range.
+EMIT_MATRIX = [
+    (SamplingPlan("A-of-x", 1, 50), 50,
+     "f71066e51364de52115b7bf1ea44ae86bffba1ad15f12149b886f0851fbc34e8"),
+    (SamplingPlan("A-of-x", 10, 100, step=7), 13,
+     "3d94ebbad7f56da0bc9bf2506b6b807882a47a93dfaa024f1707f617d1bd3e4c"),
+    (SamplingPlan("A-of-x", 10**40, 10**40 + 30, step=10), 4,
+     "64420b0f0f41c8761d986e07bd8dd741db53864f5f5c325e21bb5d891898dff7"),
+    (SamplingPlan("A-of-x", B, B + 2), 3,
+     "9a9f34cff9150e9449149bc23ac47a04c639a857a68d02abae536c1b0f5c37c4"),
+    (SamplingPlan("A-of-x", 0, 5), ValueError,
+     "lo must be >= 1"),
+    (SamplingPlan("A-of-x", 10, 5), 0,
+     "186f7250ee2b6b6918b55faf8407d717efb1ea5c04a37e51e2afe439780a1ad4"),
+    (SamplingPlan("A-of-x", -10, -5), ValueError,
+     "lo must be >= 1"),
+    (SamplingPlan("A-of-x", 1, 10, step=0), ValueError,
+     "step must be >= 1"),
+    (SamplingPlan("A-of-x", 1, 10, max_rows=10), 10,
+     "0abb259023721ee114c36d6499a9aaf4091b374702e3bdd6fb206a4c22ccd45e"),
+    (SamplingPlan("A-of-x", 1, 10, max_rows=9), ValueError,
+     "plan would emit 10 rows, above the cap of 9"),
+    (SamplingPlan("A-of-x", 1, 10, max_rows=-1), ValueError,
+     "plan would emit 10 rows, above the cap of -1"),
+    (SamplingPlan("A-of-x", 10, 5, max_rows=-1), ValueError,
+     "plan would emit 0 rows, above the cap of -1"),
+    (SamplingPlan("R-of-x", 1, 200), 59,
+     "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
+    (SamplingPlan("R-of-x", 100, 200, step=10, at_members=False), 11,
+     "a01b8d1136ca22b02408e53c89e52358d6e8a0349fcc800feea93abebea54931"),
+    (SamplingPlan("R-of-x", 10**308, 10**308, at_members=False), 1,
+     "315684735cf741d1ea0870fa4a3c3818b8d8acd7f43cbb05a824fe88de85957a"),
+    (SamplingPlan("R-of-x", 10, 5), 0,
+     "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
+    (SamplingPlan("R-of-x", 10, 5, max_rows=-1), 0,
+     "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
+    (SamplingPlan("R-of-x", 0, 10), ValueError,
+     "lo must be >= 1"),
+    (SamplingPlan("R-of-x", 1, 10, step=0, at_members=False), ValueError,
+     "step must be >= 1"),
+    (SamplingPlan("R-of-x", B, B, at_members=False), ValueError,
+     "x of about 311 digits is beyond float range (about 1.8e308)"),
+    (SamplingPlan("R-normalized", 1, 500, at_members=True), 113,
+     "4ab9ed22d62e0067d9706bea5f4d12be188ce98ad7e288388bad193561dcfe73"),
+    (SamplingPlan("R-normalized", 1, 59, step=3, at_members=False), 20,
+     "c7e6a6ca172fa90223b73575d246d28c08416525cfa212d8cfea29123c5dc111"),
+    (SamplingPlan("R-normalized", 1, 196, max_rows=59), 59,
+     "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
+    (SamplingPlan("R-normalized", 1, 196, max_rows=58), ValueError,
+     "plan would emit 59 rows, above the cap of 58"),
+    (SamplingPlan("R-normalized", 1, 196, max_rows=-1), ValueError,
+     "plan would emit 59 rows, above the cap of -1"),
+    (SamplingPlan("R-normalized", B - 10, B), ValueError,
+     "x of about 311 digits is beyond float range (about 1.8e308)"),
+    (SamplingPlan("tri-grid", 1, 1), 0,
+     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+    (SamplingPlan("tri-grid", 1, 8), 64,
+     "e9a940d39859f3b3362acbb0a0e1b1fd908daee99c6701e5e7a16833af88f08e"),
+    (SamplingPlan("tri-grid", 2, 2), 1,
+     "9d38a8a99c16f72df63458af3243d01e5d554fcaf4d5bed3d9f19ba9c08d14a2"),
+    (SamplingPlan("tri-grid", 0, 3), 9,
+     "63272df94046f32eab866e6965d968df8e1404ef7a370c7e2f9c8f46343beb36"),
+    (SamplingPlan("tri-grid", 5, 9), 25,
+     "6a7113a87c594dd92a44a5313d1c0d68ea4ac360400709c5326e13f64d069662"),
+    (SamplingPlan("tri-grid", 5, 3), 0,
+     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+    (SamplingPlan("tri-grid", -3, -1), 0,
+     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+    (SamplingPlan("tri-grid", 1, 8, max_rows=64), 64,
+     "e9a940d39859f3b3362acbb0a0e1b1fd908daee99c6701e5e7a16833af88f08e"),
+    (SamplingPlan("tri-grid", 1, 8, max_rows=63), ValueError,
+     "plan would emit 64 rows, above the cap of 63"),
+    (SamplingPlan("tri-grid", 1, 1, max_rows=-1), ValueError,
+     "plan would emit 1 rows, above the cap of -1"),
+    (SamplingPlan("tri-grid", 5, 3, max_rows=-1), 0,
+     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+    (SamplingPlan("tri-grid", 1, 8, step=0), ValueError,
+     "step must be >= 1"),
+    (SamplingPlan("B-of-x", 1, 10), ValueError,
+     "unknown plan kind 'B-of-x'"),
+]
+
+
+def test_emit_series_matrix_is_pinned():
+    for plan, want, pinned in EMIT_MATRIX:
+        out = io.StringIO()
+        if isinstance(want, int):
+            assert emit_series(plan, out) == want, plan
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned, plan
+        else:
+            with pytest.raises(want) as info:
+                emit_series(plan, out)
+            assert str(info.value) == pinned, plan
+            assert out.getvalue() == "", plan
 
 
 class TestIncrementPrediction:
