@@ -26,7 +26,7 @@ print(header)
 for m in range(2, SIZE + 1, 2):
     cells = []
     for n in range(2, SIZE + 1, 2):
-        mark = "#" if grid[m, n] else "."
+        mark = "#" if grid[m][n] else "."
         inside = kite_region_contains(min(m, n), max(m, n))
         cells.append(f"[{mark}]" if inside and m != n else f" {mark} ")
     print(f"  {m:>3} " + "".join(cells))
@@ -35,7 +35,7 @@ print()
 print("checkerboard checks inside the region:")
 for m, n in ((4, 6), (4, 7), (10, 13), (10, 14)):
     parity = "even" if (n - m) % 2 == 0 else "odd"
-    verdict = "member" if grid[m, n] else "not a member"
+    verdict = "member" if grid[m][n] else "not a member"
     print(f"  (m={m}, n={n}): gap {parity}, product is {verdict}")
 
 out_dir = Path(__file__).resolve().parent / "output"

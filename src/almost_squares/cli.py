@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Iterable, Iterator
 from itertools import starmap
 
@@ -69,13 +68,17 @@ def _emit(
     under ``key``.
     """
     out = sys.stdout
-    if fmt == "json":
-        objs = [
+    if fmt == "json":  # each row is rendered and written on its own
+        objs = map(json.dumps, (
             {c: v if isinstance(v, bool) else str(v) for c, v in zip(columns, row)}
             for row in rows
-        ]
-        json.dump(objs[0] if key is None else {key: objs}, out)
-        out.write("\n")
+        ))
+        if key is None:
+            out.write(next(objs) + "\n")
+            return
+        out.write("{%s: [%s" % (json.dumps(key), next(objs, "")))
+        out.writelines(", " + obj for obj in objs)
+        out.write("]}\n")
         return
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
@@ -162,9 +165,22 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_row_cap(max_rows: int) -> None:
+    _require(
+        max_rows <= _LIST_ROW_CAP,
+        f"--max-rows {max_rows} is above the cap of {_LIST_ROW_CAP}",
+    )
+
+
+# analysis is imported inside the two verbs that use it.  An eager import
+# made a fresh `import almost_squares.cli` slower (29.4 -> 36.0 ms median over
+# 40 alternating fresh interpreters, 2-vCPU host, Python 3.11), and
+# perfbench/tracing.py replaces analysis.emit_series after cli is imported,
+# which a name bound at cli's import time would bypass.
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import SamplingPlan, emit_series
 
+    _require_row_cap(args.max_rows)
     plan = SamplingPlan(
         kind=args.plan,
         lo=args.lo,
@@ -181,6 +197,7 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
     from .analysis import SamplingPlan, emit_series
 
     _require(args.size >= 2, "size must be >= 2")
+    _require_row_cap(args.max_rows)
     plan = SamplingPlan(kind="tri-grid", lo=1, hi=args.size, max_rows=args.max_rows)
     emit_series(plan, sys.stdout)
     return 0
@@ -193,15 +210,6 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         limit <= _MAX_SCAN_LIMIT,
         f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}",
     )
-    if limit > 50_000:
-        t0 = time.perf_counter()
-        brute_record_set(10_000)
-        dt = time.perf_counter() - t0
-        estimate = dt * (limit / 10_000) ** 1.5
-        print(
-            f"oracle scan estimate: ~{estimate:.0f}s for limit {limit}",
-            file=sys.stderr,
-        )
     record_set = brute_record_set(limit)
     members = record_set.members
     idx = 0

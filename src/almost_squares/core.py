@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from math import ceil, gcd, isqrt
+from math import gcd, isqrt
 from typing import Iterator
 
 __all__ = [
@@ -377,20 +377,17 @@ def count_le(n: int) -> int:
 
 
 def _seed_square_param(j: int) -> int:
-    # the j-th member sits near the square of (3j)^(2/3)/2 - (3j)^(1/3)/4;
-    # beyond float range, integer cube roots give the same seed
+    # the j-th member sits near the square of (3j)^(2/3)/2 - (3j)^(1/3)/4,
+    # taken here with integer cube roots at every size
     t = 3 * j
-    if t < (1 << 50):
-        c = t ** (1.0 / 3.0)
-        return max(1, ceil(0.5 * c * c - 0.25 * c))
     return max(1, (2 * _icbrt(t * t) - _icbrt(t)) // 4 + 1)
 
 
 def nth(j: int) -> AlmostSquareRecord:
     """The j-th almost-square in increasing order, with its rectangle.
 
-    The square parameter is seeded from a float (or integer-root)
-    estimate and then pinned down with exact counts, so rounding can
+    The square parameter is seeded from an integer-root estimate and
+    then pinned down with exact counts, so the estimate's truncation can
     never corrupt the answer.
     """
     if j < 1:

@@ -188,7 +188,7 @@ def test_criterion_7_triangular_grid():
         for n in range(2, size + 1):
             for m in range(2, size + 1):
                 if kite_region_contains(min(m, n), max(m, n)) and m != n:
-                    assert grid[m, n] == ((n - m) % 2 == 0), (m, n)
+                    assert grid[m][n] == ((n - m) % 2 == 0), (m, n)
                     checked += 1
         assert checked > 1000
 

@@ -7,9 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import almost_squares
@@ -27,7 +27,13 @@ from almost_squares.analysis import (
     tri_product_grid,
     z_bracket,
 )
-from almost_squares.core import count_at_square, count_le, enumerate_range, triangular
+from almost_squares.core import (
+    count_at_square,
+    count_le,
+    enumerate_range,
+    is_almost_square,
+    triangular,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -275,13 +281,23 @@ class TestGoldenValues:
         assert repr(b_value(x)) == repr(want)
 
 
-def test_import_leaves_mpmath_unloaded():
-    code = "import sys, almost_squares.analysis; print('mpmath' in sys.modules)"
+def _modules_after(statement, names):
+    code = f"import sys; {statement}; print([m for m in {names!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(almost_squares.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_import_leaves_mpmath_unloaded():
+    names = ("mpmath", "numpy", "fractions")
+    assert _modules_after("import almost_squares.analysis", names) == "[]\n"
+
+
+def test_cli_import_leaves_analysis_unloaded():
+    names = ("almost_squares.analysis",)
+    assert _modules_after("import almost_squares.cli", names) == "[]\n"
 
 
 class TestOscillationShapes:
@@ -401,21 +417,21 @@ class TestKiteRegion:
 class TestTriProductGrid:
     def test_spot_values(self):
         grid = tri_product_grid(8)
-        assert grid[4, 6]          # 6 * 15 = 90
-        assert not grid[4, 7]      # 6 * 21 = 126
+        assert grid[4][6]          # 6 * 15 = 90
+        assert not grid[4][7]      # 6 * 21 = 126
 
     def test_symmetry(self):
         grid = tri_product_grid(20)
-        assert np.array_equal(grid, grid.T)
+        assert grid == [list(c) for c in zip(*grid)]
 
     def test_central_diagonals_true(self):
         grid = tri_product_grid(30)
         for m in range(2, 31):
-            assert grid[m, m]
+            assert grid[m][m]
             if m + 1 <= 30:
-                assert grid[m, m + 1]
+                assert grid[m][m + 1]
             if m + 2 <= 30:
-                assert grid[m, m + 2]
+                assert grid[m][m + 2]
 
     def test_parity_inside_kite(self):
         size = 30
@@ -423,11 +439,26 @@ class TestTriProductGrid:
         for n in range(2, size + 1):
             for m in range(2, n):
                 if kite_region_contains(m, n):
-                    assert grid[m, n] == ((n - m) % 2 == 0), (m, n)
+                    assert grid[m][n] == ((n - m) % 2 == 0), (m, n)
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             tri_product_grid(1)
+
+    @pytest.mark.parametrize("lo", [10**5, 10**40])
+    def test_narrow_window_far_out(self, lo):
+        # the table covers the plan's window only, not [1..hi]^2
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        rows = emit_series(SamplingPlan("tri-grid", lo, lo + 3), out)
+        assert time.perf_counter() - t0 < 1.0
+        lines = out.getvalue().splitlines()
+        assert rows == 16 and lines[0] == "m,n,is_member"
+        for line in lines[1:]:
+            m, n, flag = map(int, line.split(","))
+            assert lo <= m <= lo + 3 and lo <= n <= lo + 3
+            member = is_almost_square(triangular(m) * triangular(n)) is not None
+            assert flag == int(member), (m, n)
 
 
 class TestEmitSeries:

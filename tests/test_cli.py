@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,21 @@ class TestPioneers:
         assert out == ""
         assert "above the cap" in err and err.count("\n") == 1
 
+    def test_json_rows_are_streamed(self):
+        # json holds one row at a time, as csv does, not a list of all rows;
+        # both peaks include the output itself, which json makes twice as long
+        peaks = {}
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["pioneers", "20000", "--format", fmt])
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks["json"] <= 2 * peaks["csv"], peaks
+
 
 class TestAnalyze:
     def test_a_series(self, capsys):
@@ -207,6 +223,21 @@ class TestTrigrid:
         assert code == 0
         assert lines[0] == "m,n,is_member"
         assert len(lines) == 37
+
+    @pytest.mark.parametrize("argv", [
+        ("trigrid", str(10**20), "--max-rows", str(10**41)),
+        ("analyze", "--plan", "A-of-x", "--lo", "1", "--hi", str(10**40),
+         "--max-rows", str(10**41)),
+        ("trigrid", "6", "--max-rows", str(cli._LIST_ROW_CAP + 1)),
+    ])
+    def test_max_rows_above_row_cap_refused(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("almost-squares: --max-rows ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestOracleVerify:
