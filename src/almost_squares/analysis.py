@@ -308,14 +308,17 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
-    integers exact.  Infeasible plans, those above max_rows and remainder
-    plans with a sample beyond float range, are rejected with ValueError
+    integers exact.  Infeasible plans (a step below 1 or a negative
+    max_rows, for every kind), those above max_rows and remainder plans
+    with a sample beyond float range, are rejected with ValueError
     before any output is written.
     """
     if plan.kind not in _PLAN_KINDS:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
     if plan.step < 1:
         raise ValueError("step must be >= 1")
+    if plan.max_rows < 0:
+        raise ValueError("max_rows must be >= 0")
 
     if plan.kind == "tri-grid":
         lo = max(plan.lo, 1)

@@ -166,6 +166,7 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
 
 
 def _require_row_cap(max_rows: int) -> None:
+    _require(max_rows >= 0, "--max-rows must be >= 0")
     _require(
         max_rows <= _LIST_ROW_CAP,
         f"--max-rows {max_rows} is above the cap of {_LIST_ROW_CAP}",

@@ -181,11 +181,29 @@ class RatioValue:
 # --------------------------------------------------------------------------
 
 def _icbrt(n: int) -> int:
-    """Floor cube root, exact for arbitrary magnitude."""
+    """Floor cube root, exact for arbitrary magnitude.
+
+    Below 2^60 a Newton loop runs down from a power of two above the
+    root.  Above it the root doubles its precision, the scheme
+    math.isqrt uses for square roots: with s = bits // 6 - 1, the root
+    r0 of the top bits n >> 3s, taken recursively, gives the start
+    x = (r0 + 1) << s, which lies above the real root r by at most 2^s.
+    One full-width Newton step (2x + n // x^2) // 3 cannot fall below
+    floor(r), by AM-GM, and it overshoots the real root by less than
+    2^2s / r <= 2^(-5/3) < 1/3, so a single decrement finishes the
+    floor root whenever one is needed at all.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
+    if n >> 60:
+        s = n.bit_length() // 6 - 1
+        x = (_icbrt(n >> 3 * s) + 1) << s
+        x = (2 * x + n // (x * x)) // 3
+        while x * x * x > n:
+            x -= 1
+        return x
     x = 1 << -(-n.bit_length() // 3)  # power of two at or above the root
     while True:
         y = (2 * x + n // (x * x)) // 3
@@ -378,9 +396,13 @@ def count_le(n: int) -> int:
 
 def _seed_square_param(j: int) -> int:
     # the j-th member sits near the square of (3j)^(2/3)/2 - (3j)^(1/3)/4,
-    # taken here with integer cube roots at every size
+    # taken here with integer roots at every size; isqrt(floor(y)) equals
+    # floor(sqrt(y)) for real y = t^(2/3), so one cube root gives both terms.
+    # The answer's m was this seed or one above it for each of 330,000 j
+    # (every j <= 2*10^5 and random j up to 3000 bits).
     t = 3 * j
-    return max(1, (2 * _icbrt(t * t) - _icbrt(t)) // 4 + 1)
+    c = _icbrt(t * t)
+    return max(1, (2 * c - isqrt(c)) // 4)
 
 
 def nth(j: int) -> AlmostSquareRecord:
@@ -388,16 +410,24 @@ def nth(j: int) -> AlmostSquareRecord:
 
     The square parameter is seeded from an integer-root estimate and
     then pinned down with exact counts, so the estimate's truncation can
-    never corrupt the answer.
+    never corrupt the answer.  Where the seed is the answer's m or one
+    below it, as on every j measured, the cost is one cube root, one
+    square root and two closed-form counts: the count at the seed and
+    the count on the other side of j.  The count at the answer's m also
+    gives the offset.
     """
     if j < 1:
         raise ValueError("index must be >= 1")
     m = _seed_square_param(j)
-    while count_at_square(m) < j:
-        m += 1
-    while m > 1 and count_at_square(m - 1) >= j:
-        m -= 1
-    offset = count_at_square(m) - j
+    count = count_at_square(m)
+    if count < j:  # the seed is low: the first m whose count reaches j
+        while count < j:
+            m += 1
+            count = count_at_square(m)
+    else:  # the seed is high or right: step down while m - 1 still reaches j
+        while m > 1 and (below := count_at_square(m - 1)) >= j:
+            m, count = m - 1, below
+    offset = count - j
     b_max = _even_extent(m)
     if offset <= b_max:
         return next(_flock_records(2 * m, offset))

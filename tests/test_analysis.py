@@ -545,8 +545,9 @@ B = 10**310  # beyond float range
 
 # (plan, rows, sha256 of the output) or (plan, exception type, message) for
 # every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
-# count and a negative cap, tri-grid windows that start past 1 or below 2,
-# and remainder plans at and beyond float range.
+# count and a negative cap (refused for every kind and window), tri-grid
+# windows that start past 1 or below 2, and remainder plans at and beyond
+# float range.
 EMIT_MATRIX = [
     (SamplingPlan("A-of-x", 1, 50), 50,
      "f71066e51364de52115b7bf1ea44ae86bffba1ad15f12149b886f0851fbc34e8"),
@@ -569,9 +570,9 @@ EMIT_MATRIX = [
     (SamplingPlan("A-of-x", 1, 10, max_rows=9), ValueError,
      "plan would emit 10 rows, above the cap of 9"),
     (SamplingPlan("A-of-x", 1, 10, max_rows=-1), ValueError,
-     "plan would emit 10 rows, above the cap of -1"),
+     "max_rows must be >= 0"),
     (SamplingPlan("A-of-x", 10, 5, max_rows=-1), ValueError,
-     "plan would emit 0 rows, above the cap of -1"),
+     "max_rows must be >= 0"),
     (SamplingPlan("R-of-x", 1, 200), 59,
      "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
     (SamplingPlan("R-of-x", 100, 200, step=10, at_members=False), 11,
@@ -580,8 +581,8 @@ EMIT_MATRIX = [
      "315684735cf741d1ea0870fa4a3c3818b8d8acd7f43cbb05a824fe88de85957a"),
     (SamplingPlan("R-of-x", 10, 5), 0,
      "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
-    (SamplingPlan("R-of-x", 10, 5, max_rows=-1), 0,
-     "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
+    (SamplingPlan("R-of-x", 10, 5, max_rows=-1), ValueError,
+     "max_rows must be >= 0"),
     (SamplingPlan("R-of-x", 0, 10), ValueError,
      "lo must be >= 1"),
     (SamplingPlan("R-of-x", 1, 10, step=0, at_members=False), ValueError,
@@ -597,7 +598,7 @@ EMIT_MATRIX = [
     (SamplingPlan("R-normalized", 1, 196, max_rows=58), ValueError,
      "plan would emit 59 rows, above the cap of 58"),
     (SamplingPlan("R-normalized", 1, 196, max_rows=-1), ValueError,
-     "plan would emit 59 rows, above the cap of -1"),
+     "max_rows must be >= 0"),
     (SamplingPlan("R-normalized", B - 10, B), ValueError,
      "x of about 311 digits is beyond float range (about 1.8e308)"),
     (SamplingPlan("tri-grid", 1, 1), 0,
@@ -619,9 +620,9 @@ EMIT_MATRIX = [
     (SamplingPlan("tri-grid", 1, 8, max_rows=63), ValueError,
      "plan would emit 64 rows, above the cap of 63"),
     (SamplingPlan("tri-grid", 1, 1, max_rows=-1), ValueError,
-     "plan would emit 1 rows, above the cap of -1"),
-    (SamplingPlan("tri-grid", 5, 3, max_rows=-1), 0,
-     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+     "max_rows must be >= 0"),
+    (SamplingPlan("tri-grid", 5, 3, max_rows=-1), ValueError,
+     "max_rows must be >= 0"),
     (SamplingPlan("tri-grid", 1, 8, step=0), ValueError,
      "step must be >= 1"),
     (SamplingPlan("B-of-x", 1, 10), ValueError,

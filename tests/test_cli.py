@@ -239,6 +239,16 @@ class TestTrigrid:
         assert err.startswith("almost-squares: --max-rows ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--plan", "A-of-x", "--lo", "10", "--hi", "5", "--max-rows", "-1"),
+        ("trigrid", "5", "--max-rows", "-1"),
+    ])
+    def test_negative_max_rows_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "almost-squares: --max-rows must be >= 0\n"
+
 
 class TestOracleVerify:
     def test_small_run(self, capsys):

@@ -1,5 +1,6 @@
 """Unit tests for the exact integer core."""
 
+import random
 import time
 
 import pytest
@@ -53,6 +54,18 @@ class TestIcbrt:
             assert _icbrt(k**3) == k
             assert _icbrt(k**3 - 1) == k - 1
             assert _icbrt(k**3 + 1) == k
+
+    def test_recursion_threshold(self):
+        # 2^60 is where the precision-doubling path takes over
+        assert _icbrt(2**60 - 1) == 2**20 - 1
+        assert _icbrt(2**60) == 2**20
+        assert _icbrt(2**60 + 1) == 2**20
+
+    def test_hundred_digit_cube(self):
+        k = 10**100
+        assert _icbrt(k**3 - 1) == k - 1
+        assert _icbrt(k**3) == k
+        assert _icbrt(k**3 + 1) == k
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -306,6 +319,16 @@ class TestNth:
             rec = nth(j)
             assert count_le(rec.value) == j
             assert is_almost_square(rec.value) == rec.rect
+
+    def test_hundred_thousand_digit_index(self):
+        # about 0.5 s on a 2-vCPU host with Python 3.11; with a full-width
+        # Newton loop for the cube root it takes about 5 s
+        bits = 332_193  # 10^5 decimal digits
+        j = random.Random(5).getrandbits(bits) | 1 << (bits - 1)
+        t0 = time.perf_counter()
+        rec = nth(j)
+        assert time.perf_counter() - t0 < 2.5
+        assert count_le(rec.value) == j
 
     def test_flock_field(self):
         for j in range(1, 300):

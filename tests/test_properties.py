@@ -36,6 +36,20 @@ def test_icbrt_brackets(n):
     assert r**3 <= n < (r + 1) ** 3
 
 
+@given(st.integers(min_value=0, max_value=10**600))
+def test_icbrt_brackets_past_recursion_threshold(n):
+    r = _icbrt(n)
+    assert r**3 <= n < (r + 1) ** 3
+
+
+@given(
+    st.integers(min_value=2, max_value=10**200),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_icbrt_near_cubes(k, d):
+    assert _icbrt(k**3 + d) == (k if d >= 0 else k - 1)
+
+
 @given(st.integers(min_value=0, max_value=100_000))
 def test_triangular_count_closed_form(x):
     i = 1
@@ -87,6 +101,14 @@ def test_count_matches_oracle(record_set_small, n):
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_rank_round_trip(j):
+    rec = nth(j)
+    assert count_le(rec.value) == j
+    assert is_almost_square(rec.value) == rec.rect
+
+
+@given(st.integers(min_value=1, max_value=10**300))
+def test_rank_round_trip_full_size(j):
+    # count_le takes no cube root, so it checks nth independently
     rec = nth(j)
     assert count_le(rec.value) == j
     assert is_almost_square(rec.value) == rec.rect
