@@ -36,6 +36,9 @@ __all__ = ["build_parser", "main", "run_main"]
 
 _LIST_ROW_CAP = 10_000_000
 
+# oracle-verify prints at most this many mismatching n after its summary
+_WITNESS_LINES = 5
+
 _RECORD = ("value", "width", "length", "semiperimeter", "flock")
 _RECORD_TEXT = "{} = {} x {} (semiperimeter {}, flock {})\n"
 _MEMBER_TEXT = "{} = {} x {}\n"  # one line per member of a list or flock
@@ -217,19 +220,25 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     running = 0
     membership_bad = 0
     count_bad = 0
+    witnesses = []
     for n in range(1, limit + 1):
         brute_member = idx < len(members) and members[idx] == n
         if brute_member:
             idx += 1
             running += 1
-        if (is_almost_square(n) is not None) != brute_member:
-            membership_bad += 1
-        if count_le(n) != running:
-            count_bad += 1
+        fast_member = is_almost_square(n) is not None
+        fast_count = count_le(n)
+        if fast_member != brute_member or fast_count != running:
+            membership_bad += fast_member != brute_member
+            count_bad += fast_count != running
+            if len(witnesses) < _WITNESS_LINES:
+                witnesses.append((n, fast_member, fast_count, brute_member, running))
     ok = limit - membership_bad
     print(f"membership: {ok}/{limit} ok, {membership_bad} mismatches")
     ok = limit - count_bad
     print(f"counts:     {ok}/{limit} ok, {count_bad} mismatches")
+    for w in witnesses:
+        print("n={}: fast member={} count={}, oracle member={} count={}".format(*w))
     return 0 if membership_bad == 0 and count_bad == 0 else 1
 
 

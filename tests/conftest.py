@@ -12,12 +12,17 @@ def record_set_small():
 
 @pytest.fixture(scope="session")
 def record_set_full():
+    """The record set up to the oracle cap, from the divisor-sieve scan."""
     return brute_record_set(ORACLE_LIMIT)
 
 
 @pytest.fixture(scope="session")
 def small_divisor_table():
-    """d(n) for every n up to the oracle cap, by descending trial division."""
+    """d(n) for every n up to the oracle cap, by descending trial division.
+
+    Independent of the sieve behind record_set_full, which is pinned
+    against it.
+    """
     smalls = [0] * (ORACLE_LIMIT + 1)
     for n in range(1, ORACLE_LIMIT + 1):
         smalls[n] = brute_divisor_pair(n).small

@@ -265,6 +265,28 @@ class TestOracleVerify:
         assert out == ""
         assert "above the oracle scan cap" in err and err.count("\n") == 1
 
+    def test_limit_just_above_cap_refused_up_front(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "oracle-verify", "--limit", "10000001")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "10000000" in err and err.count("\n") == 1
+
+    def test_mismatch_prints_witness(self, capsys, monkeypatch):
+        bad = 1234
+        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n == bad))
+        code, out, _ = run(capsys, "oracle-verify", "--limit", "2000")
+        assert code == 1
+        summary, counts, *witnesses = out.splitlines()
+        assert summary == "membership: 2000/2000 ok, 0 mismatches"
+        assert counts == "counts:     1999/2000 ok, 1 mismatches"
+        want = count_le(bad)
+        assert witnesses == [
+            f"n={bad}: fast member=False count={want + 1}, "
+            f"oracle member=False count={want}"
+        ]
+
 
 class TestBigIntegers:
     def test_thousand_digit_inputs(self, capsys):

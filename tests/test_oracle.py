@@ -7,6 +7,7 @@ import pytest
 from almost_squares.core import (
     count_le,
     count_triangular_le,
+    enumerate_range,
     flock_members,
     is_almost_square,
     seq_a,
@@ -137,6 +138,28 @@ class TestFullRangeAgreement:
                 running += 1
             assert (is_almost_square(n) is not None) == brute, n
             assert count_le(n) == running, n
+
+    def test_sieve_matches_trial_division(self, record_set_full, small_divisor_table):
+        # the same record scan, over d(n) from trial division
+        members, ratios = [], []
+        best_num, best_den = 0, 1
+        for n in range(1, record_set_full.limit + 1):
+            d = small_divisor_table[n]
+            s = d + n // d
+            if n * best_den >= best_num * s:
+                members.append(n)
+                ratios.append((n, s))
+                best_num, best_den = n, s
+        assert members == record_set_full.members
+        assert ratios == [(r.numerator, r.denominator) for r in record_set_full.ratios]
+
+    def test_enumeration_and_counts_to_ten_million(self):
+        limit = 10**7
+        members = brute_record_set(limit).members
+        assert [r.value for r in enumerate_range(1, limit)] == members
+        for i, m in enumerate(members):
+            assert count_le(m) == i + 1, m
+            assert m == 1 or count_le(m - 1) == i, m
 
     def test_amgm_bound(self, small_divisor_table):
         for n in range(1, len(small_divisor_table)):
