@@ -8,36 +8,9 @@ does not load the analysis module.  The package has no runtime
 dependencies beyond the standard library.
 """
 
-from .core import (
-    AlmostSquareRecord,
-    FlockId,
-    RatioValue,
-    Rectangle,
-    count_at_square,
-    count_le,
-    count_triangular_le,
-    enumerate_range,
-    flock_members,
-    floor_almost_square,
-    is_almost_square,
-    isqrt,
-    nth,
-    pioneer,
-    seq_a,
-    seq_b,
-    tri_decompose,
-    triangular,
-)
-from .oracle import (
-    DEFAULT_SCAN_CAP,
-    DivisorPair,
-    RecordSet,
-    brute_divisor_pair,
-    brute_is_member,
-    brute_record_set,
-    brute_semiperimeter,
-    factorial_membership_scan,
-)
+from . import core, oracle
+from .core import *
+from .oracle import *
 
 __version__ = "1.0.0"
 
@@ -58,35 +31,7 @@ _ANALYSIS_NAMES = frozenset(
     }
 )
 
-__all__ = [
-    "AlmostSquareRecord",
-    "FlockId",
-    "RatioValue",
-    "Rectangle",
-    "count_at_square",
-    "count_le",
-    "count_triangular_le",
-    "enumerate_range",
-    "flock_members",
-    "floor_almost_square",
-    "is_almost_square",
-    "isqrt",
-    "nth",
-    "pioneer",
-    "seq_a",
-    "seq_b",
-    "tri_decompose",
-    "triangular",
-    "DEFAULT_SCAN_CAP",
-    "DivisorPair",
-    "RecordSet",
-    "brute_divisor_pair",
-    "brute_is_member",
-    "brute_record_set",
-    "brute_semiperimeter",
-    "factorial_membership_scan",
-    *sorted(_ANALYSIS_NAMES),
-]
+__all__ = [*core.__all__, *oracle.__all__, *sorted(_ANALYSIS_NAMES)]
 
 
 def __getattr__(name: str):

@@ -275,17 +275,17 @@ _PLAN_KINDS = ("A-of-x", "R-of-x", "R-normalized", "tri-grid")
 class SamplingPlan:
     """What to emit: which series, over which range, sampled how.
 
-    The remainder series default to sampling at the almost-square values
-    themselves (one point every time x passes a member); pass
-    at_members=False to sample a fixed-step grid instead.  For tri-grid
-    plans lo and hi bound both table indices.
+    The remainder series sample at the almost-square values themselves
+    (one point every time x passes a member) while at_members is True,
+    the default; at_members=False samples a fixed-step grid instead.
+    For tri-grid plans lo and hi bound both table indices.
     """
 
     kind: str
     lo: int
     hi: int
     step: int = 1
-    at_members: bool | None = None
+    at_members: bool = True
     max_rows: int = 1_000_000
 
 
@@ -342,7 +342,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         header = "x,A,R,R_norm,g,h\n"
         if plan.hi < plan.lo:
             xs = ()
-        elif plan.at_members is None or plan.at_members:
+        elif plan.at_members:
             below = count_le(plan.lo - 1) if plan.lo > 1 else 0
             _check_rows(count_le(plan.hi) - below, plan)
             xs = [rec.value for rec in enumerate_range(plan.lo, plan.hi)]

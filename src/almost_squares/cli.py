@@ -190,7 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lo=args.lo,
         hi=args.hi,
         step=args.step,
-        at_members=False if args.grid else None,
+        at_members=not args.grid,
         max_rows=args.max_rows,
     )
     emit_series(plan, sys.stdout)

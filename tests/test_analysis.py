@@ -300,6 +300,16 @@ def test_cli_import_leaves_analysis_unloaded():
     assert _modules_after("import almost_squares.cli", names) == "[]\n"
 
 
+def test_package_exports():
+    # the lazily loaded names are listed by hand, so they must track analysis
+    from almost_squares import analysis
+
+    assert almost_squares._ANALYSIS_NAMES == set(analysis.__all__)
+    assert len(set(almost_squares.__all__)) == len(almost_squares.__all__)
+    for name in almost_squares.__all__:
+        getattr(almost_squares, name)
+
+
 class TestOscillationShapes:
     def test_g_zero_at_integers(self):
         for k in (-3, 0, 1, 7, 10**6):

@@ -171,14 +171,13 @@ class TestFlockMembers:
             flock_members(0)
 
     def test_record_consistency(self):
-        from almost_squares.core import _even_extent, _odd_extent
+        from almost_squares.core import _flock_extent
 
         for k in (2, 3, 16, 27, 100, 101, 9999):
             fid = FlockId.from_semiperimeter(k)
             lo, hi = fid.value_interval()
             members = flock_members(fid)
-            extent = _odd_extent(fid.m) if fid.parity == "odd" else _even_extent(fid.m)
-            assert len(members) == 1 + extent
+            assert len(members) == 1 + _flock_extent(k)
             for rec in members:
                 assert rec.semiperimeter == k == rec.rect.semiperimeter
                 assert rec.value == rec.rect.area

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almost_squares.core import (
+    FlockId,
     RatioValue,
+    _flock_extent,
     _icbrt,
+    _locate,
     count_le,
     count_triangular_le,
     enumerate_range,
@@ -66,6 +69,48 @@ def test_flock_extent_identities(m):
     assert a <= b <= a + 1
     assert b * b * (2 * m - 1) <= m * m < (b + 1) * (b + 1) * (2 * m - 1)
     assert a + b == isqrt(2 * m) - 1
+
+
+@given(
+    st.integers(min_value=1, max_value=10**600),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_flock_extent_matches_side_formulas(x, d):
+    # the per-side formulas it replaced, at x and next to the squares r^2
+    # and (r+1)^2, one even and one odd, where the extents step
+    r = isqrt(x)
+    for k in (x, r * r + d, (r + 1) ** 2 + d):
+        if k >= 1:
+            m = (k + 1) // 2
+            side = (isqrt(2 * m - 1) - 1) // 2 if k % 2 else isqrt(m // 2)
+            assert _flock_extent(k) == side
+
+
+def _check_locate(n):
+    def member(offset):
+        return k * k // 4 - offset * (offset + k % 2)
+
+    k, offset, exact = _locate(n)
+    lo, hi = FlockId(k).value_interval()
+    assert lo < n <= hi
+    assert offset >= 0 and member(offset) <= n
+    assert offset == 0 or member(offset - 1) > n
+    assert exact == (member(offset) == n)
+
+
+@given(st.integers(min_value=1, max_value=10**300))
+def test_locate_contract(n):
+    _check_locate(n)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**150),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_locate_contract_at_flock_ends(m, d):
+    for n in (m * m + d, m * (m - 1) + d):
+        if n >= 1:
+            _check_locate(n)
 
 
 @given(

@@ -1,0 +1,12 @@
+"""The README's library quickstart runs as written."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted == 13
+    assert result.failed == 0
