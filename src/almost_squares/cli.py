@@ -50,9 +50,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _record_rows(recs: Iterable[AlmostSquareRecord]) -> Iterator[tuple[int, ...]]:
-    """Each record's cells in _RECORD order."""
+    """Each record's cells in _RECORD order, all read off its rectangle."""
     for r in recs:
-        yield r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k
+        width, length = r.rect.width, r.rect.length
+        semi = width + length  # also the flock's k
+        yield width * length, width, length, semi, semi
 
 
 def _emit(

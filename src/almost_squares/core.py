@@ -27,6 +27,11 @@ floor(sqrt(2m)), the floor is the member at the offset (or the last
 member of flock k-1), enumeration walks forward from it, and
 flock_members and nth read records off the builder.
 
+A record is its optimal rectangle, as in the paper's n = k(k+h): an
+AlmostSquareRecord holds the rectangle alone, and its value (width *
+length), semiperimeter and flock (both width + length) and ratio are
+read off it, so no record can disagree with its own witness.
+
 Everything in this module is exact integer arithmetic, so results are
 bit-exact for integers of any size and run in time polynomial in the
 digit count.  No routine here ever factors its input.
@@ -51,7 +56,6 @@ __all__ = [
     "flock_members",
     "floor_almost_square",
     "is_almost_square",
-    "isqrt",
     "nth",
     "pioneer",
     "seq_a",
@@ -110,18 +114,6 @@ class FlockId:
         if self.k < 1:
             raise ValueError("flock semiperimeter k must be >= 1")
 
-    @property
-    def m(self) -> int:
-        return (self.k + 1) // 2
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.k % 2 else "even"
-
-    @classmethod
-    def from_semiperimeter(cls, k: int) -> "FlockId":
-        return cls(k)
-
     def value_interval(self) -> tuple[int, int]:
         """Bounds (lo, hi] of the values this flock may contain."""
         return (self.k - 1) ** 2 // 4, self.k * self.k // 4
@@ -129,12 +121,28 @@ class FlockId:
 
 @dataclass(frozen=True)
 class AlmostSquareRecord:
-    """One almost-square together with its membership witness."""
+    """One almost-square, held as its optimal rectangle.
 
-    value: int
+    The rectangle is the record's only field, so a record cannot
+    disagree with its own witness: the value is width * length, and the
+    semiperimeter, which is also the flock's k, is width + length.  Two
+    records are equal, with equal hashes, exactly when their rectangles
+    are, whichever query built them.
+    """
+
     rect: Rectangle
-    semiperimeter: int
-    flock: FlockId
+
+    @property
+    def value(self) -> int:
+        return self.rect.width * self.rect.length
+
+    @property
+    def semiperimeter(self) -> int:
+        return self.rect.width + self.rect.length
+
+    @property
+    def flock(self) -> FlockId:
+        return FlockId(self.semiperimeter)
 
     @property
     def ratio(self) -> "RatioValue":
@@ -301,11 +309,9 @@ def _locate(n: int) -> tuple[int, int, bool]:
 
 def _flock_records(k: int, start: int) -> Iterator[AlmostSquareRecord]:
     """Records of flock k >= 2 from offset start down to 0, in increasing value order."""
-    fid = FlockId.from_semiperimeter(k)
     width0, length0 = k // 2, (k + 1) // 2  # the rectangle at offset 0
     for offset in range(start, -1, -1):
-        width, length = width0 - offset, length0 + offset
-        yield AlmostSquareRecord(width * length, Rectangle(width, length), k, fid)
+        yield AlmostSquareRecord(Rectangle(width0 - offset, length0 + offset))
 
 
 def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
@@ -362,7 +368,11 @@ def count_at_square(m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    mu = isqrt(2 * m)
+    return _count_at_square(m, isqrt(2 * m))
+
+
+def _count_at_square(m: int, mu: int) -> int:
+    # count_at_square's closed form, given its root mu = isqrt(2m)
     twelve = (
         12 * m * (mu + 1)
         + 6 * mu
@@ -380,10 +390,14 @@ def count_le(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
-    size = _flock_extent(k) + 1
+    r = isqrt(k)  # one root serves flock k's extent and count_at_square's mu
+    size = (r - k % 2) // 2 + 1  # _flock_extent(k) + 1
     kept = size - offset if offset < size else 0  # members of flock k that are <= n
-    # count_at_square(k // 2) counts through flock k - 1 for odd k, through k for even
-    count = count_at_square(k // 2) + kept
+    # count_at_square(k // 2) counts through flock k - 1 for odd k, through k for
+    # even.  Its own mu = isqrt(2(k // 2)) is r, except at odd k = s^2 where it is
+    # s - 1; there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2
+    # + 6[mu odd]) / 12, is 0, as 2m = s^2 - 1 and mu is even, so r serves too
+    count = _count_at_square(k // 2, r) + kept
     return count if k & 1 else count - size
 
 
@@ -451,7 +465,7 @@ def pioneer(j: int) -> tuple[int, FlockId]:
     if j < 1:
         raise ValueError("index j must be >= 1")
     value = triangular(j + 1) * triangular(j + 2)
-    return value, FlockId.from_semiperimeter((j + 1) ** 2)
+    return value, FlockId((j + 1) ** 2)
 
 
 def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:

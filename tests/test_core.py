@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -174,7 +175,7 @@ class TestFlockMembers:
         from almost_squares.core import _flock_extent
 
         for k in (2, 3, 16, 27, 100, 101, 9999):
-            fid = FlockId.from_semiperimeter(k)
+            fid = FlockId(k)
             lo, hi = fid.value_interval()
             members = flock_members(fid)
             assert len(members) == 1 + _flock_extent(k)
@@ -392,14 +393,16 @@ class TestPioneer:
             # the flock is one longer than the previous one of its parity
             prev = flock_members(fid.k - 2)
             assert len(members) == len(prev) + 1
+            # flock (j+1)^2 is k = 2m (even j+1) or 2m-1 (odd j+1), m = (k+1)//2
+            m = (fid.k + 1) // 2
             if j % 2:
-                assert fid.parity == "even"
+                assert fid.k % 2 == 0
                 k = (j + 1) // 2
-                assert fid.m == 2 * k * k
+                assert m == 2 * k * k
             else:
-                assert fid.parity == "odd"
+                assert fid.k % 2 == 1
                 k = j // 2
-                assert fid.m == 2 * k * k + 2 * k + 1
+                assert m == 2 * k * k + 2 * k + 1
 
 
 class TestEnumerateRange:
@@ -476,23 +479,44 @@ class TestDomainTypes:
             Rectangle(0, 5)
 
     def test_flock_id_consistency(self):
-        # m and parity follow from k: k = 2m-1 is odd, k = 2m is even
-        cases = [(1, 1, "odd"), (4, 2, "even"), (5, 3, "odd"), (10**40, 5 * 10**39, "even")]
-        for k, m, parity in cases:
+        # a flock is its k alone; its interval follows from k
+        assert [f.name for f in fields(FlockId)] == ["k"]
+        cases = [
+            (1, (0, 0)),
+            (4, (2, 4)),
+            (5, (4, 6)),
+            (10**40, (25 * 10**78 - 5 * 10**39, 25 * 10**78)),
+        ]
+        for k, interval in cases:
             fid = FlockId(k=k)
-            assert (fid.m, fid.parity) == (m, parity)
-            assert FlockId.from_semiperimeter(k) == fid
+            assert FlockId(k) == fid and fid.k == k
+            assert fid.value_interval() == interval
         for k in (0, -3):
             with pytest.raises(ValueError):
                 FlockId(k=k)
-            with pytest.raises(ValueError):
-                FlockId.from_semiperimeter(k)
 
     def test_record_ratio(self):
-        rec = AlmostSquareRecord(
-            value=182,
-            rect=Rectangle(13, 14),
-            semiperimeter=27,
-            flock=FlockId.from_semiperimeter(27),
-        )
+        rec = AlmostSquareRecord(Rectangle(13, 14))
         assert rec.ratio == RatioValue(182, 27)
+        assert (rec.value, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
+
+    def test_record_is_its_rectangle(self):
+        assert [f.name for f in fields(AlmostSquareRecord)] == ["rect"]
+        for name in ("value", "semiperimeter", "flock", "ratio"):
+            assert isinstance(getattr(AlmostSquareRecord, name), property)
+
+    def test_record_equal_across_views(self):
+        # the same member built by nth, floor, a one-value window and its
+        # flock's list is one record, by == and by hash
+        for j in range(1, 2001):
+            rec = nth(j)
+            v, k = rec.value, rec.semiperimeter
+            views = [
+                floor_almost_square(v),
+                enumerate_range(v, v)[0],
+                next(r for r in flock_members(k) if r.value == v),
+                AlmostSquareRecord(is_almost_square(v)),
+            ]
+            for other in views:
+                assert other == rec and hash(other) == hash(rec)
+        assert nth(1) != nth(2)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almost_squares.core import (
+    AlmostSquareRecord,
     FlockId,
     RatioValue,
     _flock_extent,
     _icbrt,
     _locate,
+    count_at_square,
     count_le,
     count_triangular_le,
     enumerate_range,
@@ -157,6 +159,39 @@ def test_rank_round_trip_full_size(j):
     rec = nth(j)
     assert count_le(rec.value) == j
     assert is_almost_square(rec.value) == rec.rect
+
+
+@given(st.integers(min_value=1, max_value=5 * 10**299))
+def test_count_le_at_odd_square_flock_ends(t):
+    # flock k = s^2 with s odd is the one where count_le's shared root
+    # isqrt(k) = s is one above count_at_square(k // 2)'s own isqrt(k - 1),
+    # so the two counts agree here only through the closed form itself
+    s = 2 * t + 1
+    k = s * s
+    m = (k + 1) // 2  # k = 2m - 1, so sqrt(2m - 1) = s exactly
+    first, last = (m - 1) ** 2 + 1, m * (m - 1)  # the ends of flock k
+    # the members m(m-1) - a(a+1) for a = 0 .. (sqrt(2m-1) - 1)/2, counted
+    # from the paper's formula, all lie above first
+    size = (s - 1) // 2 + 1
+    assert m * (m - 1) - (size - 1) * size > first
+    through_previous_flock = count_at_square(k // 2)
+    assert count_le(first) == through_previous_flock
+    assert count_le(last) == through_previous_flock + size
+
+
+@given(st.integers(min_value=1, max_value=10**300))
+def test_record_equal_across_views_full_size(j):
+    # flocks this far out are too long to list, so the flock-side view is
+    # the record rebuilt from the membership rectangle
+    rec = nth(j)
+    v = rec.value
+    views = [
+        floor_almost_square(v),
+        enumerate_range(v, v)[0],
+        AlmostSquareRecord(is_almost_square(v)),
+    ]
+    for other in views:
+        assert other == rec and hash(other) == hash(rec)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
