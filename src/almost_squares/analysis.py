@@ -23,10 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
+from operator import mul
 from typing import TextIO
 
-from .core import count_le, enumerate_range, is_almost_square
+# the at-member series reads its samples straight from the flock runs, so
+# enumerate_range is not called here; the name stays imported because
+# perfbench/tracing.py replaces analysis.enumerate_range by name, and its
+# getattr raises AttributeError on a missing name, failing every traced run
+from .core import (
+    _flock_runs,
+    count_le,
+    enumerate_range,
+    floor_almost_square,
+    is_almost_square,
+)
 
 __all__ = [
     "AnalysisSample",
@@ -345,11 +357,15 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         elif plan.at_members:
             below = count_le(plan.lo - 1) if plan.lo > 1 else 0
             _check_rows(count_le(plan.hi) - below, plan)
-            xs = [rec.value for rec in enumerate_range(plan.lo, plan.hi)]
+            # the greatest member <= hi is the last sample, if it is one at all
+            last = floor_almost_square(plan.hi).value
+            if last >= plan.lo:
+                _as_float(last)
+            runs = _flock_runs(plan.lo, plan.hi)
+            xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
         else:
             _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
             xs = range(plan.lo, plan.hi + 1, plan.step)
-        if xs:
             _as_float(xs[-1])  # samples ascend, so the last one bounds them all
         lines = map(_remainder_line, xs)
     out.write(header)

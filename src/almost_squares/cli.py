@@ -16,11 +16,19 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import starmap
+from itertools import chain, repeat, starmap
+from operator import mul
 
+# list and flock write their rows straight from the flock runs, so nothing
+# here calls enumerate_range or flock_members.  Both names stay imported all
+# the same: perfbench/tracing.py replaces cli.enumerate_range and
+# cli.flock_members by name, and its getattr raises AttributeError on a
+# missing name, which would fail every traced benchmark run.
 from .core import (
     AlmostSquareRecord,
     _flock_extent,
+    _flock_run,
+    _flock_runs,
     count_le,
     enumerate_range,
     flock_members,
@@ -55,6 +63,11 @@ def _record_rows(recs: Iterable[AlmostSquareRecord]) -> Iterator[tuple[int, ...]
         width, length = r.rect.width, r.rect.length
         semi = width + length  # also the flock's k
         yield width * length, width, length, semi, semi
+
+
+def _run_rows(k: int, widths: range, lengths: range) -> Iterator[tuple[int, ...]]:
+    """The cells of a run's members in _RECORD order, from its sides alone."""
+    return zip(map(mul, widths, lengths), widths, lengths, repeat(k), repeat(k))
 
 
 def _emit(
@@ -136,7 +149,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         expected <= _LIST_ROW_CAP,
         f"range holds {expected} members; use 'count' or 'analyze' instead",
     )
-    rows = _record_rows(enumerate_range(args.lo, args.hi))
+    rows = chain.from_iterable(starmap(_run_rows, _flock_runs(args.lo, args.hi)))
     _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
     return 0
 
@@ -148,7 +161,7 @@ def cmd_flock(args: argparse.Namespace) -> int:
         size <= _LIST_ROW_CAP,
         f"flock {args.k} holds {size} members, above the cap of {_LIST_ROW_CAP}",
     )
-    rows = _record_rows(flock_members(args.k))
+    rows = _run_rows(*_flock_run(args.k, size - 1, 0)) if args.k > 1 else ()
     _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
     return 0
 

@@ -20,12 +20,19 @@ For odd k = 2m-1 this is (m+a)(m-a-1) with a up to
 floor((sqrt(2m-1)-1)/2), for even k = 2m it is (m+b)(m-b) with b up to
 floor(sqrt(m/2)).  One primitive, _locate(n), turns that structure into
 a position: n's flock k, the least offset whose member is <= n, and
-whether n hits it exactly.  The queries are views on that position and
-on one per-flock record builder: membership checks the offset is exact
-and within the extent, count_le adds the closed-form count in
-floor(sqrt(2m)), the floor is the member at the offset (or the last
-member of flock k-1), enumeration walks forward from it, and
-flock_members and nth read records off the builder.
+whether n hits it exactly.  The queries are views on that position:
+membership checks the offset is exact and within the extent, count_le
+adds the closed-form count in floor(sqrt(2m)), and the floor and nth
+are the member at an offset (or the last member of flock k-1).
+
+Enumeration is one walk, _flock_runs(lo, hi), over runs of offsets, one
+run per flock: it starts at lo's located offset, stops at hi's, and takes
+every flock between whole, so both ends are known in closed form.  A run
+is a flock's k with the range of its members' widths and the range of
+their lengths, so a member's cells are arithmetic on two ranges and need
+no object: the CLI's list and flock write rows from the runs as they go,
+the at-member remainder series reads its values off them, and
+enumerate_range and flock_members build their record lists from them.
 
 A record is its optimal rectangle, as in the paper's n = k(k+h): an
 AlmostSquareRecord holds the rectangle alone, and its value (width *
@@ -42,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "AlmostSquareRecord",
@@ -307,11 +314,51 @@ def _locate(n: int) -> tuple[int, int, bool]:
     return 2 * m - 1, o, o * (o + 1) == gap
 
 
-def _flock_records(k: int, start: int) -> Iterator[AlmostSquareRecord]:
-    """Records of flock k >= 2 from offset start down to 0, in increasing value order."""
+def _rect(k: int, offset: int) -> Rectangle:
+    """Flock k's member at offset: (k//2 - offset) x ((k+1)//2 + offset)."""
+    return Rectangle(k // 2 - offset, (k + 1) // 2 + offset)
+
+
+def _flock_run(k: int, start: int, stop: int) -> tuple[int, range, range]:
+    """Flock k's members from offset start down to stop, in increasing value order.
+
+    A run is (k, widths, lengths): the member at offset o is (k//2 - o) x
+    ((k+1)//2 + o), so widths rise and lengths fall along it and the
+    values are the products of the two ranges, taken pairwise.  The
+    rectangle check is made once per run: its first width is its least.
+    """
     width0, length0 = k // 2, (k + 1) // 2  # the rectangle at offset 0
-    for offset in range(start, -1, -1):
-        yield AlmostSquareRecord(Rectangle(width0 - offset, length0 + offset))
+    if width0 - start < 1:
+        raise AssertionError(f"flock {k} has no member at offset {start}")
+    widths = range(width0 - start, width0 - stop + 1)
+    return k, widths, range(length0 + start, length0 + stop - 1, -1)
+
+
+def _flock_runs(lo: int, hi: int) -> Iterator[tuple[int, range, range]]:
+    """The runs of the members in [lo, hi], 1 <= lo <= hi, one per flock in order.
+
+    The first run starts at the least member >= lo, found by locating lo,
+    and the last stops at hi's located offset, where the greatest member
+    <= hi is.  When that offset is past the extent of hi's flock, that
+    flock has no run, as a run's start is at most the extent, and the
+    walk ends with flock k - 1, whole.  Every flock between is whole.
+    """
+    k, offset, exact = _locate(lo)
+    start = min(offset if exact else offset - 1, _flock_extent(k))
+    last, stop, _ = _locate(hi)
+    while k < last:
+        yield _flock_run(k, start, 0)
+        k += 1
+        start = _flock_extent(k)
+    if k == last and start >= stop:
+        yield _flock_run(k, start, stop)
+
+
+def _run_records(runs: Iterable[tuple[int, range, range]]) -> list[AlmostSquareRecord]:
+    """The records of the runs' members, in run order."""
+    return [
+        AlmostSquareRecord(Rectangle(w, l)) for _, ws, ls in runs for w, l in zip(ws, ls)
+    ]
 
 
 def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
@@ -322,7 +369,7 @@ def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
     k = flock.k if isinstance(flock, FlockId) else flock
     if k < 1:
         raise ValueError("flock semiperimeter k must be >= 1")
-    return list(_flock_records(k, _flock_extent(k))) if k > 1 else []
+    return _run_records([_flock_run(k, _flock_extent(k), 0)] if k > 1 else [])
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -339,7 +386,7 @@ def is_almost_square(n: int) -> Rectangle | None:
         raise ValueError("n must be >= 1")
     k, offset, exact = _locate(n)
     if exact and offset <= _flock_extent(k):
-        return Rectangle(k // 2 - offset, (k + 1) // 2 + offset)
+        return _rect(k, offset)
     return None
 
 
@@ -438,7 +485,7 @@ def nth(j: int) -> AlmostSquareRecord:
     extent = _flock_extent(k)
     if offset > extent:  # past flock 2m, so in flock 2m - 1
         k, offset = k - 1, offset - extent - 1
-    return next(_flock_records(k, offset))
+    return AlmostSquareRecord(_rect(k, offset))
 
 
 def floor_almost_square(n: int) -> AlmostSquareRecord:
@@ -452,7 +499,7 @@ def floor_almost_square(n: int) -> AlmostSquareRecord:
     k, offset, _ = _locate(n)
     if offset > _flock_extent(k):
         k, offset = k - 1, 0
-    return next(_flock_records(k, offset))
+    return AlmostSquareRecord(_rect(k, offset))
 
 
 def pioneer(j: int) -> tuple[int, FlockId]:
@@ -471,21 +518,13 @@ def pioneer(j: int) -> tuple[int, FlockId]:
 def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
     """All almost-squares in [lo, hi] in increasing order.
 
-    The walk starts at the least member >= lo, found by locating lo, and
-    goes forward flock by flock until a value exceeds hi, so its work is
-    in proportion to the members returned.
+    The records are built from the flock walk: one run of offsets per
+    flock from lo's to hi's, with both ends found in closed form by
+    locating lo and hi, so the work is in proportion to the members
+    returned.
     """
     if lo < 1:
         raise ValueError("lo must be >= 1")
     if hi < lo:
         raise ValueError("lo must not exceed hi")
-    k, offset, exact = _locate(lo)
-    start = min(offset if exact else offset - 1, _flock_extent(k))
-    out: list[AlmostSquareRecord] = []
-    while True:
-        for rec in _flock_records(k, start):
-            if rec.value > hi:
-                return out
-            out.append(rec)
-        k += 1
-        start = _flock_extent(k)
+    return _run_records(_flock_runs(lo, hi))

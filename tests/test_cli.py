@@ -5,6 +5,7 @@ import io
 import json
 import time
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from almost_squares import cli
 from almost_squares.cli import main
-from almost_squares.core import count_le, enumerate_range
+from almost_squares.core import count_le, enumerate_range, flock_members, is_almost_square
 from reference_data import FIRST_59
 
 
@@ -117,6 +118,27 @@ class TestListVerb:
         code, _, err = run(capsys, "list", "10", "5")
         assert code == 2
         assert "lo" in err
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # about 100 and 9,800 rows: the rows stream from the flock runs to
+        # stdout, so the larger window's peak is the smaller one's, while a
+        # list of records would hold about 240 B for each of its rows
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        for fmt in ("text", "json", "csv"):
+            peaks = []
+            for hi in (10**6 + 4500, 10**6 + 450_000):
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(Discard()):
+                        code = main(["list", str(10**6), str(hi), "--format", fmt])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+            assert peaks[1] <= 2 * peaks[0], (fmt, peaks)
 
 
 class TestFlockVerb:
@@ -319,6 +341,100 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "12abc"])
         assert exc.value.code == 2
+
+
+# --------------------------------------------------------------------------
+# rows streamed from the flock runs against the record lists
+# --------------------------------------------------------------------------
+
+def _listed(argv, fmt):
+    """main's rows for argv in fmt as int tuples: value, width, length for
+    text, all five record columns for json and csv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", fmt]) == 0
+    text = out.getvalue()
+    if fmt == "json":
+        members = json.loads(text)["members"]
+        return [tuple(int(m[c]) for c in cli._RECORD) for m in members]
+    if fmt == "csv":
+        header, *lines = text.splitlines()
+        assert header == ",".join(cli._RECORD)
+        return [tuple(map(int, line.split(","))) for line in lines]
+    return [
+        tuple(map(int, line.replace(" = ", " x ").split(" x ")))
+        for line in text.splitlines()
+    ]
+
+
+def _assert_rows(argv, recs):
+    expected = [(r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k)
+                for r in recs]
+    for fmt in ("json", "csv"):
+        assert _listed(argv, fmt) == expected, (argv, fmt)
+    assert _listed(argv, "text") == [row[:3] for row in expected], argv
+
+
+@st.composite
+def list_windows(draw):
+    """A list window up to about 10^300, mostly near flock k's end floor(k^2/4).
+
+    Windows start anywhere, start or stop at the flock's end, stop in the
+    gap past flock k-1's end where no member is, or hold one point, a
+    member or not.
+    """
+    k = draw(st.integers(2, 10**150))
+    width = draw(st.integers(0, 3000))
+    lo = draw(st.integers(1, 10**300))
+    end = k * k // 4
+    extent = (isqrt(k) - k % 2) // 2
+    first = end - extent * (extent + k % 2)  # flock k's least member
+    prev = (k - 1) ** 2 // 4  # flock k-1's end
+    gap = draw(st.integers(prev + 1, first - 1)) if first - prev > 1 else end
+    offset = draw(st.integers(0, extent))
+    member = end - offset * (offset + k % 2)
+    return draw(st.sampled_from([
+        (lo, lo + width),
+        (end, end + width),
+        (max(1, end - width), end),
+        (max(1, gap - width), gap),
+        (gap, gap + width),
+        (member, member),
+        (gap, gap),  # not a member, once flock k has a gap before it
+        (end + 1, end + 1 + width),
+    ]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(list_windows())
+def test_list_rows_match_enumerate_range(window):
+    lo, hi = window
+    recs = enumerate_range(lo, hi)
+    # the members by the membership test alone, which does not walk flocks
+    assert [r.value for r in recs] == [
+        n for n in range(lo, hi + 1) if is_almost_square(n) is not None
+    ]
+    _assert_rows(["list", str(lo), str(hi)], recs)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10**6))
+def test_flock_rows_match_flock_members(k):
+    _assert_rows(["flock", str(k)], flock_members(k))
+
+
+@pytest.mark.parametrize("k", [10**10 - 1, 10**10])
+def test_flock_rows_match_flock_members_at_1e10(k):
+    # an odd and an even flock of about 50,000 members each, values past
+    # 2^64; csv alone, as every format renders the same cells
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["flock", str(k), "--format", "csv"]) == 0
+    header = ",".join(cli._RECORD) + "\n"
+    assert out.getvalue() == header + "".join(
+        f"{r.value},{r.rect.width},{r.rect.length},{r.semiperimeter},{r.flock.k}\n"
+        for r in flock_members(k)
+    )
 
 
 # --------------------------------------------------------------------------
