@@ -352,21 +352,17 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         lines = (f"{x},{count_le(x)}\n" for x in range(plan.lo, plan.hi + 1, plan.step))
     else:  # a remainder series
         header = "x,A,R,R_norm,g,h\n"
-        if plan.hi < plan.lo:
-            xs = ()
-        elif plan.at_members:
-            below = count_le(plan.lo - 1) if plan.lo > 1 else 0
-            _check_rows(count_le(plan.hi) - below, plan)
-            # the greatest member <= hi is the last sample, if it is one at all
-            last = floor_almost_square(plan.hi).value
-            if last >= plan.lo:
-                _as_float(last)
-            runs = _flock_runs(plan.lo, plan.hi)
+        if plan.at_members:
+            count, runs = _flock_runs(plan.lo, plan.hi)
+            _check_rows(count, plan)
+            if count:  # the greatest member <= hi is then the last sample
+                _as_float(floor_almost_square(plan.hi).value)
             xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
         else:
             _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
             xs = range(plan.lo, plan.hi + 1, plan.step)
-            _as_float(xs[-1])  # samples ascend, so the last one bounds them all
+            if xs:  # samples ascend, so the last one bounds them all
+                _as_float(xs[-1])
         lines = map(_remainder_line, xs)
     out.write(header)
     rows = 0

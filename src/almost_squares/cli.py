@@ -26,8 +26,7 @@ from operator import mul
 # missing name, which would fail every traced benchmark run.
 from .core import (
     AlmostSquareRecord,
-    _flock_extent,
-    _flock_run,
+    FlockId,
     _flock_runs,
     count_le,
     enumerate_range,
@@ -57,12 +56,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _record_rows(recs: Iterable[AlmostSquareRecord]) -> Iterator[tuple[int, ...]]:
-    """Each record's cells in _RECORD order, all read off its rectangle."""
-    for r in recs:
-        width, length = r.rect.width, r.rect.length
-        semi = width + length  # also the flock's k
-        yield width * length, width, length, semi, semi
+def _cells(rec: AlmostSquareRecord) -> tuple[int, ...]:
+    """A record's cells in _RECORD order, all read off its rectangle."""
+    width, length = rec.rect.width, rec.rect.length
+    semi = width + length  # also the flock's k
+    return width * length, width, length, semi, semi
 
 
 def _run_rows(k: int, widths: range, lengths: range) -> Iterator[tuple[int, ...]]:
@@ -110,7 +108,7 @@ def _emit(
 
 def cmd_check(args: argparse.Namespace) -> int:
     n = args.n
-    (cells,) = _record_rows([floor_almost_square(n)])
+    cells = _cells(floor_almost_square(n))
     member = cells[0] == n
     if member:
         columns, row = ("n", "member", *_RECORD), (n, True, *cells)
@@ -126,8 +124,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_floor(args: argparse.Namespace) -> int:
-    rec = floor_almost_square(args.n)
-    _emit(args.format, _RECORD, _record_rows([rec]), _RECORD_TEXT)
+    _emit(args.format, _RECORD, [_cells(floor_almost_square(args.n))], _RECORD_TEXT)
     return 0
 
 
@@ -137,33 +134,35 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_nth(args: argparse.Namespace) -> int:
-    _emit(args.format, _RECORD, _record_rows([nth(args.index)]), _RECORD_TEXT)
+    _emit(args.format, _RECORD, [_cells(nth(args.index))], _RECORD_TEXT)
+    return 0
+
+
+def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
+    """Write the members in [lo, hi], refused up front with ``refusal`` above the cap.
+
+    The count and the rows come from one flock walk; ``refusal`` takes the
+    count as its one field.
+    """
+    count, runs = _flock_runs(lo, hi)
+    _require(count <= _LIST_ROW_CAP, refusal.format(count))
+    rows = chain.from_iterable(starmap(_run_rows, runs))
+    _emit(fmt, _RECORD, rows, _MEMBER_TEXT, key="members")
     return 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
     _require(args.lo >= 1, "lo must be >= 1")
     _require(args.hi >= args.lo, "lo must not exceed hi")
-    expected = count_le(args.hi) - (count_le(args.lo - 1) if args.lo > 1 else 0)
-    _require(
-        expected <= _LIST_ROW_CAP,
-        f"range holds {expected} members; use 'count' or 'analyze' instead",
-    )
-    rows = chain.from_iterable(starmap(_run_rows, _flock_runs(args.lo, args.hi)))
-    _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
-    return 0
+    refusal = "range holds {} members; use 'count' or 'analyze' instead"
+    return _emit_members(args.format, args.lo, args.hi, refusal)
 
 
 def cmd_flock(args: argparse.Namespace) -> int:
     _require(args.k >= 1, "flock index k must be >= 1")
-    size = 1 + _flock_extent(args.k)
-    _require(
-        size <= _LIST_ROW_CAP,
-        f"flock {args.k} holds {size} members, above the cap of {_LIST_ROW_CAP}",
-    )
-    rows = _run_rows(*_flock_run(args.k, size - 1, 0)) if args.k > 1 else ()
-    _emit(args.format, _RECORD, rows, _MEMBER_TEXT, key="members")
-    return 0
+    lo, hi = FlockId(args.k).value_interval()
+    refusal = f"flock {args.k} holds {{}} members, above the cap of {_LIST_ROW_CAP}"
+    return _emit_members(args.format, lo + 1, hi, refusal)
 
 
 def _pioneer_row(j: int) -> tuple[int, int, int, int, int]:

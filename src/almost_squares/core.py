@@ -27,12 +27,17 @@ are the member at an offset (or the last member of flock k-1).
 
 Enumeration is one walk, _flock_runs(lo, hi), over runs of offsets, one
 run per flock: it starts at lo's located offset, stops at hi's, and takes
-every flock between whole, so both ends are known in closed form.  A run
-is a flock's k with the range of its members' widths and the range of
-their lengths, so a member's cells are arithmetic on two ranges and need
-no object: the CLI's list and flock write rows from the runs as they go,
-the at-member remainder series reads its values off them, and
-enumerate_range and flock_members build their record lists from them.
+every flock between whole, so both ends are known in closed form.  The
+same two positions give the window's count before the walk starts, by
+count_le's closed form at each: the members up to hi's offset, less those
+below lo, which are the members of lo's flock past the first run's start
+and those of every earlier flock.  A run is a flock's k with the range
+of its members' widths and the range of their lengths, so a member's
+cells are arithmetic on two ranges and need no object: the CLI's list
+and flock take their row cap and their rows from one call, the
+at-member remainder series its row cap and its values, and
+enumerate_range and flock_members (the window of a flock's interval)
+build their record lists from the runs.
 
 A record is its optimal rectangle, as in the paper's n = k(k+h): an
 AlmostSquareRecord holds the rectangle alone, and its value (width *
@@ -334,23 +339,36 @@ def _flock_run(k: int, start: int, stop: int) -> tuple[int, range, range]:
     return k, widths, range(length0 + start, length0 + stop - 1, -1)
 
 
-def _flock_runs(lo: int, hi: int) -> Iterator[tuple[int, range, range]]:
-    """The runs of the members in [lo, hi], 1 <= lo <= hi, one per flock in order.
+def _flock_runs(lo: int, hi: int) -> tuple[int, Iterator[tuple[int, range, range]]]:
+    """The count of the members in [lo, hi] and their runs, one per flock in order.
 
-    The first run starts at the least member >= lo, found by locating lo,
-    and the last stops at hi's located offset, where the greatest member
-    <= hi is.  When that offset is past the extent of hi's flock, that
-    flock has no run, as a run's start is at most the extent, and the
-    walk ends with flock k - 1, whole.  Every flock between is whole.
+    lo and hi are located once each, and both answers come from those two
+    positions; a window with hi < lo is (0, no runs), and only then may lo
+    be below 1.  The first run starts at the least member >= lo, and the
+    last stops at hi's located offset, where the greatest member <= hi
+    is.  When that offset is past the extent of hi's flock, that flock
+    has no run, as a run's start is at most the extent, and the walk ends
+    with flock k - 1, whole.  Every flock between is whole.  The members
+    below lo are those of lo's flock past the first run's start and every
+    earlier flock, so the count is two closed forms, whether lo is a
+    member or not.
     """
+    if hi < lo:
+        return 0, iter(())
     k, offset, exact = _locate(lo)
     start = min(offset if exact else offset - 1, _flock_extent(k))
     last, stop, _ = _locate(hi)
+    count = _count_located(last, stop) - _count_located(k, start + 1)
+    return count, _walk(k, start, last, stop)
+
+
+def _walk(k: int, start: int, last: int, stop: int) -> Iterator[tuple[int, range, range]]:
+    # the runs of _flock_runs, from flock k at offset start to flock last at stop
     while k < last:
         yield _flock_run(k, start, 0)
         k += 1
         start = _flock_extent(k)
-    if k == last and start >= stop:
+    if start >= stop:
         yield _flock_run(k, start, stop)
 
 
@@ -364,12 +382,12 @@ def _run_records(runs: Iterable[tuple[int, range, range]]) -> list[AlmostSquareR
 def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
     """All members of a flock in increasing value order.
 
-    Accepts a FlockId or a bare semiperimeter k >= 1.  Flock 1 is empty.
+    Accepts a FlockId or a bare semiperimeter k >= 1.  The members are the
+    window of the flock's value interval, so flock 1 is an empty window.
     """
-    k = flock.k if isinstance(flock, FlockId) else flock
-    if k < 1:
-        raise ValueError("flock semiperimeter k must be >= 1")
-    return _run_records([_flock_run(k, _flock_extent(k), 0)] if k > 1 else [])
+    fid = flock if isinstance(flock, FlockId) else FlockId(flock)
+    lo, hi = fid.value_interval()
+    return _run_records(_flock_runs(lo + 1, hi)[1])
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -437,9 +455,15 @@ def count_le(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
+    return _count_located(k, offset)
+
+
+def _count_located(k: int, offset: int) -> int:
+    # the members up to flock k's member at offset: those of every earlier
+    # flock and flock k's from offset to its extent, none where it is past
     r = isqrt(k)  # one root serves flock k's extent and count_at_square's mu
     size = (r - k % 2) // 2 + 1  # _flock_extent(k) + 1
-    kept = size - offset if offset < size else 0  # members of flock k that are <= n
+    kept = size - offset if offset < size else 0  # members of flock k from offset on
     # count_at_square(k // 2) counts through flock k - 1 for odd k, through k for
     # even.  Its own mu = isqrt(2(k // 2)) is r, except at odd k = s^2 where it is
     # s - 1; there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2
@@ -527,4 +551,4 @@ def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
         raise ValueError("lo must be >= 1")
     if hi < lo:
         raise ValueError("lo must not exceed hi")
-    return _run_records(_flock_runs(lo, hi))
+    return _run_records(_flock_runs(lo, hi)[1])

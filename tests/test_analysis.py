@@ -555,7 +555,8 @@ B = 10**310  # beyond float range
 
 # (plan, rows, sha256 of the output) or (plan, exception type, message) for
 # every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
-# count and a negative cap (refused for every kind and window), tri-grid
+# count (at members from lo = 1, from a member lo past 1 and from a lo that
+# is no member) and a negative cap (refused for every kind and window), tri-grid
 # windows that start past 1 or below 2, and remainder plans at and beyond
 # float range.
 EMIT_MATRIX = [
@@ -591,6 +592,10 @@ EMIT_MATRIX = [
      "315684735cf741d1ea0870fa4a3c3818b8d8acd7f43cbb05a824fe88de85957a"),
     (SamplingPlan("R-of-x", 10, 5), 0,
      "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
+    (SamplingPlan("R-of-x", 10, 5, at_members=False), 0,
+     "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
+    (SamplingPlan("R-of-x", -5, -10), 0,
+     "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
     (SamplingPlan("R-of-x", 10, 5, max_rows=-1), ValueError,
      "max_rows must be >= 0"),
     (SamplingPlan("R-of-x", 0, 10), ValueError,
@@ -607,6 +612,14 @@ EMIT_MATRIX = [
      "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
     (SamplingPlan("R-normalized", 1, 196, max_rows=58), ValueError,
      "plan would emit 59 rows, above the cap of 58"),
+    (SamplingPlan("R-normalized", 182, 196, max_rows=4), 4,
+     "ecdffa7b6e8b5d81cade4bc93552c9e671cb6a114c3dfb972b552c468931a20a"),
+    (SamplingPlan("R-normalized", 182, 196, max_rows=3), ValueError,
+     "plan would emit 4 rows, above the cap of 3"),
+    (SamplingPlan("R-normalized", 183, 196, max_rows=3), 3,
+     "862dcac14f78a50e74637f58c1473e586a5b99cc211ce5514fb6166fc1ecf3d4"),
+    (SamplingPlan("R-normalized", 183, 196, max_rows=2), ValueError,
+     "plan would emit 3 rows, above the cap of 2"),
     (SamplingPlan("R-normalized", 1, 196, max_rows=-1), ValueError,
      "max_rows must be >= 0"),
     (SamplingPlan("R-normalized", B - 10, B), ValueError,

@@ -8,12 +8,18 @@ import tracemalloc
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import cli
+from almost_squares import cli, core
 from almost_squares.cli import main
-from almost_squares.core import count_le, enumerate_range, flock_members, is_almost_square
+from almost_squares.core import (
+    _flock_runs,
+    count_le,
+    enumerate_range,
+    flock_members,
+    is_almost_square,
+)
 from reference_data import FIRST_59
 
 
@@ -119,6 +125,24 @@ class TestListVerb:
         assert code == 2
         assert "lo" in err
 
+    # 182..196 holds 182, 192, 195 and 196; 183..196 starts past a member
+    @pytest.mark.parametrize("lo, rows", [(182, 4), (183, 3)])
+    def test_count_at_the_cap(self, capsys, monkeypatch, lo, rows):
+        monkeypatch.setattr(cli, "_LIST_ROW_CAP", rows)
+        code, out, _ = run(capsys, "list", str(lo), "196")
+        assert code == 0
+        assert [int(line.split(" = ")[0]) for line in out.splitlines()] == (
+            [182, 192, 195, 196][-rows:]
+        )
+        monkeypatch.setattr(cli, "_LIST_ROW_CAP", rows - 1)
+        code, out, err = run(capsys, "list", str(lo), "196")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"almost-squares: range holds {rows} members; "
+            "use 'count' or 'analyze' instead\n"
+        )
+
     def test_memory_does_not_grow_with_the_window(self):
         # about 100 and 9,800 rows: the rows stream from the flock runs to
         # stdout, so the larger window's peak is the smaller one's, while a
@@ -151,6 +175,17 @@ class TestFlockVerb:
         code, out, _ = run(capsys, "flock", "1")
         assert code == 0
         assert out == ""
+
+    def test_count_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 3)
+        code, out, _ = run(capsys, "flock", "28")
+        assert code == 0
+        assert out.splitlines() == ["192 = 12 x 16", "195 = 13 x 15", "196 = 14 x 14"]
+        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 2)
+        code, out, err = run(capsys, "flock", "28")
+        assert code == 2
+        assert out == ""
+        assert err == "almost-squares: flock 28 holds 3 members, above the cap of 2\n"
 
     def test_huge_flock_refused_up_front(self, capsys):
         t0 = time.perf_counter()
@@ -402,6 +437,7 @@ def list_windows(draw):
         (member, member),
         (gap, gap),  # not a member, once flock k has a gap before it
         (end + 1, end + 1 + width),
+        (end + 1 + width, end),  # hi < lo: an empty window
     ]))
 
 
@@ -409,18 +445,51 @@ def list_windows(draw):
 @given(list_windows())
 def test_list_rows_match_enumerate_range(window):
     lo, hi = window
+    count, runs = _flock_runs(lo, hi)
+    walked = sum(len(widths) for _, widths, _ in runs)
+    if hi < lo:
+        assert count == walked == 0
+        return
     recs = enumerate_range(lo, hi)
     # the members by the membership test alone, which does not walk flocks
     assert [r.value for r in recs] == [
         n for n in range(lo, hi + 1) if is_almost_square(n) is not None
     ]
+    # the count by the two counts of the window's ends, which do not walk
+    below = count_le(lo - 1) if lo > 1 else 0
+    assert count == walked == len(recs) == count_le(hi) - below
     _assert_rows(["list", str(lo), str(hi)], recs)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 10**6))
+@example(1)  # the empty flock
+@example(99**2)  # an odd square k = s^2, where count_at_square's own root is s - 1
 def test_flock_rows_match_flock_members(k):
-    _assert_rows(["flock", str(k)], flock_members(k))
+    recs = flock_members(k)
+    assert len(recs) == ((isqrt(k) - k % 2) // 2 + 1 if k > 1 else 0)
+    _assert_rows(["flock", str(k)], recs)
+
+
+@pytest.mark.parametrize("argv, locates", [
+    (["list", "170", "200"], 2),
+    (["flock", "28"], 2),
+    (["count", "12345"], 1),
+    # the window's two ends and its last member, then one per sample: 6 here
+    (["analyze", "--plan", "R-normalized", "--lo", "170", "--hi", "200"], 9),
+])
+def test_each_window_end_is_located_once(monkeypatch, argv, locates):
+    calls = []
+    locate = core._locate
+
+    def counted(n):
+        calls.append(n)
+        return locate(n)
+
+    monkeypatch.setattr(core, "_locate", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(calls) == locates, calls
 
 
 @pytest.mark.parametrize("k", [10**10 - 1, 10**10])
