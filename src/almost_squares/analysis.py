@@ -34,9 +34,9 @@ from typing import TextIO
 # getattr raises AttributeError on a missing name, failing every traced run
 from .core import (
     _flock_runs,
+    _floor_rect,
     count_le,
     enumerate_range,
-    floor_almost_square,
     is_almost_square,
 )
 
@@ -353,10 +353,11 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     else:  # a remainder series
         header = "x,A,R,R_norm,g,h\n"
         if plan.at_members:
-            count, runs = _flock_runs(plan.lo, plan.hi)
+            count, hi_at, runs = _flock_runs(plan.lo, plan.hi)
             _check_rows(count, plan)
             if count:  # the greatest member <= hi is then the last sample
-                _as_float(floor_almost_square(plan.hi).value)
+                last = _floor_rect(*hi_at)
+                _as_float(last.width * last.length)
             xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
         else:
             _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)

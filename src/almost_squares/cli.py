@@ -8,15 +8,19 @@ never overflow a machine word.
 
 Exit codes: 0 success, 2 argument parse or validation error, 1 internal
 consistency failure.
+
+main builds its argument parser on its first call and reuses it for
+every later call in the process; build_parser() returns a new one each
+time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat, starmap
+from functools import cache
+from itertools import chain, islice, repeat, starmap
 from operator import mul
 
 # list and flock write their rows straight from the flock runs, so nothing
@@ -77,29 +81,27 @@ def _emit(
 ) -> None:
     """Write rows (tuples in column order) to stdout in one of the three formats.
 
-    text fills the template ``text`` with each row's cells by position.
-    csv writes the column names, then each row's cells joined by commas.
-    json renders every int as a decimal string and keeps bools; with no
-    ``key`` the single row is a bare object, otherwise the rows are a list
-    under ``key``.
+    Every format fills one template with each row's cells by position.
+    text uses the template ``text``.  csv writes the column names, then
+    each row's cells joined by commas.  json quotes every cell, so ints
+    render as decimal strings, except ``member``, a bare JSON bool that
+    check passes as ``true`` or ``false``; with no ``key`` the single row
+    is a bare object, otherwise the rows are a list under ``key``.
     """
-    out = sys.stdout
-    if fmt == "json":  # each row is rendered and written on its own
-        objs = map(json.dumps, (
-            {c: v if isinstance(v, bool) else str(v) for c, v in zip(columns, row)}
-            for row in rows
-        ))
-        if key is None:
-            out.write(next(objs) + "\n")
-            return
-        out.write("{%s: [%s" % (json.dumps(key), next(objs, "")))
-        out.writelines(", " + obj for obj in objs)
-        out.write("]}\n")
-        return
+    head, sep, tail = "", "", ""
     if fmt == "csv":
-        out.write(",".join(columns) + "\n")
+        head = ",".join(columns) + "\n"
         text = ",".join(["{}"] * len(columns)) + "\n"
-    out.writelines(starmap(text.format, rows))
+    elif fmt == "json":
+        cells = (f'"{c}": {{}}' if c == "member" else f'"{c}": "{{}}"' for c in columns)
+        text = "{{" + ", ".join(cells) + "}}"
+        head, sep, tail = (f'{{"{key}": [', ", ", "]}\n") if key else ("", "", "\n")
+    out = sys.stdout
+    rows = iter(rows)
+    out.write(head)
+    out.writelines(starmap(text.format, islice(rows, 1)))
+    out.writelines(starmap((sep + text).format, rows))
+    out.write(tail)
 
 
 # --------------------------------------------------------------------------
@@ -110,11 +112,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     n = args.n
     cells = _cells(floor_almost_square(n))
     member = cells[0] == n
-    if member:
-        columns, row = ("n", "member", *_RECORD), (n, True, *cells)
+    if member:  # member is json's bool; text skips it and csv replaces it
+        columns, row = ("n", "member", *_RECORD), (n, "true", *cells)
         text = "{0} is an almost-square: {3} x {4} (semiperimeter {5}, flock {6})\n"
     else:
-        columns, row = ("n", "member"), (n, False)
+        columns, row = ("n", "member"), (n, "false")
         text = "{0} is not an almost-square\n"
     if args.format == "csv":  # one column set for both answers: 1/0 and blank cells
         columns = ("n", "member", "width", "length", "semiperimeter")
@@ -144,7 +146,7 @@ def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
     The count and the rows come from one flock walk; ``refusal`` takes the
     count as its one field.
     """
-    count, runs = _flock_runs(lo, hi)
+    count, _, runs = _flock_runs(lo, hi)
     _require(count <= _LIST_ROW_CAP, refusal.format(count))
     rows = chain.from_iterable(starmap(_run_rows, runs))
     _emit(fmt, _RECORD, rows, _MEMBER_TEXT, key="members")
@@ -351,11 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser, built on its first call.  It holds build_parser's own
+# function object, not the module attribute, so a wrapper later set on
+# cli.build_parser (as perfbench/tracing.py sets one) is never applied to
+# the cached parser, let alone once per call.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # answers legitimately run to thousands of digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -35,9 +35,9 @@ and those of every earlier flock.  A run is a flock's k with the range
 of its members' widths and the range of their lengths, so a member's
 cells are arithmetic on two ranges and need no object: the CLI's list
 and flock take their row cap and their rows from one call, the
-at-member remainder series its row cap and its values, and
-enumerate_range and flock_members (the window of a flock's interval)
-build their record lists from the runs.
+at-member remainder series its row cap, its values and, from hi's
+position, its last value; and enumerate_range and flock_members (the
+window of a flock's interval) build their record lists from the runs.
 
 A record is its optimal rectangle, as in the paper's n = k(k+h): an
 AlmostSquareRecord holds the rectangle alone, and its value (width *
@@ -339,14 +339,18 @@ def _flock_run(k: int, start: int, stop: int) -> tuple[int, range, range]:
     return k, widths, range(length0 + start, length0 + stop - 1, -1)
 
 
-def _flock_runs(lo: int, hi: int) -> tuple[int, Iterator[tuple[int, range, range]]]:
-    """The count of the members in [lo, hi] and their runs, one per flock in order.
+def _flock_runs(
+    lo: int, hi: int
+) -> tuple[int, tuple[int, int] | None, Iterator[tuple[int, range, range]]]:
+    """The count of the members in [lo, hi], hi's position and their runs.
 
-    lo and hi are located once each, and both answers come from those two
-    positions; a window with hi < lo is (0, no runs), and only then may lo
-    be below 1.  The first run starts at the least member >= lo, and the
-    last stops at hi's located offset, where the greatest member <= hi
-    is.  When that offset is past the extent of hi's flock, that flock
+    The runs come one per flock in order, and hi's position is its located
+    (k, offset), from which _floor_rect gives the greatest member <= hi.
+    lo and hi are located once each, and every answer comes from those two
+    positions; a window with hi < lo is (0, None, no runs), and only then
+    may lo be below 1.  The first run starts at the least member >= lo,
+    and the last stops at hi's located offset, where the greatest member
+    <= hi is.  When that offset is past the extent of hi's flock, that flock
     has no run, as a run's start is at most the extent, and the walk ends
     with flock k - 1, whole.  Every flock between is whole.  The members
     below lo are those of lo's flock past the first run's start and every
@@ -354,12 +358,12 @@ def _flock_runs(lo: int, hi: int) -> tuple[int, Iterator[tuple[int, range, range
     member or not.
     """
     if hi < lo:
-        return 0, iter(())
+        return 0, None, iter(())
     k, offset, exact = _locate(lo)
     start = min(offset if exact else offset - 1, _flock_extent(k))
     last, stop, _ = _locate(hi)
     count = _count_located(last, stop) - _count_located(k, start + 1)
-    return count, _walk(k, start, last, stop)
+    return count, (last, stop), _walk(k, start, last, stop)
 
 
 def _walk(k: int, start: int, last: int, stop: int) -> Iterator[tuple[int, range, range]]:
@@ -387,7 +391,7 @@ def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
     """
     fid = flock if isinstance(flock, FlockId) else FlockId(flock)
     lo, hi = fid.value_interval()
-    return _run_records(_flock_runs(lo + 1, hi)[1])
+    return _run_records(_flock_runs(lo + 1, hi)[2])
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -521,9 +525,14 @@ def floor_almost_square(n: int) -> AlmostSquareRecord:
     if n < 1:
         raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
+    return AlmostSquareRecord(_floor_rect(k, offset))
+
+
+def _floor_rect(k: int, offset: int) -> Rectangle:
+    # the rectangle of the greatest member <= n, from n's located (k, offset)
     if offset > _flock_extent(k):
         k, offset = k - 1, 0
-    return AlmostSquareRecord(_rect(k, offset))
+    return _rect(k, offset)
 
 
 def pioneer(j: int) -> tuple[int, FlockId]:
@@ -551,4 +560,4 @@ def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
         raise ValueError("lo must be >= 1")
     if hi < lo:
         raise ValueError("lo must not exceed hi")
-    return _run_records(_flock_runs(lo, hi)[1])
+    return _run_records(_flock_runs(lo, hi)[2])

@@ -552,6 +552,7 @@ class TestEmitSeries:
 
 
 B = 10**310  # beyond float range
+F = 2**1024 - 2**970  # the least int that float() refuses
 
 # (plan, rows, sha256 of the output) or (plan, exception type, message) for
 # every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
@@ -624,6 +625,12 @@ EMIT_MATRIX = [
      "max_rows must be >= 0"),
     (SamplingPlan("R-normalized", B - 10, B), ValueError,
      "x of about 311 digits is beyond float range (about 1.8e308)"),
+    # hi beyond float range while the window's last member, about 1.2e72
+    # below F, is not; then a window whose last member is past F as well
+    (SamplingPlan("R-normalized", F - 2 * 10**72, F), 1,
+     "01bcc539d898f0f43f503727a486972d72834229d5325e3cdf7b3a688fcc69e8"),
+    (SamplingPlan("R-normalized", F - 10**75, F + 10**73), ValueError,
+     "x of about 309 digits is beyond float range (about 1.8e308)"),
     (SamplingPlan("tri-grid", 1, 1), 0,
      "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
     (SamplingPlan("tri-grid", 1, 8), 64,

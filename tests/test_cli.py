@@ -1,5 +1,6 @@
 """CLI behavior: verbs, formats, exit codes, and big-integer handling."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,10 +16,15 @@ from almost_squares import cli, core
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
+    _floor_rect,
     count_le,
     enumerate_range,
     flock_members,
+    floor_almost_square,
     is_almost_square,
+    nth,
+    pioneer,
+    triangular,
 )
 from reference_data import FIRST_59
 
@@ -445,11 +451,12 @@ def list_windows(draw):
 @given(list_windows())
 def test_list_rows_match_enumerate_range(window):
     lo, hi = window
-    count, runs = _flock_runs(lo, hi)
+    count, hi_at, runs = _flock_runs(lo, hi)
     walked = sum(len(widths) for _, widths, _ in runs)
     if hi < lo:
-        assert count == walked == 0
+        assert count == walked == 0 and hi_at is None
         return
+    assert _floor_rect(*hi_at) == floor_almost_square(hi).rect
     recs = enumerate_range(lo, hi)
     # the members by the membership test alone, which does not walk flocks
     assert [r.value for r in recs] == [
@@ -475,8 +482,8 @@ def test_flock_rows_match_flock_members(k):
     (["list", "170", "200"], 2),
     (["flock", "28"], 2),
     (["count", "12345"], 1),
-    # the window's two ends and its last member, then one per sample: 6 here
-    (["analyze", "--plan", "R-normalized", "--lo", "170", "--hi", "200"], 9),
+    # the window's two ends, then one per sample: 6 here
+    (["analyze", "--plan", "R-normalized", "--lo", "170", "--hi", "200"], 8),
 ])
 def test_each_window_end_is_located_once(monkeypatch, argv, locates):
     calls = []
@@ -564,6 +571,152 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert time.perf_counter() - t0 < 5.0, argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# --------------------------------------------------------------------------
+# one parser per process, one row template per call
+# --------------------------------------------------------------------------
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# argparse refusals between good argvs, a flag then its absence, and the
+# defaults of trigrid's size and oracle-verify's --limit after explicit values
+PARSER_SEQUENCE = [
+    ["list", "170", "x1"],
+    ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "30", "--step", "7", "--grid"],
+    ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "30"],
+    ["check", "--bogus", "182"],
+    ["trigrid", "5", "--max-rows", "30"],
+    ["trigrid"],
+    ["count", "1.5"],
+    ["oracle-verify", "--limit", "50"],
+    ["oracle-verify"],
+    [],
+    ["check", "182", "--format", "json"],
+    ["check", "182"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(argvs(), min_size=2, max_size=8))
+@example(PARSER_SEQUENCE)
+def test_reused_parser_answers_as_a_fresh_one(argv_list):
+    reused = [_outcome(argv) for argv in argv_list]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parser", cli.build_parser)  # a new parser on every call
+        fresh = [_outcome(argv) for argv in argv_list]
+    for argv, got, want in zip(argv_list, reused, fresh):
+        assert got == want, argv
+
+
+def test_main_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)  # a verb's subparser is "almost-squares <verb>"
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in PARSER_SEQUENCE[:8] * 3:
+            _outcome(argv)
+        assert built.count("almost-squares") == 1
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert built.count("almost-squares") == 3
+    finally:
+        cli._parser.cache_clear()  # the next main builds a plain parser
+
+
+def _record_cells(rec):
+    return {"value": rec.value, "width": rec.rect.width, "length": rec.rect.length,
+            "semiperimeter": rec.semiperimeter, "flock": rec.flock.k}
+
+
+def _pioneer_cells(j):
+    value, fid = pioneer(j)
+    return {"index": j, "value": value, "width": triangular(j + 1),
+            "length": triangular(j + 2), "flock": fid.k}
+
+
+def _json_answer(verb, args):
+    """The answer of ``verb`` as an object of ints and bools, from the core alone.
+
+    Raises ValueError where the CLI refuses the request.
+    """
+    if verb == "check":
+        rec = floor_almost_square(args[0])
+        member = rec.value == args[0]
+        return {"n": args[0], "member": member, **(_record_cells(rec) if member else {})}
+    if verb == "floor":
+        return _record_cells(floor_almost_square(args[0]))
+    if verb == "count":
+        return {"n": args[0], "count": count_le(args[0])}
+    if verb == "nth":
+        return _record_cells(nth(args[0]))
+    if verb == "list":
+        return {"members": list(map(_record_cells, enumerate_range(*args)))}
+    if verb == "flock":
+        return {"members": list(map(_record_cells, flock_members(args[0])))}
+    if args[0] < 1:
+        raise ValueError("count must be >= 1")
+    return {"pioneers": [_pioneer_cells(j) for j in range(1, args[0] + 1)]}
+
+
+def _json_cells(obj):
+    """obj with every int cell, but not a bool, as its decimal string."""
+    if isinstance(obj, dict):
+        return {c: _json_cells(v) for c, v in obj.items()}
+    if isinstance(obj, list):
+        return list(map(_json_cells, obj))
+    return obj if isinstance(obj, bool) else str(obj)
+
+
+@st.composite
+def json_requests(draw):
+    """A json verb and its int arguments: negative, members and non-members, and
+    windows that are empty, hold one point or cross flocks."""
+    verb = draw(st.sampled_from(["check", "floor", "count", "nth", "list", "flock", "pioneers"]))
+    n = draw(st.integers(-(10**40), 10**40) | st.integers(1, 10**40).map(lambda j: nth(j).value))
+    if verb == "list":
+        return verb, [n, n + draw(st.integers(-5, 300))]
+    if verb == "flock":
+        return verb, [draw(st.integers(-5, 10**6))]
+    if verb == "pioneers":
+        return verb, [draw(st.integers(-5, 40))]
+    return verb, [n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_requests())
+@example(("check", [182]))
+@example(("check", [190]))
+@example(("list", [5, 5]))
+@example(("flock", [1]))
+def test_json_rows_render_as_json_dumps(request):
+    verb, args = request
+    code, out, _ = _outcome([verb, *map(str, args), "--format", "json"])
+    try:
+        want = _json_cells(_json_answer(verb, args))
+    except ValueError:
+        assert (code, out) == (2, "")
+        return
+    assert code == 0
+    assert json.loads(out) == want
+    # compared as a flag, as pytest's diff of two long one-line strings takes minutes
+    same = out == json.dumps(want) + "\n"
+    assert same, (verb, args, out[:300])
 
 
 # --------------------------------------------------------------------------
