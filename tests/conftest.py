@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from almost_squares.oracle import brute_divisor_pair, brute_record_set
@@ -27,3 +29,12 @@ def small_divisor_table():
     for n in range(1, ORACLE_LIMIT + 1):
         smalls[n] = brute_divisor_pair(n).small
     return smalls
+
+
+@pytest.fixture(scope="module")
+def no_int_digit_limit():
+    """Lift the int/str digit limit, as cli.main does, for ints past 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import time
 import tracemalloc
 from math import isqrt
@@ -372,6 +373,54 @@ class TestBigIntegers:
             assert int(out.split(" = ")[0]) == rec.value
 
 
+def _main_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_same_as_int_str_path(monkeypatch, argv):
+    """main's bytes for argv in every format, against the int()/str() path alone."""
+    for fmt in ("text", "json", "csv"):
+        fast = _main_bytes([*argv, "--format", fmt])
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_BIG_DIGITS", 10**9)  # above every input: int() and str()
+            assert _main_bytes([*argv, "--format", fmt]) == fast, (argv[0], fmt)
+
+
+@pytest.mark.usefixtures("no_int_digit_limit")
+class TestWideDecimalIO:
+    """Past cli._BIG_DIGITS digits, parsing and rendering go through _digits."""
+
+    @pytest.mark.parametrize("verb, digits, member, prefix", [
+        ("check", 10_000, True, ""),
+        ("check", 40_000, False, ""),
+        ("check", 17_000, False, "000"),
+        ("count", 40_000, True, ""),
+        ("count", 25_000, False, ""),
+        ("count", 12_000, False, "-"),
+        ("floor", 25_000, True, ""),
+        ("floor", 17_000, False, ""),
+        ("floor", 10_000, False, " "),
+        ("nth", 10_000, False, ""),
+        ("nth", 20_000, False, ""),
+    ])
+    def test_point_answers(self, monkeypatch, verb, digits, member, prefix):
+        rng = random.Random(digits)
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        if member:
+            n = floor_almost_square(n).value
+        _assert_same_as_int_str_path(monkeypatch, [verb, prefix + str(n)])
+
+    def test_list_near_1e20000(self, monkeypatch):
+        m = 10**10_000
+        lo = m * m - 24  # the window holds m^2 - j^2 for j <= 4, the end of flock 2m
+        argv = ["list", str(lo), str(lo + 999)]
+        assert len(_main_bytes(argv)[1].splitlines()) == 5
+        _assert_same_as_int_str_path(monkeypatch, argv)
+
+
 class TestParser:
     def test_missing_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -382,6 +431,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "12abc"])
         assert exc.value.code == 2
+        assert "argument n: invalid int value: '12abc'" in capsys.readouterr().err
+
+    # int() also takes whitespace, '_', a sign and non-ASCII digits, short
+    # or past the threshold where plain digits go to _digits
+    @pytest.mark.parametrize(
+        "digits", ["182", "1" + "0" * cli._BIG_DIGITS], ids=["short", "long"]
+    )
+    @pytest.mark.parametrize("spell", [
+        lambda d: " " + d,
+        lambda d: d[:1] + "_" + d[1:],
+        lambda d: "+" + d,
+        lambda d: d.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    ], ids=["space", "underscore", "plus", "arabic-indic"])
+    def test_int_syntax(self, capsys, digits, spell):
+        assert run(capsys, "check", spell(digits)) == run(capsys, "check", digits)
 
 
 # --------------------------------------------------------------------------
