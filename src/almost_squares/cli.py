@@ -9,9 +9,12 @@ never overflow a machine word.
 Exit codes: 0 success, 2 argument parse or validation error, 1 internal
 consistency failure.
 
-main builds its argument parser on its first call and reuses it for
-every later call in the process; build_parser() returns a new one each
-time.
+The seven verbs that take only int arguments and --format (check,
+floor, count, nth, list, flock, pioneers) are built from one table,
+_FORMAT_VERBS; analyze, trigrid and oracle-verify, whose options differ,
+are spelled out.  main builds its argument parser on its first call and
+reuses it for every later call in the process; build_parser() returns a
+new one each time.
 
 Above _BIG_DIGITS (6000) digits, decimal I/O leaves CPython's int() and
 str(), which are quadratic before Python 3.12, for the divide-and-conquer
@@ -327,13 +330,20 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _add_format(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default text)",
-    )
+# the verbs whose only options are int arguments and --format, one row each:
+# (verb, help, handler, ((int argument, its help or None), ...))
+_FORMAT_VERBS = (
+    ("check", "test membership and report the rectangle", cmd_check,
+     (("n", "integer to test"),)),
+    ("floor", "largest almost-square not exceeding n", cmd_floor, (("n", None),)),
+    ("count", "number of almost-squares not exceeding n", cmd_count, (("n", None),)),
+    ("nth", "the j-th almost-square in increasing order", cmd_nth,
+     (("index", "1-based rank"),)),
+    ("list", "all almost-squares in [lo, hi]", cmd_list, (("lo", None), ("hi", None))),
+    ("flock", "members of the flock with semiperimeter k", cmd_flock, (("k", None),)),
+    ("pioneers", "the first J flock-lengthening members", cmd_pioneers,
+     (("count", "how many pioneers to print"),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,41 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", help="test membership and report the rectangle")
-    sp.add_argument("n", type=_parse_int, help="integer to test")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("floor", help="largest almost-square not exceeding n")
-    sp.add_argument("n", type=_parse_int)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_floor)
-
-    sp = sub.add_parser("count", help="number of almost-squares not exceeding n")
-    sp.add_argument("n", type=_parse_int)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("nth", help="the j-th almost-square in increasing order")
-    sp.add_argument("index", type=_parse_int, help="1-based rank")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_nth)
-
-    sp = sub.add_parser("list", help="all almost-squares in [lo, hi]")
-    sp.add_argument("lo", type=_parse_int)
-    sp.add_argument("hi", type=_parse_int)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_list)
-
-    sp = sub.add_parser("flock", help="members of the flock with semiperimeter k")
-    sp.add_argument("k", type=_parse_int)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_flock)
-
-    sp = sub.add_parser("pioneers", help="the first J flock-lengthening members")
-    sp.add_argument("count", type=_parse_int, help="how many pioneers to print")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_pioneers)
+    for verb, verb_help, func, ints in _FORMAT_VERBS:
+        sp = sub.add_parser(verb, help=verb_help)
+        for name, arg_help in ints:
+            sp.add_argument(name, type=_parse_int, help=arg_help)
+        sp.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default="text",
+            help="output format (default text)",
+        )
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("analyze", help="stream a counting/remainder series as CSV")
     sp.add_argument(

@@ -22,8 +22,10 @@ floor(sqrt(m/2)).  One primitive, _locate(n), turns that structure into
 a position: n's flock k, the least offset whose member is <= n, and
 whether n hits it exactly.  The queries are views on that position:
 membership checks the offset is exact and within the extent, count_le
-adds the closed-form count in floor(sqrt(2m)), and the floor and nth
-are the member at an offset (or the last member of flock k-1).
+is the one located count, _count_located(k, offset), the closed form in
+floor(sqrt(2m)) plus n's place in its flock (count_at_square is that
+count at a square), and the floor and nth are the member at an offset
+(or the last member of flock k-1).
 
 Enumeration is one walk, _flock_runs(lo, hi), over runs of offsets, one
 run per flock: it starts at lo's located offset, stops at hi's, and takes
@@ -205,37 +207,27 @@ class RatioValue:
 def _icbrt(n: int) -> int:
     """Floor cube root, exact for arbitrary magnitude.
 
-    Below 2^60 a Newton loop runs down from a power of two above the
-    root.  Above it the root doubles its precision, the scheme
+    Below 2^60 the base is round(n ** (1/3)): there the float cube root
+    is within 10^-8 of the real root r, so rounding gives floor(r) or
+    floor(r) + 1.  Above it the root doubles its precision, the scheme
     math.isqrt uses for square roots: with s = bits // 6 - 1, the root
     r0 of the top bits n >> 3s, taken recursively, gives the start
     x = (r0 + 1) << s, which lies above the real root r by at most 2^s.
     One full-width Newton step (2x + n // x^2) // 3 cannot fall below
     floor(r), by AM-GM, and it overshoots the real root by less than
-    2^2s / r <= 2^(-5/3) < 1/3, so a single decrement finishes the
-    floor root whenever one is needed at all.
+    2^2s / r <= 2^(-5/3) < 1/3.  Either way a single decrement finishes
+    the floor root whenever one is needed at all.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
     if n >> 60:
         s = n.bit_length() // 6 - 1
         x = (_icbrt(n >> 3 * s) + 1) << s
         x = (2 * x + n // (x * x)) // 3
-        while x * x * x > n:
-            x -= 1
-        return x
-    x = 1 << -(-n.bit_length() // 3)  # power of two at or above the root
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
+    else:
+        x = round(n ** (1 / 3))
     while x * x * x > n:
         x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
     return x
 
 
@@ -431,27 +423,13 @@ def tri_decompose(n: int) -> tuple[int, int]:
 def count_at_square(m: int) -> int:
     """Number of almost-squares not exceeding m**2, in closed form.
 
-    With mu = floor(sqrt(2m)) the count times 12 equals
-    12m(mu+1) + 6mu - 12 - mu(mu+1)(2mu+1) + 6*floor(mu/2); the
-    divisibility by 12 is asserted as an internal consistency check.
+    m^2 is flock 2m's member at offset 0, so this is the located count
+    there, _count_located(2m, 0), whose closed form in mu = floor(sqrt(2m))
+    is the one count every query shares.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _count_at_square(m, isqrt(2 * m))
-
-
-def _count_at_square(m: int, mu: int) -> int:
-    # count_at_square's closed form, given its root mu = isqrt(2m)
-    twelve = (
-        12 * m * (mu + 1)
-        + 6 * mu
-        - 12
-        - mu * (mu + 1) * (2 * mu + 1)
-        + 6 * (mu // 2)
-    )
-    if twelve % 12:
-        raise AssertionError(f"closed-form count not divisible by 12 at m={m}")
-    return twelve // 12
+    return _count_located(2 * m, 0)
 
 
 def count_le(n: int) -> int:
@@ -464,15 +442,25 @@ def count_le(n: int) -> int:
 
 def _count_located(k: int, offset: int) -> int:
     # the members up to flock k's member at offset: those of every earlier
-    # flock and flock k's from offset to its extent, none where it is past
-    r = isqrt(k)  # one root serves flock k's extent and count_at_square's mu
-    size = (r - k % 2) // 2 + 1  # _flock_extent(k) + 1
+    # flock and flock k's from offset to its extent, none where it is past.
+    # With m = k // 2 and mu = floor(sqrt(2m)), the members up to m^2, which
+    # are those through flock k - 1 for odd k and through k for even k, number
+    # (12m(mu+1) + 6mu - 12 - mu(mu+1)(2mu+1) + 6*floor(mu/2)) / 12; the
+    # divisibility by 12 is asserted as an internal consistency check.
+    # One root, isqrt(k), serves as mu and for flock k's extent.  It is
+    # isqrt(2m) except at odd k = s^2, where isqrt(2m) = isqrt(k - 1) = s - 1;
+    # there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2
+    # + 6[mu odd]) / 12, is 0 at mu = s - 1, as 2m = s^2 - 1 and s - 1 is
+    # even, so isqrt(k) serves too
+    m, mu = k // 2, isqrt(k)
+    twelve = (
+        12 * m * (mu + 1) + 6 * mu - 12 - mu * (mu + 1) * (2 * mu + 1) + 6 * (mu // 2)
+    )
+    if twelve % 12:
+        raise AssertionError(f"closed-form count not divisible by 12 at m={m}")
+    size = (mu - k % 2) // 2 + 1  # _flock_extent(k) + 1
     kept = size - offset if offset < size else 0  # members of flock k from offset on
-    # count_at_square(k // 2) counts through flock k - 1 for odd k, through k for
-    # even.  Its own mu = isqrt(2(k // 2)) is r, except at odd k = s^2 where it is
-    # s - 1; there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2
-    # + 6[mu odd]) / 12, is 0, as 2m = s^2 - 1 and mu is even, so r serves too
-    count = _count_at_square(k // 2, r) + kept
+    count = twelve // 12 + kept
     return count if k & 1 else count - size
 
 
@@ -493,10 +481,12 @@ def nth(j: int) -> AlmostSquareRecord:
     The square parameter is seeded from an integer-root estimate and
     then pinned down with exact counts, so the estimate's truncation can
     never corrupt the answer.  Where the seed is the answer's m or one
-    below it, as on every j measured, the cost is one cube root, one
-    square root and two closed-form counts: the count at the seed and
-    the count on the other side of j.  The count at the answer's m also
-    gives the offset.
+    below it, as on every j measured, the cost is one cube root and four
+    square roots: the seed's isqrt of the cube root, one in each of the
+    two closed-form counts (at the seed and on the other side of j), and
+    one for the extent of flock 2m, which takes again the root that the
+    count at the answer's m took.  The count at the answer's m also gives
+    the offset.
     """
     if j < 1:
         raise ValueError("index must be >= 1")

@@ -56,6 +56,14 @@ class TestIcbrt:
             assert _icbrt(k**3 - 1) == k - 1
             assert _icbrt(k**3 + 1) == k
 
+    def test_float_base(self):
+        # below 2^60 the root starts from round(n ** (1/3)); pin it at every
+        # small n and at the cubes up to the top of that range, c < 2^20
+        roots = map(_icbrt, range(1 << 16))
+        assert all(r**3 <= n < (r + 1) ** 3 for n, r in enumerate(roots))
+        for cs in (range(1, 1 << 17), range((1 << 20) - (1 << 14), 1 << 20)):
+            assert all(_icbrt(c**3 - 1) == c - 1 and _icbrt(c**3) == c for c in cs)
+
     def test_recursion_threshold(self):
         # 2^60 is where the precision-doubling path takes over
         assert _icbrt(2**60 - 1) == 2**20 - 1

@@ -164,7 +164,8 @@ def test_rank_round_trip_full_size(j):
 @given(st.integers(min_value=1, max_value=5 * 10**299))
 def test_count_le_at_odd_square_flock_ends(t):
     # flock k = s^2 with s odd is the one where count_le's shared root
-    # isqrt(k) = s is one above count_at_square(k // 2)'s own isqrt(k - 1),
+    # isqrt(k) = s is one above count_at_square(k // 2)'s own root: that
+    # count is the located count at flock k - 1, which takes isqrt(k - 1),
     # so the two counts agree here only through the closed form itself
     s = 2 * t + 1
     k = s * s
