@@ -19,10 +19,12 @@ new one each time.
 Above _BIG_DIGITS (6000) digits, decimal I/O leaves CPython's int() and
 str(), which are quadratic before Python 3.12, for the divide-and-conquer
 conversions of ``_digits``: an argument of plain ASCII digits is parsed
-by ``int_from_digits``, and an answer is rendered through exact Decimals,
-a record from its width and length alone.  At or below the threshold,
-and for any other argument text, parsing and rendering are int() and
-str(); either way the bytes written are the same.
+by ``int_from_digits`` and keeps its digits, which check and count write
+back as they were given, less leading zeros; an answer is rendered
+through exact Decimals, a record from its width and the excess of its
+length alone.  At or below the threshold, and for any other argument
+text, parsing and rendering are int() and str(); either way the bytes
+written are the same.
 """
 
 from __future__ import annotations
@@ -84,11 +86,24 @@ def _wide(bits: int) -> bool:
     return bits > _BIG_DIGITS * _BITS_PER_DIGIT
 
 
+class _Echo(int):
+    """An int parsed from a wide argument of plain ASCII digits, with its digits.
+
+    Its digits, leading zeros stripped, are str(n) already, so a verb that
+    writes the argument back (count, check) need not convert it again.
+    Arithmetic on it gives plain ints.
+    """
+
+    digits: str
+
+
 def _parse_int(text: str) -> int:
     if len(text) > _BIG_DIGITS and text.isascii() and text.isdigit():
         from ._digits import int_from_digits
 
-        return int_from_digits(text)
+        n = _Echo(int_from_digits(text))
+        n.digits = text.lstrip("0") or "0"
+        return n
     return int(text)  # also takes signs, whitespace, '_' and non-ASCII digits
 
 
@@ -97,7 +112,13 @@ _parse_int.__name__ = "int"
 
 
 def _cell(n: int) -> int | str:
-    """n as a template cell: itself, or its digits when str(n) would be slow."""
+    """n as a template cell: itself, or its digits when str(n) would be slow.
+
+    An argument parsed from plain digits gives back the digits it was
+    parsed from.
+    """
+    if isinstance(n, _Echo):
+        return n.digits
     if _wide(n.bit_length()):
         from ._digits import to_decimal
 
@@ -105,20 +126,24 @@ def _cell(n: int) -> int | str:
     return n
 
 
-def _cells(width: int, length: int) -> tuple[int | str, ...]:
+def _cells(width: int, length: int, value: str | None = None) -> tuple[int | str, ...]:
     """The cells, in _RECORD order, of the record with these sides.
 
-    A wide record converts its two sides alone and forms its value and k
-    (its semiperimeter and flock) in exact Decimal arithmetic.
+    ``value``, when given, is the value's cell, already in digits.
+
+    A wide record converts its width and the excess of its length, which
+    for a member is about sqrt(k) at most, and forms its length, value and
+    k (its semiperimeter and flock) in exact Decimal arithmetic.
     """
     if _wide(width.bit_length() + length.bit_length()):
         from ._digits import EXACT, to_decimal
 
-        w, l = to_decimal(width), to_decimal(length)
+        w = to_decimal(width)
+        l = EXACT.add(w, to_decimal(length - width))
         semi = str(EXACT.add(w, l))
-        return str(EXACT.multiply(w, l)), str(w), str(l), semi, semi
+        return value or str(EXACT.multiply(w, l)), str(w), str(l), semi, semi
     semi = width + length  # also the flock's k
-    return width * length, width, length, semi, semi
+    return value or width * length, width, length, semi, semi
 
 
 def _record_cells(rec: AlmostSquareRecord) -> tuple[int | str, ...]:
@@ -176,7 +201,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     rec = floor_almost_square(n)
     member = rec.value == n
     if member:  # member is json's bool; text skips it and csv replaces it
-        cells = _record_cells(rec)
+        digits = n.digits if isinstance(n, _Echo) else None
+        cells = _cells(rec.rect.width, rec.rect.length, digits)
         n_cell = cells[0]  # n is the record's value
         columns, row = ("n", "member", *_RECORD), (n_cell, "true", *cells)
         text = "{0} is an almost-square: {3} x {4} (semiperimeter {5}, flock {6})\n"

@@ -24,8 +24,11 @@ whether n hits it exactly.  The queries are views on that position:
 membership checks the offset is exact and within the extent, count_le
 is the one located count, _count_located(k, offset), the closed form in
 floor(sqrt(2m)) plus n's place in its flock (count_at_square is that
-count at a square), and the floor and nth are the member at an offset
-(or the last member of flock k-1).
+count at a square), and the floor is the member at an offset (or the
+last member of flock k-1).  nth inverts the closed form exactly: on each
+block of m sharing floor(sqrt(2m)) = mu the count is linear in m, j's
+block is the cube root of 3j or one below it, and one division gives m,
+so it takes one cube root and no square root.
 
 Enumeration is one walk, _flock_runs(lo, hi), over runs of offsets, one
 run per flock: it starts at lo's located offset, stops at hi's, and takes
@@ -445,62 +448,72 @@ def _count_located(k: int, offset: int) -> int:
     # flock and flock k's from offset to its extent, none where it is past.
     # With m = k // 2 and mu = floor(sqrt(2m)), the members up to m^2, which
     # are those through flock k - 1 for odd k and through k for even k, number
-    # (12m(mu+1) + 6mu - 12 - mu(mu+1)(2mu+1) + 6*floor(mu/2)) / 12; the
-    # divisibility by 12 is asserted as an internal consistency check.
-    # One root, isqrt(k), serves as mu and for flock k's extent.  It is
-    # isqrt(2m) except at odd k = s^2, where isqrt(2m) = isqrt(k - 1) = s - 1;
-    # there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2
-    # + 6[mu odd]) / 12, is 0 at mu = s - 1, as 2m = s^2 - 1 and s - 1 is
-    # even, so isqrt(k) serves too
+    # m(mu + 1) + _block_base(mu).  One root, isqrt(k), serves as mu and for
+    # flock k's extent.  It is isqrt(2m) except at odd k = s^2, where
+    # isqrt(2m) = isqrt(k - 1) = s - 1; there the closed form's step from mu
+    # to mu + 1, (12m + 6 - 6(mu+1)^2 + 6[mu odd]) / 12, is 0 at mu = s - 1,
+    # as 2m = s^2 - 1 and s - 1 is even, so isqrt(k) serves too
     m, mu = k // 2, isqrt(k)
-    twelve = (
-        12 * m * (mu + 1) + 6 * mu - 12 - mu * (mu + 1) * (2 * mu + 1) + 6 * (mu // 2)
-    )
-    if twelve % 12:
-        raise AssertionError(f"closed-form count not divisible by 12 at m={m}")
     size = (mu - k % 2) // 2 + 1  # _flock_extent(k) + 1
     kept = size - offset if offset < size else 0  # members of flock k from offset on
-    count = twelve // 12 + kept
+    count = m * (mu + 1) + _block_base(mu) + kept
     return count if k & 1 else count - size
 
 
-def _seed_square_param(j: int) -> int:
-    # the j-th member sits near the square of (3j)^(2/3)/2 - (3j)^(1/3)/4,
-    # taken here with integer roots at every size; isqrt(floor(y)) equals
-    # floor(sqrt(y)) for real y = t^(2/3), so one cube root gives both terms.
-    # The answer's m was this seed or one above it for each of 330,000 j
-    # (every j <= 2*10^5 and random j up to 3000 bits).
-    t = 3 * j
-    c = _icbrt(t * t)
-    return max(1, (2 * c - isqrt(c)) // 4)
+def _block_base(mu: int) -> int:
+    # the closed form's intercept on block mu, the m >= 1 with floor(sqrt(2m))
+    # = mu: the members up to m^2 number m(mu + 1) + _block_base(mu) there, and
+    # 12 _block_base(mu) = 6mu - 12 - mu(mu+1)(2mu+1) + 6*floor(mu/2); the
+    # divisibility by 12 is asserted as an internal consistency check
+    twelve = 6 * mu - 12 - mu * (mu + 1) * (2 * mu + 1) + 6 * (mu // 2)
+    if twelve % 12:
+        raise AssertionError(f"closed-form count not divisible by 12 at mu={mu}")
+    return twelve // 12
 
 
 def nth(j: int) -> AlmostSquareRecord:
     """The j-th almost-square in increasing order, with its rectangle.
 
-    The square parameter is seeded from an integer-root estimate and
-    then pinned down with exact counts, so the estimate's truncation can
-    never corrupt the answer.  Where the seed is the answer's m or one
-    below it, as on every j measured, the cost is one cube root and four
-    square roots: the seed's isqrt of the cube root, one in each of the
-    two closed-form counts (at the seed and on the other side of j), and
-    one for the extent of flock 2m, which takes again the root that the
-    count at the answer's m took.  The count at the answer's m also gives
-    the offset.
+    The closed form is inverted exactly.  Call the m with floor(sqrt(2m))
+    = mu block mu: it runs from ceil(mu^2/2) to ((mu+1)^2 - 1) // 2, and on
+    it the members up to m^2 number L_mu(m) = m(mu + 1) + _block_base(mu),
+    linear in m with slope mu + 1.  The members before block mu, those up
+    to the square of its last m less one, M = (mu^2 - 1) // 2, number
+
+        before(mu) = (4mu^3 + 3mu^2 + 2mu - 21) / 12    for odd mu >= 3,
+                     (4mu^3 + 3mu^2 - 4mu - 24) / 12    for even mu >= 2,
+
+    about mu^3/3 + mu^2/4, with before(1) = 0.  The lines of blocks mu - 1
+    and mu meet at M, as _block_base(mu - 1) = _block_base(mu) + M, so
+    before(mu) = L_mu(M) for mu >= 2.  j's block is the mu with before(mu)
+    < j <= before(mu + 1), and with c = max(2, icbrt(3j)) it is c - 1 or c:
+
+    * mu >= c - 1, as 3j <= 3 before(mu + 1) < (mu + 2)^3, so icbrt(3j)
+      <= mu + 1, and c = 2 <= mu + 1 as well;
+    * mu <= c, as 3 before(mu) >= mu^3 for mu >= 3 (3mu^2 + 2mu >= 21 and
+      3mu^2 >= 4mu + 24), so 3j > mu^3 and icbrt(3j) >= mu; blocks 1 and 2
+      hold j = 1 and j = 2 to 10, where mu <= 2 <= c.
+
+    One exact comparison, j > L_c(M), tells the two apart.  Then the first
+    m whose count reaches j is ceil((j - _block_base(mu)) / (mu + 1)), one
+    exact division, which is in block mu because j > before(mu) = L_mu of
+    the block's first m less one (and L_1(0) = -1 < j).  The division's
+    remainder r gives the offset down from m^2, the count there less j, as
+    mu - r: the member at that offset in flock 2m, whose extent is mu // 2,
+    or past it in flock 2m - 1, as the two flocks hold the mu + 1 members
+    in ((m-1)^2, m^2].  So nth takes one cube root, of 3j, and no square
+    root.
     """
     if j < 1:
         raise ValueError("index must be >= 1")
-    m = _seed_square_param(j)
-    count = count_at_square(m)
-    if count < j:  # the seed is low: the first m whose count reaches j
-        while count < j:
-            m += 1
-            count = count_at_square(m)
-    else:  # the seed is high or right: step down while m - 1 still reaches j
-        while m > 1 and (below := count_at_square(m - 1)) >= j:
-            m, count = m - 1, below
-    k, offset = 2 * m, count - j
-    extent = _flock_extent(k)
+    c = max(2, _icbrt(3 * j))
+    last = (c * c - 1) // 2  # block c - 1's last m, where the two lines meet
+    mu, base = c, _block_base(c)
+    if j <= last * (c + 1) + base:  # j <= before(c): in block c - 1
+        mu, base = c - 1, base + last
+    m, r = divmod(j - base + mu, mu + 1)
+    k, offset = 2 * m, mu - r  # m^2 is the (j + offset)-th member
+    extent = mu // 2  # flock 2m's, as isqrt(2m) = mu
     if offset > extent:  # past flock 2m, so in flock 2m - 1
         k, offset = k - 1, offset - extent - 1
     return AlmostSquareRecord(_rect(k, offset))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import cli, core
+from almost_squares import _digits, cli, core
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
@@ -397,9 +398,14 @@ class TestWideDecimalIO:
         ("check", 10_000, True, ""),
         ("check", 40_000, False, ""),
         ("check", 17_000, False, "000"),
+        ("check", 12_000, True, "0"),
+        ("check", 5, False, "0" * cli._BIG_DIGITS),
+        ("check", 5, True, "0" * cli._BIG_DIGITS),
         ("count", 40_000, True, ""),
         ("count", 25_000, False, ""),
         ("count", 12_000, False, "-"),
+        ("count", 17_000, True, "00"),
+        ("count", 3_000, False, "0" * 4_000),
         ("floor", 25_000, True, ""),
         ("floor", 17_000, False, ""),
         ("floor", 10_000, False, " "),
@@ -412,6 +418,35 @@ class TestWideDecimalIO:
         if member:
             n = floor_almost_square(n).value
         _assert_same_as_int_str_path(monkeypatch, [verb, prefix + str(n)])
+
+    @pytest.mark.parametrize("verb, member", [
+        ("check", True), ("check", False), ("count", True),
+    ])
+    def test_argument_digits_are_echoed(self, monkeypatch, verb, member):
+        # n's cell, and a member's value cell, are the argument's digits: no
+        # int as wide as n goes through to_decimal, only a member's width
+        # and excess or the count, which has about 3/4 of n's bits, and no
+        # value is multiplied out
+        n = random.Random(7).randrange(10**29_999, 10**30_000)
+        if member:
+            n = floor_almost_square(n).value
+        widths = []
+        to_decimal = _digits.to_decimal
+        monkeypatch.setattr(
+            _digits, "to_decimal", lambda m: widths.append(m.bit_length()) or to_decimal(m)
+        )
+
+        class NoProduct(decimal.Context):
+            def multiply(self, a, b):
+                raise AssertionError("a value was multiplied out")
+
+        exact = _digits.EXACT
+        monkeypatch.setattr(_digits, "EXACT", NoProduct(
+            prec=exact.prec, Emax=exact.Emax, Emin=exact.Emin, traps=[decimal.Inexact]
+        ))
+        code, out, _ = _main_bytes([verb, "00" + str(n), "--format", "csv"])
+        assert code == 0 and out.splitlines()[1].startswith(f"{n},")
+        assert max(widths, default=0) <= 3 * n.bit_length() // 4 + 2
 
     def test_list_near_1e20000(self, monkeypatch):
         m = 10**10_000

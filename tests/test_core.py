@@ -11,6 +11,7 @@ from almost_squares.core import (
     FlockId,
     RatioValue,
     Rectangle,
+    _block_base,
     _icbrt,
     count_at_square,
     count_le,
@@ -296,6 +297,12 @@ class TestCountLe:
             assert count_le(n) == running
 
 
+def _before(mu):
+    # the members before block mu, the m with isqrt(2m) = mu: those up to
+    # the square of the block's first m less one, by count_at_square's root
+    return count_at_square((mu * mu - 1) // 2) if mu > 1 else 0
+
+
 class TestNth:
     def test_59(self):
         rec = nth(59)
@@ -328,15 +335,58 @@ class TestNth:
             assert count_le(rec.value) == j
             assert is_almost_square(rec.value) == rec.rect
 
+    def test_second(self):
+        rec = nth(2)  # block 2, where icbrt(3j) = 1 is one below the block
+        assert rec.value == 2
+        assert str(rec.rect) == "1x2"
+
     def test_hundred_thousand_digit_index(self):
-        # about 0.5 s on a 2-vCPU host with Python 3.11; with a full-width
-        # Newton loop for the cube root it takes about 5 s
+        # nth takes about 0.13 s on a 2-vCPU host with Python 3.11; with a
+        # full-width Newton loop for the cube root it takes about 5 s
         bits = 332_193  # 10^5 decimal digits
         j = random.Random(5).getrandbits(bits) | 1 << (bits - 1)
         t0 = time.perf_counter()
         rec = nth(j)
         assert time.perf_counter() - t0 < 2.5
         assert count_le(rec.value) == j
+
+    def test_block_ends(self):
+        # the first and last j of block mu, and the last j before it, on the
+        # closed-form branches nth takes; count_le takes no cube root, so the
+        # round trip checks nth independently
+        rng = random.Random(15)
+        mus = [*range(2, 10**4), *(rng.randrange(2, 10**300) for _ in range(200))]
+        for mu in mus:
+            before, last = _before(mu), _before(mu + 1)
+            for j in (before, before + 1, last):
+                rec = nth(j)
+                assert count_le(rec.value) == j
+                assert is_almost_square(rec.value) == rec.rect
+
+    def test_block_is_the_cube_root_or_one_below(self):
+        # nth's one-sided bound: j's block mu is c or c - 1 for
+        # c = max(2, icbrt(3j)), which rises with j, so checking each block's
+        # first and last j covers every j through before(10^4 + 1)
+        rng = random.Random(16)
+        mus = [*range(1, 10**4 + 1), *(rng.randrange(2, 10**300) for _ in range(200))]
+        for mu in mus:
+            first, last = _before(mu) + 1, _before(mu + 1)
+            assert max(2, _icbrt(3 * first)) >= mu
+            assert max(2, _icbrt(3 * last)) <= mu + 1
+
+    def test_before_block_closed_form(self):
+        # the counts before block mu that nth's docstring bounds, and the
+        # meeting of the lines of blocks mu - 1 and mu that nth compares on
+        for mu in range(2, 2000):
+            twelve = 4 * mu**3 + 3 * mu**2 + (2 * mu - 21 if mu % 2 else -4 * mu - 24)
+            assert 12 * _before(mu) == twelve
+            last = (mu * mu - 1) // 2
+            assert _block_base(mu - 1) == _block_base(mu) + last
+            assert _before(mu) == last * (mu + 1) + _block_base(mu)
+
+    def test_against_the_sieve(self, record_set_full):
+        members = record_set_full.members
+        assert [nth(j).value for j in range(1, len(members) + 1)] == members
 
     def test_flock_field(self):
         for j in range(1, 300):

@@ -41,6 +41,8 @@ def test_conversions_match_int_and_str(length, seed, zeros):
 @given(st.integers(1, 20_000), st.integers(0, 2**32), st.integers(0, 10**6))
 @example(cli._BIG_DIGITS // 2, 0, 1)  # the record's value near the threshold
 @example(10_000, 0, 0)  # a square
+@example(cli._BIG_DIGITS, 1, 0)  # length == width at the threshold
+@example(15_000, 2, 12_345)  # an odd k
 def test_record_cells_match_str(digits, seed, gap):
     width = int("1" + _digits(digits - 1, seed))
     length = width + gap
