@@ -17,13 +17,23 @@ rounded int/int division of integer terms.  At a perfect power the
 scaled root is an exact multiple of 2^P, so its fractional part is an
 exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
 from a fractional part that rounded to 0.999... just below the jump.
+
+A remainder row shares its roots, as floor(sqrt(floor(y))) =
+floor(sqrt(y)) and floor(floor(y) / 2^P) = floor(y / 2^P) for y >= 0.
+With s = isqrt(n * 2^(4P)), the scaled sqrt(n) is s >> P and the scaled
+n^(1/4) is isqrt(s).  t = isqrt(4n * 2^(4P)) is 2s or 2s + 1, as
+2s <= 2 sqrt(n) 2^(2P) < 2s + 2, and one square decides which; then
+t >> P and isqrt(t) are the scaled sqrt(4n) and (4n)^(1/4).  With the
+two nested isqrts of 64n^3 a row takes five roots.  A grid row adds
+count_le's three for A; a row at a member needs none, as its A is the
+count of members below the window plus the row's index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from math import isqrt
 from operator import mul
 from typing import TextIO
@@ -33,6 +43,7 @@ from typing import TextIO
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
 # getattr raises AttributeError on a missing name, failing every traced run
 from .core import (
+    _count_located,
     _flock_runs,
     _floor_rect,
     count_le,
@@ -189,17 +200,26 @@ def remainder(n: int) -> AnalysisSample:
         raise ValueError("n must be >= 1")
     x = _as_float(n)
     a = count_le(n)
+    return AnalysisSample(x, a, *_remainder_fields(n, a))
+
+
+def _remainder_fields(n: int, a: int) -> tuple[float, float, float, float]:
+    # (r, r_normalized, g_val, h_val) at n >= 1 with a = count_le(n), from the
+    # five shared roots of the module docstring
     bits = _frac_bits(4 * n)
     one = 1 << bits
+    shifted = n << 4 * bits
+    s = isqrt(shifted)
+    t = 2 * s  # isqrt(4 * shifted), or one more where (2s + 1)^2 <= 4 * shifted
+    if s * (s + 1) < shifted:
+        t += 1
     # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3
-    r6 = 6 * a * one - 2 * _root(64 * n**3, 1, 4, bits) - 3 * _root(n, 1, 2, bits)
-    return AnalysisSample(
-        x=x,
-        a_of_x=a,
-        r=r6 / (6 * one),
-        r_normalized=r6 / (6 * _root(n, 1, 4, bits)),
-        g_val=g_func((_root(4 * n, 1, 4, bits) % one) / one),
-        h_val=h_func((_root(4 * n, 1, 2, bits) % one) / one),
+    r6 = 6 * a * one - 2 * isqrt(isqrt(64 * n**3 << 4 * bits)) - 3 * (s >> bits)
+    return (
+        r6 / (6 * one),
+        r6 / (6 * isqrt(s)),
+        g_func((isqrt(t) % one) / one),
+        h_func(((t >> bits) % one) / one),
     )
 
 
@@ -308,11 +328,8 @@ def _check_rows(expected: int, plan: SamplingPlan) -> None:
         )
 
 
-def _remainder_line(x: int) -> str:
-    s = remainder(x)
-    return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(
-        x, s.a_of_x, s.r, s.r_normalized, s.g_val, s.h_val
-    )
+def _remainder_line(x: int, a: int) -> str:
+    return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(x, a, *_remainder_fields(x, a))
 
 
 def emit_series(plan: SamplingPlan, out: TextIO) -> int:
@@ -353,18 +370,22 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     else:  # a remainder series
         header = "x,A,R,R_norm,g,h\n"
         if plan.at_members:
-            count, hi_at, runs = _flock_runs(plan.lo, plan.hi)
-            _check_rows(count, plan)
-            if count:  # the greatest member <= hi is then the last sample
+            members, hi_at, runs = _flock_runs(plan.lo, plan.hi)
+            _check_rows(members, plan)
+            below = 0
+            if members:  # the greatest member <= hi is then the last sample
                 last = _floor_rect(*hi_at)
                 _as_float(last.width * last.length)
+                below = _count_located(*hi_at) - members
             xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
+            counts = count(below + 1)  # the i-th sample is the (below + i)-th member
         else:
             _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
             xs = range(plan.lo, plan.hi + 1, plan.step)
             if xs:  # samples ascend, so the last one bounds them all
                 _as_float(xs[-1])
-        lines = map(_remainder_line, xs)
+            counts = map(count_le, xs)
+        lines = map(_remainder_line, xs, counts)
     out.write(header)
     rows = 0
     for line in lines:

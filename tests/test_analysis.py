@@ -11,12 +11,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import almost_squares
+from almost_squares import analysis, core
 from almost_squares.analysis import (
     AnalysisSample,
     BTerms,
     SamplingPlan,
+    _frac_bits,
+    _remainder_fields,
+    _root,
     b_value,
     emit_series,
     g_func,
@@ -28,10 +34,13 @@ from almost_squares.analysis import (
     z_bracket,
 )
 from almost_squares.core import (
+    _flock_extent,
+    _rect,
     count_at_square,
     count_le,
     enumerate_range,
     is_almost_square,
+    pioneer,
     triangular,
 )
 
@@ -549,6 +558,159 @@ class TestEmitSeries:
         emit_series(plan, a)
         emit_series(plan, b)
         assert a.getvalue() == b.getvalue()
+
+
+def _eight_root_fields(n, a):
+    # the remainder row as five separate _root calls, eight isqrts: the
+    # reference the shared-root row helper must match bit for bit
+    bits = _frac_bits(4 * n)
+    one = 1 << bits
+    r6 = 6 * a * one - 2 * _root(64 * n**3, 1, 4, bits) - 3 * _root(n, 1, 2, bits)
+    return (
+        r6 / (6 * one),
+        r6 / (6 * _root(n, 1, 4, bits)),
+        g_func((_root(4 * n, 1, 4, bits) % one) / one),
+        h_func((_root(4 * n, 1, 2, bits) % one) / one),
+    )
+
+
+def _rounds_up(n):
+    # whether isqrt(4n * 2^(4P)) is 2s + 1 rather than 2s, s = isqrt(n * 2^(4P)),
+    # checked against the one-square rule the row helper decides it by
+    shifted = n << 4 * _frac_bits(4 * n)
+    s = math.isqrt(shifted)
+    t = math.isqrt(shifted << 2)
+    assert t - 2 * s == (s * (s + 1) < shifted), n
+    return t == 2 * s + 1
+
+
+def _assert_fields_match(n):
+    a = count_le(n)
+    got = _remainder_fields(n, a)
+    assert list(map(float.hex, got)) == list(map(float.hex, _eight_root_fields(n, a))), n
+    return got
+
+
+def _member(k, offset):
+    return _rect(k, offset).area
+
+
+def _assert_a_column_is_count_le(lo, hi):
+    out = io.StringIO()
+    rows = emit_series(SamplingPlan("R-of-x", lo, hi), out)
+    samples = [tuple(map(int, line.split(",")[:2])) for line in out.getvalue().splitlines()[1:]]
+    assert [a for _, a in samples] == [count_le(x) for x, _ in samples], (lo, hi)
+    below = count_le(lo - 1) if lo > 1 else 0
+    assert rows == len(samples) == (count_le(hi) - below if hi >= lo else 0), (lo, hi)
+    return rows
+
+
+# n = j^2, j^4 and 4j^4 make sqrt(n), n^(1/4) and (4n)^(1/4) integers
+_POWERS = st.tuples(
+    st.sampled_from([2, 4]), st.sampled_from([1, 4]), st.integers(1, 10**75), st.integers(-1, 1)
+).map(lambda p: p[1] * p[2] ** p[0] + p[3]).filter(lambda n: 1 <= n <= 10**300)
+
+
+class TestSharedRoots:
+    """The remainder row's five shared roots against the eight-root formula."""
+
+    def test_every_small_n(self):
+        outcomes = set()
+        for n in range(1, 2 * 10**4 + 1):
+            _assert_fields_match(n)
+            outcomes.add(_rounds_up(n))
+        assert outcomes == {False, True}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 10**300), _POWERS))
+    @example(10**300)
+    @example(4 * (10**75 - 1) ** 4 + 1)
+    def test_matches_eight_root_formula(self, n):
+        _assert_fields_match(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10**75))
+    def test_zero_fractional_parts_at_perfect_powers(self, j):
+        # sqrt(4n) is an integer at n = j^2, and (4n)^(1/4) too at n = 4j^4 = (2j)^4 / 4
+        _, _, _, h = _assert_fields_match(j * j)
+        assert h == 0.0
+        _, _, g, h = _assert_fields_match(4 * j**4)
+        assert g == h == 0.0
+
+    def test_both_rounding_outcomes_at_power_neighbours(self):
+        outcomes = set()
+        for j in (3, 10**6 + 1, 10**40 + 7, 10**75 - 3):
+            for n in (j * j - 1, j * j + 1, 4 * j**4 - 1, 4 * j**4 + 1):
+                _assert_fields_match(n)
+                outcomes.add(_rounds_up(n))
+        assert outcomes == {False, True}
+
+    # at-member rows read A as the count below lo plus the row's index
+    def test_a_column_from_one(self):
+        for lo in range(1, 201):
+            _assert_a_column_is_count_le(lo, 200)
+        assert _assert_a_column_is_count_le(1, 5000) == count_le(5000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(2, 2 * 10**15),
+            st.integers(1, 4 * 10**7).map(lambda j: (j + 1) ** 2 - 1),  # before a pioneer
+        ),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(-1, 1),
+    )
+    @example(2, 0, 0, 0)  # lo = 1
+    @example(8, 1, 0, 0)
+    @example(99**2 - 1, 0, 0, 1)
+    def test_a_column_across_flock_ends(self, k, back, into, nudge):
+        # from flock k's member at offset back, nudged one below, at or one
+        # past it, into flock k + 1 up to its member at its extent - into
+        lo = max(1, _member(k, min(back, _flock_extent(k))) + nudge)
+        hi = _member(k + 1, max(_flock_extent(k + 1) - into, 0))
+        assert _assert_a_column_is_count_le(lo, hi) >= 1
+        if math.isqrt(k + 1) ** 2 == k + 1 and k > 2:
+            j = math.isqrt(k + 1) - 1
+            assert pioneer(j)[0] == _member(k + 1, _flock_extent(k + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(10**6, 2 * 10**15), st.integers(1, 20))
+    def test_a_column_empty_windows(self, k, offset):
+        # strictly between two adjacent members of flock k, and hi < lo
+        offset = min(offset, _flock_extent(k))
+        lo, hi = _member(k, offset) + 1, _member(k, offset - 1) - 1
+        assert _assert_a_column_is_count_le(lo, hi) == 0
+        assert _assert_a_column_is_count_le(hi + 1, hi) == 0
+
+    @staticmethod
+    def _roots_per_row(monkeypatch, plan):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return math.isqrt(n)
+
+        monkeypatch.setattr(analysis, "isqrt", counted)
+        monkeypatch.setattr(core, "isqrt", counted)
+        marks = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                marks.append(len(calls))
+                return super().write(text)
+
+        emit_series(plan, Out())
+        return [b - a for a, b in zip(marks, marks[1:])]
+
+    def test_five_roots_per_member_row(self, monkeypatch):
+        k = 2 * 10**15  # flock 2m with m = 10^15: offsets 40..0, all in one flock
+        plan = SamplingPlan("R-of-x", _member(k, 40), _member(k, 0))
+        assert self._roots_per_row(monkeypatch, plan) == [5] * 41
+
+    def test_five_plus_three_roots_per_grid_row(self, monkeypatch):
+        plan = SamplingPlan("R-normalized", 10**30, 10**30 + 280, step=7, at_members=False)
+        assert self._roots_per_row(monkeypatch, plan) == [5 + 3] * 41
 
 
 B = 10**310  # beyond float range

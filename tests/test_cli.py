@@ -581,8 +581,9 @@ def test_flock_rows_match_flock_members(k):
     (["list", "170", "200"], 2),
     (["flock", "28"], 2),
     (["count", "12345"], 1),
-    # the window's two ends, then one per sample: 6 here
-    (["analyze", "--plan", "R-normalized", "--lo", "170", "--hi", "200"], 8),
+    # the window's two ends and none per sample: A at a member is the count
+    # below lo plus the sample's index
+    (["analyze", "--plan", "R-normalized", "--lo", "170", "--hi", "200"], 2),
 ])
 def test_each_window_end_is_located_once(monkeypatch, argv, locates):
     calls = []
