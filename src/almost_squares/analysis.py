@@ -11,22 +11,26 @@ remainder, and CSV emission of the series behind all of it.
 Every real quantity here is a root of a rational: x^(1/4), sqrt(x),
 (64x^3)^(1/4) = 2*sqrt(2)*x^(3/4), and the fractional parts of
 (4x)^(1/4), (x/4)^(1/4) and sqrt(4x).  Each is taken in exact integer
-fixed point as floor(root * 2^P), an isqrt of a shifted integer (two
-nested isqrts for a fourth root), and each float field is one correctly
+fixed point as floor(root * 2^P), and each float field is one correctly
 rounded int/int division of integer terms.  At a perfect power the
 scaled root is an exact multiple of 2^P, so its fractional part is an
 exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
 from a fractional part that rounded to 0.999... just below the jump.
 
-A remainder row shares its roots, as floor(sqrt(floor(y))) =
-floor(sqrt(y)) and floor(floor(y) / 2^P) = floor(y / 2^P) for y >= 0.
-With s = isqrt(n * 2^(4P)), the scaled sqrt(n) is s >> P and the scaled
-n^(1/4) is isqrt(s).  t = isqrt(4n * 2^(4P)) is 2s or 2s + 1, as
-2s <= 2 sqrt(n) 2^(2P) < 2s + 2, and one square decides which; then
-t >> P and isqrt(t) are the scaled sqrt(4n) and (4n)^(1/4).  With the
-two nested isqrts of 64n^3 a row takes five roots.  A grid row adds
-count_le's three for A; a row at a member needs none, as its A is the
-count of members below the window plus the row's index.
+One rule yields every root.  _roots(num, den, bits) takes
+t = isqrt((num << 4*bits) // den) and u = isqrt(t), the floors of
+sqrt(y) * 2^(2*bits) and y^(1/4) * 2^bits for y = num/den, and each
+other root is read off them by a shift, or by an isqrt of a shift, as
+floor(floor(y) / 2^j) = floor(y / 2^j) and floor(sqrt(floor(y))) =
+floor(sqrt(y)) for y >= 0.
+A remainder row takes t, u at y = 4n: sqrt(4n) is t >> P, sqrt(n) is
+t >> P + 1, (4n)^(1/4) is u and n^(1/4) is isqrt(t >> 1); with the pair
+for 64n^3 it takes five roots.  A grid row adds count_le's three for A;
+a row at a member needs none, as its A is the count of members below
+the window plus the row's index.  b_value takes t, u at y = 4x with
+P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
+(x/4)^(1/4), t >> P + 3 is sqrt(x), and with the pair for 64x^3 it
+takes four roots.
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ def _frac_bits(num: int) -> int:
     return num.bit_length() + 160
 
 
-def _root(num: int, den: int, e: int, bits: int) -> int:
-    """floor((num/den)^(1/e) * 2^bits) for e in {2, 4}, exactly."""
-    r = isqrt((num << e * bits) // den)
-    return isqrt(r) if e == 4 else r
+def _roots(num: int, den: int, bits: int) -> tuple[int, int]:
+    """floor(sqrt(y) * 2^(2*bits)) and floor(y^(1/4) * 2^bits) for y = num/den, exactly."""
+    t = isqrt((num << 4 * bits) // den)
+    return t, isqrt(t)
 
 
 # --------------------------------------------------------------------------
@@ -133,15 +137,15 @@ def b_value(x: int | float) -> BTerms:
     xf = _as_float(x)
     bits = _frac_bits(4 * p)
     one = 1 << bits
-    gamma = _root(4 * p, q, 4, bits) % one
-    delta_root = _root(p, 4 * q, 4, bits)  # (x/4)^(1/4) = x^(1/4)/sqrt(2)
+    # the four roots of the module docstring; u is (4x)^(1/4) * 2^(P+1)
+    t, u = _roots(4 * p, q, bits + 1)
+    gamma = (u >> 1) % one
+    delta_root = u >> 2  # (x/4)^(1/4) = x^(1/4)/sqrt(2)
     delta = delta_root % one
     # b0 and b1 scaled by 12*2^(3P), with 2*sqrt(2)*x^(3/4) = (64x^3)^(1/4)
-    # and 2*sqrt(2)*x^(1/4) = (64x)^(1/4)
+    # and 2*sqrt(2)*x^(1/4) = (64x)^(1/4) = u / 2^P
     b0 = (
-        4 * _root(64 * p**3, q**3, 4, bits)
-        + 6 * _root(p, q, 2, bits)
-        + 4 * _root(64 * p, q, 4, bits)
+        4 * _roots(64 * p**3, q**3, bits)[1] + 6 * (t >> bits + 3) + 4 * u
     ) * one**2 + 12 * gamma * (one - gamma) * delta_root
     b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
     scale = 12 * one**3
@@ -159,18 +163,29 @@ def b_value(x: int | float) -> BTerms:
 # the two oscillation shapes
 # --------------------------------------------------------------------------
 
+def _frac(t: float) -> float:
+    """{t}, refused with ValueError where t is not finite."""
+    if not math.isfinite(t):  # math.floor raises OverflowError on inf
+        raise ValueError(f"t must be finite, not {t}")
+    return t - math.floor(t)
+
+
 def g_func(t: float) -> float:
-    """Period-1 arch {t}(1-{t})/sqrt(2); peaks at 1/(4*sqrt(2))."""
-    f = t - math.floor(t)
+    """Period-1 arch {t}(1-{t})/sqrt(2); peaks at 1/(4*sqrt(2)).
+
+    Raises ValueError for t not finite.
+    """
+    f = _frac(t)
     return f * (1.0 - f) / SQRT2
 
 
 def h_func(t: float) -> float:
-    """Period-1 ramp with a square-root shoulder; peaks at 1/(2*sqrt(2))."""
-    f = t - math.floor(t)
-    if f <= 0.5:
-        return f / SQRT2
-    return math.sqrt(1.0 - f) - (1.0 - f) / SQRT2
+    """Period-1 ramp with a square-root shoulder; peaks at 1/(2*sqrt(2)).
+
+    Raises ValueError for t not finite, as g_func does.
+    """
+    f = _frac(t)
+    return f / SQRT2 if f <= 0.5 else math.sqrt(1.0 - f) - (1.0 - f) / SQRT2
 
 
 # --------------------------------------------------------------------------
@@ -205,20 +220,16 @@ def remainder(n: int) -> AnalysisSample:
 
 def _remainder_fields(n: int, a: int) -> tuple[float, float, float, float]:
     # (r, r_normalized, g_val, h_val) at n >= 1 with a = count_le(n), from the
-    # five shared roots of the module docstring
+    # five roots of the module docstring
     bits = _frac_bits(4 * n)
     one = 1 << bits
-    shifted = n << 4 * bits
-    s = isqrt(shifted)
-    t = 2 * s  # isqrt(4 * shifted), or one more where (2s + 1)^2 <= 4 * shifted
-    if s * (s + 1) < shifted:
-        t += 1
+    t, u = _roots(4 * n, 1, bits)
     # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3
-    r6 = 6 * a * one - 2 * isqrt(isqrt(64 * n**3 << 4 * bits)) - 3 * (s >> bits)
+    r6 = 6 * a * one - 2 * _roots(64 * n**3, 1, bits)[1] - 3 * (t >> bits + 1)
     return (
         r6 / (6 * one),
-        r6 / (6 * isqrt(s)),
-        g_func((isqrt(t) % one) / one),
+        r6 / (6 * isqrt(t >> 1)),
+        g_func((u % one) / one),
         h_func(((t >> bits) % one) / one),
     )
 
@@ -242,10 +253,19 @@ def z_bracket(j: int) -> tuple[float, bool]:
 
     z = (3j)^(2/3)/2 - (3j)^(1/3)/4.  ok reports whether
     b_value((z-1)^2).b < j < b_value(z^2).b, the property that makes z a
-    safe starting point for ranked access.
+    safe starting point for ranked access.  z, its squares and the b
+    values are floats, so ok is decided in floats: it read True for 50 of
+    50 random j in each decade from 10^10 up to 10^21, for 33 of 50 in
+    [10^21, 10^22), and False for 50 of 50 in each decade from 10^22 to
+    10^26, where the float z is more than 1 off the exact one (4.6 at
+    j = 10^23), as t ** (2/3) carries the rounding of 2/3.  Raises
+    ValueError for j above 1.46e231, as z^2 passes the float maximum
+    (about 1.8e308) near j = 1.4637e231.
     """
     if j <= 5:
         raise ValueError("index j must be > 5")
+    if j > 1.46e231:
+        raise ValueError("index j must be <= 1.46e231, or z^2 leaves float range")
     t = 3.0 * j
     z = 0.5 * t ** (2.0 / 3.0) - 0.25 * t ** (1.0 / 3.0)
     ok = b_value((z - 1.0) ** 2).b < j < b_value(z * z).b
@@ -374,8 +394,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
             _check_rows(members, plan)
             below = 0
             if members:  # the greatest member <= hi is then the last sample
-                last = _floor_rect(*hi_at)
-                _as_float(last.width * last.length)
+                _as_float(_floor_rect(*hi_at).area)
                 below = _count_located(*hi_at) - members
             xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
             counts = count(below + 1)  # the i-th sample is the (below + i)-th member

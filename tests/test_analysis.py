@@ -22,7 +22,6 @@ from almost_squares.analysis import (
     SamplingPlan,
     _frac_bits,
     _remainder_fields,
-    _root,
     b_value,
     emit_series,
     g_func,
@@ -348,6 +347,13 @@ class TestOscillationShapes:
     def test_h_continuous_at_wrap(self):
         assert h_func(1.0 - 1e-9) == pytest.approx(0.0, abs=1e-4)
 
+    def test_non_finite_refused(self):
+        for f in (g_func, h_func):
+            for t in (float("inf"), float("-inf"), float("nan")):
+                with pytest.raises(ValueError, match="must be finite"):
+                    f(t)
+        assert g_func(1e308) == h_func(1e308) == 0.0
+
 
 class TestRemainder:
     def test_196(self):
@@ -417,6 +423,17 @@ class TestZBracket:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             z_bracket(5)
+
+    def test_float_range_edge(self):
+        # z^2 is about 1.08e308 at j = 10^231 and overflows a float at
+        # 2 * 10^231; 3.0 * j itself overflows at 10^400
+        edge = int(1.46e231)
+        for j in (10**231, edge):
+            z, _ = z_bracket(j)
+            assert math.isfinite(z * z) and math.isfinite((z - 1.0) ** 2)
+        for j in (edge + 1, 2 * 10**231, 10**308, 10**400):
+            with pytest.raises(ValueError, match="float range"):
+                z_bracket(j)
 
 
 class TestKiteRegion:
@@ -560,6 +577,13 @@ class TestEmitSeries:
         assert a.getvalue() == b.getvalue()
 
 
+def _root(num, den, e, bits):
+    # floor((num/den)^(1/e) * 2^bits) for e in {2, 4} by nested isqrts: the
+    # independent reference for the shared roots of the row and of b_value
+    r = math.isqrt((num << e * bits) // den)
+    return math.isqrt(r) if e == 4 else r
+
+
 def _eight_root_fields(n, a):
     # the remainder row as five separate _root calls, eight isqrts: the
     # reference the shared-root row helper must match bit for bit
@@ -575,11 +599,12 @@ def _eight_root_fields(n, a):
 
 
 def _rounds_up(n):
-    # whether isqrt(4n * 2^(4P)) is 2s + 1 rather than 2s, s = isqrt(n * 2^(4P)),
-    # checked against the one-square rule the row helper decides it by
+    # whether isqrt(4n * 2^(4P)) is 2s + 1 rather than 2s, s = isqrt(n * 2^(4P));
+    # either way s = t >> 1, the identity the row helper reads sqrt(n) by
     shifted = n << 4 * _frac_bits(4 * n)
     s = math.isqrt(shifted)
     t = math.isqrt(shifted << 2)
+    assert s == t >> 1, n
     assert t - 2 * s == (s * (s + 1) < shifted), n
     return t == 2 * s + 1
 
@@ -711,6 +736,58 @@ class TestSharedRoots:
     def test_five_plus_three_roots_per_grid_row(self, monkeypatch):
         plan = SamplingPlan("R-normalized", 10**30, 10**30 + 280, step=7, at_members=False)
         assert self._roots_per_row(monkeypatch, plan) == [5 + 3] * 41
+
+
+def _five_root_b_value(x):
+    # b_value as five separate _root calls, nine isqrts: the reference the
+    # four-root b_value must match bit for bit
+    p, q = x.as_integer_ratio()
+    bits = _frac_bits(4 * p)
+    one = 1 << bits
+    gamma = _root(4 * p, q, 4, bits) % one
+    delta_root = _root(p, 4 * q, 4, bits)
+    delta = delta_root % one
+    b0 = (
+        4 * _root(64 * p**3, q**3, 4, bits)
+        + 6 * _root(p, q, 2, bits)
+        + 4 * _root(64 * p, q, 4, bits)
+    ) * one**2 + 12 * gamma * (one - gamma) * delta_root
+    b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
+    scale = 12 * one**3
+    return BTerms(
+        x=float(x),
+        gamma=gamma / one,
+        delta=delta / one,
+        b0=b0 / scale,
+        b1=b1 / scale,
+        b=(b0 + b1) / scale,
+    )
+
+
+class TestBValueRoots:
+    """b_value's four shared roots against the five-root formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 10**300), _POWERS, st.floats(1.0, 1e300)))
+    @example(20.25)
+    @example(6.25)
+    @example(1e308)
+    @example(10**300)
+    def test_matches_five_root_formula(self, x):
+        assert repr(b_value(x)) == repr(_five_root_b_value(x))
+
+    def test_four_roots_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return math.isqrt(n)
+
+        monkeypatch.setattr(analysis, "isqrt", counted)
+        for x in (1, 4, 20.25, 10**6 + 1, 4 * 10**80, 1e308):
+            calls.clear()
+            b_value(x)
+            assert len(calls) == 4, x
 
 
 B = 10**310  # beyond float range
