@@ -31,6 +31,13 @@ the window plus the row's index.  b_value takes t, u at y = 4x with
 P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
 (x/4)^(1/4), t >> P + 3 is sqrt(x), and with the pair for 64x^3 it
 takes four roots.
+
+A series row holds x and A as exact ints and only R, R_norm, g and h as
+floats.  R grows like x^(1/4): R / x^(1/4) stays near [0.59, 1.12],
+between limit_probe's two limits, so emit_series answers remainder plans
+for any hi below 2^4092 (about 6.5e1231), where R is at most about
+1.12 * 2^1023 = 1.0e308.  remainder and b_value return x itself as a
+float, so they refuse x beyond float range (about 1.8e308).
 """
 
 from __future__ import annotations
@@ -46,14 +53,7 @@ from typing import TextIO
 # enumerate_range is not called here; the name stays imported because
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
 # getattr raises AttributeError on a missing name, failing every traced run
-from .core import (
-    _count_located,
-    _flock_runs,
-    _floor_rect,
-    count_le,
-    enumerate_range,
-    is_almost_square,
-)
+from .core import _flock_runs, _icbrt, count_le, enumerate_range, is_almost_square
 
 __all__ = [
     "AnalysisSample",
@@ -71,6 +71,11 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# remainder series answer hi below 2^4092 = (2^1023)^4: R / x^(1/4) stays
+# near limit_probe's upper limit 19/(12*sqrt(2)) = 1.12, so R is at most about
+# 1.12 * 2^1023 = 1.0e308 there, inside the float maximum of about 1.8e308
+_SERIES_HI = 1 << 4092
 
 
 def _digit_count(n: int) -> int:
@@ -248,26 +253,33 @@ def limit_probe(j: int) -> tuple[float, float]:
     return remainder(low_x).r_normalized, remainder(high_x).r_normalized
 
 
+# z_bracket's fixed-point fraction bits: the scaled cube root is within 2^-64
+# of (3j)^(1/3) > 2.6, so z is within 2^-64 of it relatively, under a float's
+# half unit (2^-54), and its one division rounds it
+_Z_BITS = 64
+
+
 def z_bracket(j: int) -> tuple[float, bool]:
     """Seed estimate z for locating the j-th almost-square, and its bracket check.
 
     z = (3j)^(2/3)/2 - (3j)^(1/3)/4.  ok reports whether
     b_value((z-1)^2).b < j < b_value(z^2).b, the property that makes z a
-    safe starting point for ranked access.  z, its squares and the b
-    values are floats, so ok is decided in floats: it read True for 50 of
-    50 random j in each decade from 10^10 up to 10^21, for 33 of 50 in
-    [10^21, 10^22), and False for 50 of 50 in each decade from 10^22 to
-    10^26, where the float z is more than 1 off the exact one (4.6 at
-    j = 10^23), as t ** (2/3) carries the rounding of 2/3.  Raises
-    ValueError for j above 1.46e231, as z^2 passes the float maximum
-    (about 1.8e308) near j = 1.4637e231.
+    safe starting point for ranked access.  z is taken in fixed point from
+    the exact cube root floor((3j)^(1/3) * 2^64) and rounded to a float by
+    one division, so it is the exact z to float precision.  Its squares
+    and the b values are floats, so ok is decided in floats: it read True
+    for 50 of 50 random j in each decade from 10^10 up to 10^23, for 35 of
+    50 in [10^23, 10^24), 2 of 50 in [10^24, 10^25) and none from 10^25
+    to 10^27, where the float squares and the float b no longer resolve
+    j.  Raises ValueError for j above 1.46e231, as z^2 passes the float
+    maximum (about 1.8e308) near j = 1.4637e231.
     """
     if j <= 5:
         raise ValueError("index j must be > 5")
     if j > 1.46e231:
         raise ValueError("index j must be <= 1.46e231, or z^2 leaves float range")
-    t = 3.0 * j
-    z = 0.5 * t ** (2.0 / 3.0) - 0.25 * t ** (1.0 / 3.0)
+    c = _icbrt(3 * j << 3 * _Z_BITS)  # floor((3j)^(1/3) * 2^64)
+    z = (2 * c * c - (c << _Z_BITS)) / (1 << 2 * _Z_BITS + 2)
     ok = b_value((z - 1.0) ** 2).b < j < b_value(z * z).b
     return z, ok
 
@@ -359,8 +371,11 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     per sample, LF line endings, reals at 17 significant digits,
     integers exact.  Infeasible plans (a step below 1 or a negative
     max_rows, for every kind), those above max_rows and remainder plans
-    with a sample beyond float range, are rejected with ValueError
-    before any output is written.
+    with hi >= 2^4092 (about 6.5e1231), past which R may leave float
+    range, are rejected with ValueError before any output is written.
+    Below that bound every remainder row is exact up to the float
+    rounding of its reals: x and A are ints, and R, R_norm, g and h come
+    from integer roots, each by one correctly rounded division.
     """
     if plan.kind not in _PLAN_KINDS:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
@@ -388,21 +403,20 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         header = "x,A\n"
         lines = (f"{x},{count_le(x)}\n" for x in range(plan.lo, plan.hi + 1, plan.step))
     else:  # a remainder series
+        if plan.hi >= _SERIES_HI:
+            raise ValueError(
+                "hi must be below 2^4092 (about 6.5e1231),"
+                " past which R may leave float range"
+            )
         header = "x,A,R,R_norm,g,h\n"
         if plan.at_members:
-            members, hi_at, runs = _flock_runs(plan.lo, plan.hi)
+            members, below, runs = _flock_runs(plan.lo, plan.hi)
             _check_rows(members, plan)
-            below = 0
-            if members:  # the greatest member <= hi is then the last sample
-                _as_float(_floor_rect(*hi_at).area)
-                below = _count_located(*hi_at) - members
             xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
             counts = count(below + 1)  # the i-th sample is the (below + i)-th member
         else:
             _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
             xs = range(plan.lo, plan.hi + 1, plan.step)
-            if xs:  # samples ascend, so the last one bounds them all
-                _as_float(xs[-1])
             counts = map(count_le, xs)
         lines = map(_remainder_line, xs, counts)
     out.write(header)

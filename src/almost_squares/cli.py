@@ -7,7 +7,8 @@ and JSON output renders every integer as a decimal string so consumers
 never overflow a machine word.
 
 Exit codes: 0 success, 2 argument parse or validation error, 1 internal
-consistency failure.
+consistency failure, 141 when the reader closes stdout early (as
+``| head`` does), with nothing on stderr.
 
 The seven verbs that take only int arguments and --format (check,
 floor, count, nth, list, flock, pioneers) are built from one table,
@@ -30,6 +31,7 @@ written are the same.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache
@@ -126,10 +128,12 @@ def _cell(n: int) -> int | str:
     return n
 
 
-def _cells(width: int, length: int, value: str | None = None) -> tuple[int | str, ...]:
+def _cells(
+    width: int, length: int, value: int | str | None = None
+) -> tuple[int | str, ...]:
     """The cells, in _RECORD order, of the record with these sides.
 
-    ``value``, when given, is the value's cell, already in digits.
+    ``value``, when given, is the value's cell, as _cell renders it.
 
     A wide record converts its width and the excess of its length, which
     for a member is about sqrt(k) at most, and forms its length, value and
@@ -197,22 +201,18 @@ def _emit(
 # --------------------------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
-    n = args.n
-    rec = floor_almost_square(n)
-    member = rec.value == n
-    if member:  # member is json's bool; text skips it and csv replaces it
-        digits = n.digits if isinstance(n, _Echo) else None
-        cells = _cells(rec.rect.width, rec.rect.length, digits)
-        n_cell = cells[0]  # n is the record's value
+    rect = is_almost_square(args.n)
+    n_cell = _cell(args.n)
+    if rect:  # member is json's bool; text skips it and csv replaces it
+        cells = _cells(rect.width, rect.length, n_cell)  # n is the record's value
         columns, row = ("n", "member", *_RECORD), (n_cell, "true", *cells)
         text = "{0} is an almost-square: {3} x {4} (semiperimeter {5}, flock {6})\n"
     else:
-        n_cell = _cell(n)
         columns, row = ("n", "member"), (n_cell, "false")
         text = "{0} is not an almost-square\n"
     if args.format == "csv":  # one column set for both answers: 1/0 and blank cells
         columns = ("n", "member", "width", "length", "semiperimeter")
-        row = (n_cell, 1, *cells[1:4]) if member else (n_cell, 0, "", "", "")
+        row = (n_cell, 1, *cells[1:4]) if rect else (n_cell, 0, "", "", "")
     _emit(args.format, columns, [row], text)
     return 0
 
@@ -319,7 +319,6 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
-    _require(limit >= 1, "limit must be >= 1")
     _require(
         limit <= _MAX_SCAN_LIMIT,
         f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}",
@@ -452,4 +451,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, as `| head` does.  Point fd 1 at
+        # devnull so the interpreter's own flush at exit cannot fail again,
+        # and exit as a process that SIGPIPE ended would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -40,8 +40,8 @@ and those of every earlier flock.  A run is a flock's k with the range
 of its members' widths and the range of their lengths, so a member's
 cells are arithmetic on two ranges and need no object: the CLI's list
 and flock take their row cap and their rows from one call, the
-at-member remainder series its row cap, its values and, from hi's
-position, its last value; and enumerate_range and flock_members (the
+at-member remainder series its row cap, its values and, from the count
+below lo, each value's rank; and enumerate_range and flock_members (the
 window of a flock's interval) build their record lists from the runs.
 
 A record is its optimal rectangle, as in the paper's n = k(k+h): an
@@ -334,31 +334,28 @@ def _flock_run(k: int, start: int, stop: int) -> tuple[int, range, range]:
     return k, widths, range(length0 + start, length0 + stop - 1, -1)
 
 
-def _flock_runs(
-    lo: int, hi: int
-) -> tuple[int, tuple[int, int] | None, Iterator[tuple[int, range, range]]]:
-    """The count of the members in [lo, hi], hi's position and their runs.
+def _flock_runs(lo: int, hi: int) -> tuple[int, int, Iterator[tuple[int, range, range]]]:
+    """The count of the members in [lo, hi], the count below lo and their runs.
 
-    The runs come one per flock in order, and hi's position is its located
-    (k, offset), from which _floor_rect gives the greatest member <= hi.
-    lo and hi are located once each, and every answer comes from those two
-    positions; a window with hi < lo is (0, None, no runs), and only then
-    may lo be below 1.  The first run starts at the least member >= lo,
-    and the last stops at hi's located offset, where the greatest member
-    <= hi is.  When that offset is past the extent of hi's flock, that flock
-    has no run, as a run's start is at most the extent, and the walk ends
-    with flock k - 1, whole.  Every flock between is whole.  The members
-    below lo are those of lo's flock past the first run's start and every
-    earlier flock, so the count is two closed forms, whether lo is a
-    member or not.
+    The runs come one per flock in order.  lo and hi are located once
+    each, and every answer comes from those two positions; a window with
+    hi < lo is (0, 0, no runs), and only then may lo be below 1.  The
+    first run starts at the least member >= lo, and the last stops at hi's
+    located offset, where the greatest member <= hi is.  When that offset
+    is past the extent of hi's flock, that flock has no run, as a run's
+    start is at most the extent, and the walk ends with flock k - 1, whole.
+    Every flock between is whole.  The members below lo are those of lo's
+    flock past the first run's start and every earlier flock, one closed
+    form whether lo is a member or not, and the window's count is the
+    closed form at hi's position less that.
     """
     if hi < lo:
-        return 0, None, iter(())
+        return 0, 0, iter(())
     k, offset, exact = _locate(lo)
     start = min(offset if exact else offset - 1, _flock_extent(k))
     last, stop, _ = _locate(hi)
-    count = _count_located(last, stop) - _count_located(k, start + 1)
-    return count, (last, stop), _walk(k, start, last, stop)
+    below = _count_located(k, start + 1)
+    return _count_located(last, stop) - below, below, _walk(k, start, last, stop)
 
 
 def _walk(k: int, start: int, last: int, stop: int) -> Iterator[tuple[int, range, range]]:

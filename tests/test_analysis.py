@@ -309,13 +309,16 @@ def test_cli_import_leaves_analysis_unloaded():
 
 
 def test_package_exports():
-    # the lazily loaded names are listed by hand, so they must track analysis
-    from almost_squares import analysis
+    # the package root re-exports core and oracle only; analysis is imported
+    # as almost_squares.analysis, and its names are not on the root
+    from almost_squares import oracle
 
-    assert almost_squares._ANALYSIS_NAMES == set(analysis.__all__)
+    assert almost_squares.__all__ == [*core.__all__, *oracle.__all__]
     assert len(set(almost_squares.__all__)) == len(almost_squares.__all__)
     for name in almost_squares.__all__:
         getattr(almost_squares, name)
+    for name in analysis.__all__:
+        assert not hasattr(almost_squares, name), name
 
 
 class TestOscillationShapes:
@@ -423,6 +426,17 @@ class TestZBracket:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             z_bracket(5)
+
+    def test_brackets_random_j_to_1e23(self):
+        # the seed z is exact to float precision, so ok holds where the float
+        # b values still resolve j; a float z was more than 1 off from 10^22 on
+        rng = random.Random(2123)
+        for lo in (10**21, 10**22):
+            for _ in range(25):
+                j = rng.randrange(lo, 10 * lo)
+                z, ok = z_bracket(j)
+                assert ok, j
+                assert z == pytest.approx((3 * j) ** (2 / 3) / 2 - (3 * j) ** (1 / 3) / 4)
 
     def test_float_range_edge(self):
         # z^2 is about 1.08e308 at j = 10^231 and overflows a float at
@@ -553,17 +567,23 @@ class TestEmitSeries:
         assert out.getvalue() == ""
 
     def test_beyond_float_range_rejected_before_output(self):
-        big = 10**310  # a perfect square, so a member too
+        # a row holds x exactly, so the bound is on R: hi must be below 2^4092
+        big = 2**4092  # a perfect square, so a member too
         for plan in (
             SamplingPlan("R-of-x", big, big, at_members=False),
             SamplingPlan("R-normalized", big - 10, big),
+            SamplingPlan("R-normalized", big - 10, 10**1300, at_members=False),
         ):
             out = io.StringIO()
-            with pytest.raises(ValueError, match="beyond float range"):
+            with pytest.raises(ValueError, match=r"below 2\^4092 .*float range"):
                 emit_series(plan, out)
             assert out.getvalue() == ""
         out = io.StringIO()
         assert emit_series(SamplingPlan("A-of-x", big, big + 2), out) == 3
+        # 10^310, once refused for x's own float, is answered at members and on a grid
+        b = 10**310
+        assert emit_series(SamplingPlan("R-of-x", b, b, at_members=False), out) == 1
+        assert emit_series(SamplingPlan("R-normalized", b - 10, b), out) == 4
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -738,6 +758,61 @@ class TestSharedRoots:
         assert self._roots_per_row(monkeypatch, plan) == [5 + 3] * 41
 
 
+def _reference_line(x):
+    a = count_le(x)
+    return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}".format(x, a, *_eight_root_fields(x, a))
+
+
+def _series_lines(plan):
+    out = io.StringIO()
+    rows = emit_series(plan, out)
+    lines = out.getvalue().splitlines()
+    assert rows == len(lines) - 1 and lines[0] == "x,A,R,R_norm,g,h", plan
+    return lines[1:]
+
+
+class TestSeriesRange:
+    """Remainder rows up to just below 2^4092, against the root-formula reference."""
+
+    TOP = 2**4092
+
+    def _last_j(self, x_of):
+        j = math.isqrt(math.isqrt(self.TOP // 4)) + 2  # 4j^4 is about x
+        while x_of(j) >= self.TOP:
+            j -= 1
+        return j
+
+    @pytest.mark.parametrize(
+        "x_of, limit",
+        [
+            (lambda j: 4 * j**4 + j**2, 5 / (6 * SQRT2)),
+            (lambda j: (2 * j * j + j) ** 2, 19 / (12 * SQRT2)),
+        ],
+        ids=["low", "high"],
+    )
+    def test_limit_probe_sequences_below_top(self, x_of, limit):
+        j = self._last_j(x_of)
+        x = x_of(j)
+        assert x < self.TOP <= x_of(j + 1)
+        line = _reference_line(x)
+        plan = SamplingPlan("R-normalized", x, x, at_members=False)
+        assert _series_lines(plan) == [line]
+        r, r_norm = map(float, line.split(",")[2:4])
+        assert r_norm == pytest.approx(limit, rel=1e-12)
+        assert 1e307 < r < 1.1e308  # R is about 1.12 * 2^1023 at most
+        if is_almost_square(x):  # (2j^2 + j)^2 is a square, so a member
+            assert _series_lines(SamplingPlan("R-of-x", x - 10, x))[-1] == line
+
+    def test_seeded_grid_points_below_top(self):
+        rng = random.Random(4092)
+        for _ in range(5):
+            step = rng.randrange(1, 2**3000)
+            lo = rng.randrange(self.TOP // 2, self.TOP - 8 * step)
+            plan = SamplingPlan("R-of-x", lo, lo + 7 * step, step=step, at_members=False)
+            want = [_reference_line(lo + i * step) for i in range(8)]
+            assert _series_lines(plan) == want
+
+
 def _five_root_b_value(x):
     # b_value as five separate _root calls, nine isqrts: the reference the
     # four-root b_value must match bit for bit
@@ -792,13 +867,14 @@ class TestBValueRoots:
 
 B = 10**310  # beyond float range
 F = 2**1024 - 2**970  # the least int that float() refuses
+H = 2**4092  # the least hi a remainder plan refuses
 
 # (plan, rows, sha256 of the output) or (plan, exception type, message) for
 # every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
 # count (at members from lo = 1, from a member lo past 1 and from a lo that
 # is no member) and a negative cap (refused for every kind and window), tri-grid
-# windows that start past 1 or below 2, and remainder plans at and beyond
-# float range.
+# windows that start past 1 or below 2, and remainder plans past float
+# range, answered up to H - 1 and refused from H on.
 EMIT_MATRIX = [
     (SamplingPlan("A-of-x", 1, 50), 50,
      "f71066e51364de52115b7bf1ea44ae86bffba1ad15f12149b886f0851fbc34e8"),
@@ -842,8 +918,12 @@ EMIT_MATRIX = [
      "lo must be >= 1"),
     (SamplingPlan("R-of-x", 1, 10, step=0, at_members=False), ValueError,
      "step must be >= 1"),
-    (SamplingPlan("R-of-x", B, B, at_members=False), ValueError,
-     "x of about 311 digits is beyond float range (about 1.8e308)"),
+    (SamplingPlan("R-of-x", B, B, at_members=False), 1,
+     "85cb580c5df3713f4f87a4e4c816572cb92fb515abfa00dee696d23d1dfb4f72"),
+    (SamplingPlan("R-of-x", H - 1, H - 1, at_members=False), 1,
+     "2d43edd45c5fd7383a6fb1b92b0a27c21370621deab2ec21ed13c858ea635f38"),
+    (SamplingPlan("R-of-x", H, H, at_members=False), ValueError,
+     "hi must be below 2^4092 (about 6.5e1231), past which R may leave float range"),
     (SamplingPlan("R-normalized", 1, 500, at_members=True), 113,
      "4ab9ed22d62e0067d9706bea5f4d12be188ce98ad7e288388bad193561dcfe73"),
     (SamplingPlan("R-normalized", 1, 59, step=3, at_members=False), 20,
@@ -862,14 +942,17 @@ EMIT_MATRIX = [
      "plan would emit 3 rows, above the cap of 2"),
     (SamplingPlan("R-normalized", 1, 196, max_rows=-1), ValueError,
      "max_rows must be >= 0"),
-    (SamplingPlan("R-normalized", B - 10, B), ValueError,
-     "x of about 311 digits is beyond float range (about 1.8e308)"),
-    # hi beyond float range while the window's last member, about 1.2e72
-    # below F, is not; then a window whose last member is past F as well
+    (SamplingPlan("R-normalized", B - 10, B), 4,
+     "a6adff6da94bfc28eb1b3e53ba2b5e3503a1d6a43ee5a8de882e0fb6aa11437a"),
+    # windows across F: the last member about 1.2e72 below F, then members past F
     (SamplingPlan("R-normalized", F - 2 * 10**72, F), 1,
      "01bcc539d898f0f43f503727a486972d72834229d5325e3cdf7b3a688fcc69e8"),
-    (SamplingPlan("R-normalized", F - 10**75, F + 10**73), ValueError,
-     "x of about 309 digits is beyond float range (about 1.8e308)"),
+    (SamplingPlan("R-normalized", F - 10**75, F + 10**73), 524,
+     "f0d6455cc3fde31447c9489cc0c498cc2cf45c36619000e690115d44e7649b55"),
+    (SamplingPlan("R-normalized", H - 10, H - 1), 3,
+     "b980fa1d8415ce6da6fa2e5e670c35ff5ae685e6834a8aded15f467384ce374c"),
+    (SamplingPlan("R-normalized", H - 10, H), ValueError,
+     "hi must be below 2^4092 (about 6.5e1231), past which R may leave float range"),
     (SamplingPlan("tri-grid", 1, 1), 0,
      "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
     (SamplingPlan("tri-grid", 1, 8), 64,

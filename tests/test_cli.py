@@ -5,10 +5,14 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +22,6 @@ from almost_squares import _digits, cli, core
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
-    _floor_rect,
     count_le,
     enumerate_range,
     flock_members,
@@ -271,14 +274,22 @@ class TestAnalyze:
         assert "rows" in err
 
     def test_beyond_float_range_refused(self, capsys):
+        # rows hold x exactly, so 10^310 is answered; from 2^4092 on R may
+        # leave float range, and the plan is refused before any output
         big = str(10**310)
-        code, out, err = run(
+        code, out, _ = run(
             capsys, "analyze", "--plan", "R-of-x", "--grid", "--lo", big, "--hi", big
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("almost-squares: ") and err.count("\n") == 1
-        assert "float range" in err
+        assert code == 0 and out.splitlines()[1].startswith(big + ",")
+        top = str(2**4092)
+        for grid in (["--grid"], []):
+            code, out, err = run(
+                capsys, "analyze", "--plan", "R-of-x", *grid, "--lo", "1", "--hi", top
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("almost-squares: ") and err.count("\n") == 1
+            assert "2^4092" in err and "float range" in err
 
 
 class TestTrigrid:
@@ -337,6 +348,13 @@ class TestOracleVerify:
         assert code == 2
         assert out == ""
         assert "10000000" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_refused(self, capsys, limit):
+        # the oracle's own refusal, written as cli's others are
+        assert run(capsys, "oracle-verify", "--limit", limit) == (
+            2, "", "almost-squares: limit must be >= 1\n"
+        )
 
     def test_mismatch_prints_witness(self, capsys, monkeypatch):
         bad = 1234
@@ -550,19 +568,18 @@ def list_windows(draw):
 @given(list_windows())
 def test_list_rows_match_enumerate_range(window):
     lo, hi = window
-    count, hi_at, runs = _flock_runs(lo, hi)
+    count, below, runs = _flock_runs(lo, hi)
     walked = sum(len(widths) for _, widths, _ in runs)
     if hi < lo:
-        assert count == walked == 0 and hi_at is None
+        assert count == walked == below == 0
         return
-    assert _floor_rect(*hi_at) == floor_almost_square(hi).rect
     recs = enumerate_range(lo, hi)
     # the members by the membership test alone, which does not walk flocks
     assert [r.value for r in recs] == [
         n for n in range(lo, hi + 1) if is_almost_square(n) is not None
     ]
-    # the count by the two counts of the window's ends, which do not walk
-    below = count_le(lo - 1) if lo > 1 else 0
+    # the counts by count_le at the window's ends, which does not walk
+    assert below == (count_le(lo - 1) if lo > 1 else 0)
     assert count == walked == len(recs) == count_le(hi) - below
     _assert_rows(["list", str(lo), str(hi)], recs)
 
@@ -597,6 +614,49 @@ def test_each_window_end_is_located_once(monkeypatch, argv, locates):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert len(calls) == locates, calls
+
+
+@pytest.mark.parametrize("argv, roots", [
+    (["check", "182"], 3),  # a member: _locate's two roots and its flock's extent
+    (["check", str(10**40)], 3),
+    (["check", "190"], 2),  # a non-member needs no extent
+    (["check", str(10**40 + 1)], 2),
+    (["floor", "190"], 3),
+    (["count", "12345"], 3),
+    (["nth", "59"], 0),  # one cube root, of 3j, and no square root
+    (["nth", str(10**40)], 0),
+])
+def test_roots_per_verb(monkeypatch, argv, roots):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(core, "isqrt", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(calls) == roots, calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["list", "1", "3000000"],
+    ["pioneers", "100000"],
+    ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "300000"],
+])
+def test_closed_pipe_exits_quietly(argv):
+    # as `almost-squares ... | head -1`: the reader takes one line and closes
+    # the pipe; the writer stops with SIGPIPE's exit status and no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "almost_squares", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 @pytest.mark.parametrize("k", [10**10 - 1, 10**10])
