@@ -32,12 +32,15 @@ P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
 (x/4)^(1/4), t >> P + 3 is sqrt(x), and with the pair for 64x^3 it
 takes four roots.
 
-A series row holds x and A as exact ints and only R, R_norm, g and h as
-floats.  R grows like x^(1/4): R / x^(1/4) stays near [0.59, 1.12],
-between limit_probe's two limits, so emit_series answers remainder plans
-for any hi below 2^4092 (about 6.5e1231), where R is at most about
-1.12 * 2^1023 = 1.0e308.  remainder and b_value return x itself as a
-float, so they refuse x beyond float range (about 1.8e308).
+x and A are exact ints; only the other fields are floats, so each entry
+point answers every input whose floats fit, under one bound set by how
+fast they grow.  R grows like x^(1/4): R / x^(1/4) stays near
+[0.59, 1.12], between limit_probe's two limits, so remainder, a
+remainder series and limit_probe answer every x below 2^4092 =
+(2^1023)^4 (about 6.5e1231), where R is at most about 1.12 * 2^1023 =
+1.0e308.  B grows like (2*sqrt(2)/3) * x^(3/4), so b_value answers
+every x below 2^1364 = (2^1023)^(4/3) (about 4.0e410), where B is at
+most about 0.943 * 2^1023 = 8.5e307.
 """
 
 from __future__ import annotations
@@ -72,24 +75,21 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
-# remainder series answer hi below 2^4092 = (2^1023)^4: R / x^(1/4) stays
-# near limit_probe's upper limit 19/(12*sqrt(2)) = 1.12, so R is at most about
+# remainder answers x below 2^4092 = (2^1023)^4: R / x^(1/4) stays near
+# limit_probe's upper limit 19/(12*sqrt(2)) = 1.12, so R is at most about
 # 1.12 * 2^1023 = 1.0e308 there, inside the float maximum of about 1.8e308
-_SERIES_HI = 1 << 4092
+_R_HI = 1 << 4092
+
+# b_value answers x below 2^1364 = (2^1023)^(4/3): B is about
+# (2*sqrt(2)/3) * x^(3/4), at most about 0.943 * 2^1023 = 8.5e307 there
+_B_HI = 1 << 1364
 
 
-def _digit_count(n: int) -> int:
-    return max(1, (abs(n).bit_length() * 30103) // 100000 + 1)
-
-
-def _as_float(x: int | float) -> float:
-    """float(x), refused with ValueError where x is beyond float range."""
-    try:
-        return float(x)
-    except OverflowError:
+def _require_r_range(name: str, x: int) -> None:
+    if x >= _R_HI:
         raise ValueError(
-            f"x of about {_digit_count(x)} digits is beyond float range (about 1.8e308)"
-        ) from None
+            f"{name} must be below 2^4092 (about 6.5e1231), past which R may leave float range"
+        )
 
 
 def _frac_bits(num: int) -> int:
@@ -113,12 +113,13 @@ def _roots(num: int, den: int, bits: int) -> tuple[int, int]:
 class BTerms:
     """The smooth count approximation at x, split into its pieces.
 
-    gamma and delta are the fractional parts of sqrt(2)*x^(1/4) and
-    x^(1/4)/sqrt(2); b0 carries the growth terms, b1 is a bounded
-    correction confined to [-2, -1], and b = b0 + b1.
+    x is the argument as given, an int or a float.  gamma and delta are
+    the fractional parts of sqrt(2)*x^(1/4) and x^(1/4)/sqrt(2); b0
+    carries the growth terms, b1 is a bounded correction confined to
+    [-2, -1], and b = b0 + b1.
     """
 
-    x: float
+    x: int | float
     gamma: float
     delta: float
     b0: float
@@ -131,15 +132,15 @@ def b_value(x: int | float) -> BTerms:
 
     At every perfect square x = m^2 the value agrees with the exact
     count of almost-squares up to m^2 (to the accuracy of the float
-    conversion of the result).  Raises ValueError for x beyond float
-    range or not finite, as remainder does.
+    conversion of the result).  Raises ValueError unless 1 <= x < 2^1364
+    (about 4.0e410), past which B may leave float range; nan and the
+    infinities are refused with the rest.
     """
-    if isinstance(x, float) and not math.isfinite(x):  # inf has no integer ratio
-        raise ValueError(f"x must be finite, not {x}")
+    if not 1 <= x < _B_HI:
+        raise ValueError(
+            "x must be >= 1 and below 2^1364 (about 4.0e410), past which B may leave float range"
+        )
     p, q = x.as_integer_ratio()
-    if p < q:
-        raise ValueError("x must be >= 1")
-    xf = _as_float(x)
     bits = _frac_bits(4 * p)
     one = 1 << bits
     # the four roots of the module docstring; u is (4x)^(1/4) * 2^(P+1)
@@ -155,7 +156,7 @@ def b_value(x: int | float) -> BTerms:
     b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
     scale = 12 * one**3
     return BTerms(
-        x=xf,
+        x=x,
         gamma=gamma / one,
         delta=delta / one,
         b0=b0 / scale,
@@ -199,9 +200,13 @@ def h_func(t: float) -> float:
 
 @dataclass(frozen=True)
 class AnalysisSample:
-    """One sampled point of the remainder-term series."""
+    """One sampled point of the remainder-term series.
 
-    x: float
+    x and a_of_x are exact ints, x the sampled n and a_of_x the count of
+    almost-squares up to it; the other fields are floats.
+    """
+
+    x: int
     a_of_x: int
     r: float
     r_normalized: float
@@ -213,14 +218,15 @@ def remainder(n: int) -> AnalysisSample:
     """Exact count at n minus the smooth main term, plus oscillation inputs.
 
     g_val samples the large-scale shape at sqrt(2)*n^(1/4); h_val
-    samples the small-scale shape at 2*sqrt(n).  Raises ValueError for n
-    beyond float range, where the sample's float fields cannot hold it.
+    samples the small-scale shape at 2*sqrt(n).  Raises ValueError unless
+    1 <= n < 2^4092 (about 6.5e1231), past which R may leave float range,
+    the bound a remainder series shares.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _as_float(n)
+    _require_r_range("n", n)
     a = count_le(n)
-    return AnalysisSample(x, a, *_remainder_fields(n, a))
+    return AnalysisSample(n, a, *_remainder_fields(n, a))
 
 
 def _remainder_fields(n: int, a: int) -> tuple[float, float, float, float]:
@@ -244,7 +250,8 @@ def limit_probe(j: int) -> tuple[float, float]:
 
     The first component samples x = 4j^4 + j^2 and tends to
     5/(6*sqrt(2)) from nearby; the second samples x = (2j^2+j)^2 and
-    tends to 19/(12*sqrt(2)).
+    tends to 19/(12*sqrt(2)).  Both x stay below remainder's bound of
+    2^4092 for j up to about 2^1022.5; past that it raises ValueError.
     """
     if j < 1:
         raise ValueError("index j must be >= 1")
@@ -403,11 +410,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         header = "x,A\n"
         lines = (f"{x},{count_le(x)}\n" for x in range(plan.lo, plan.hi + 1, plan.step))
     else:  # a remainder series
-        if plan.hi >= _SERIES_HI:
-            raise ValueError(
-                "hi must be below 2^4092 (about 6.5e1231),"
-                " past which R may leave float range"
-            )
+        _require_r_range("hi", plan.hi)
         header = "x,A,R,R_norm,g,h\n"
         if plan.at_members:
             members, below, runs = _flock_runs(plan.lo, plan.hi)

@@ -19,13 +19,14 @@ new one each time.
 
 Above _BIG_DIGITS (6000) digits, decimal I/O leaves CPython's int() and
 str(), which are quadratic before Python 3.12, for the divide-and-conquer
-conversions of ``_digits``: an argument of plain ASCII digits is parsed
-by ``int_from_digits`` and keeps its digits, which check and count write
-back as they were given, less leading zeros; an answer is rendered
-through exact Decimals, a record from its width and the excess of its
-length alone.  At or below the threshold, and for any other argument
-text, parsing and rendering are int() and str(); either way the bytes
-written are the same.
+conversions of ``_digits``: an argument of ASCII digits, bare, padded
+with whitespace or with one sign, is parsed by ``int_from_digits``, and
+unless negative it keeps its digits, which check and count write back as
+they were given, less sign, padding and leading zeros; an answer is
+rendered through exact Decimals, a record from its width and the excess
+of its length alone.  At or below the threshold, and for any other
+argument text, parsing and rendering are int() and str(); either way
+the bytes written are the same.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .core import (
     pioneer,
     triangular,
 )
-from .oracle import DEFAULT_SCAN_CAP, _MAX_SCAN_LIMIT, brute_record_set
+from .oracle import DEFAULT_SCAN_CAP, brute_record_set
 
 __all__ = ["build_parser", "main", "run_main"]
 
@@ -89,7 +90,7 @@ def _wide(bits: int) -> bool:
 
 
 class _Echo(int):
-    """An int parsed from a wide argument of plain ASCII digits, with its digits.
+    """An int parsed from a wide argument of ASCII digits, with its digits.
 
     Its digits, leading zeros stripped, are str(n) already, so a verb that
     writes the argument back (count, check) need not convert it again.
@@ -100,13 +101,18 @@ class _Echo(int):
 
 
 def _parse_int(text: str) -> int:
-    if len(text) > _BIG_DIGITS and text.isascii() and text.isdigit():
+    digits = text.strip()
+    sign = digits[:1] if digits[:1] in ("+", "-") else ""
+    digits = digits[len(sign):]
+    if len(digits) > _BIG_DIGITS and digits.isascii() and digits.isdigit():
         from ._digits import int_from_digits
 
-        n = _Echo(int_from_digits(text))
-        n.digits = text.lstrip("0") or "0"
+        if sign == "-":
+            return -int_from_digits(digits)
+        n = _Echo(int_from_digits(digits))
+        n.digits = digits.lstrip("0") or "0"
         return n
-    return int(text)  # also takes signs, whitespace, '_' and non-ASCII digits
+    return int(text)  # also takes '_' and non-ASCII digits
 
 
 # argparse names a type by its __name__ in its refusal, "invalid int value"
@@ -319,10 +325,6 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
-    _require(
-        limit <= _MAX_SCAN_LIMIT,
-        f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}",
-    )
     record_set = brute_record_set(limit)
     members = record_set.members
     idx = 0

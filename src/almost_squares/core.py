@@ -525,14 +525,9 @@ def floor_almost_square(n: int) -> AlmostSquareRecord:
     if n < 1:
         raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
-    return AlmostSquareRecord(_floor_rect(k, offset))
-
-
-def _floor_rect(k: int, offset: int) -> Rectangle:
-    # the rectangle of the greatest member <= n, from n's located (k, offset)
     if offset > _flock_extent(k):
         k, offset = k - 1, 0
-    return _rect(k, offset)
+    return AlmostSquareRecord(_rect(k, offset))
 
 
 def pioneer(j: int) -> tuple[int, FlockId]:

@@ -38,7 +38,7 @@ DEFAULT_SCAN_CAP = 200_000
 
 # the record scan takes about 1.4 s at 10^7 (169,281 members) and the
 # fast side about 1 us per n, so oracle-verify at this limit runs about
-# 10 s in about 60 MB; it refuses anything above
+# 10 s in about 60 MB; brute_record_set refuses anything above
 _MAX_SCAN_LIMIT = 10_000_000
 
 
@@ -75,9 +75,14 @@ def brute_semiperimeter(n: int) -> int:
 
 
 def brute_record_set(limit: int) -> RecordSet:
-    """Scan 1..limit keeping every value whose ratio ties or beats the record."""
+    """Scan 1..limit keeping every value whose ratio ties or beats the record.
+
+    Raises ValueError for limit below 1 or above the scan cap of 10^7.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if limit > _MAX_SCAN_LIMIT:
+        raise ValueError(f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}")
     # divisor sieve: each j in ascending order overwrites its multiples
     # from j^2 on, so the last j written at n is the largest divisor with
     # j^2 <= n, that is d(n); typecode "H" (16 bits) holds every

@@ -56,7 +56,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         10**12 + 7,
         AnalysisSample(
-            x=1000000000007.0,
+            x=10**12 + 7,
             a_of_x=943310102,
             r=1060.412985136664,
             r_normalized=1.060412985134808,
@@ -68,7 +68,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         10**40 + 3,
         AnalysisSample(
-            x=1e+40,
+            x=10**40 + 3,
             a_of_x=942809041632063365878611182654,
             r=10818699847.534615,
             r_normalized=1.0818699847534614,
@@ -80,7 +80,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         4908608757122565690308565067218363237132611264780998192685820855842445335770939672175222992610107420,
         AnalysisSample(
-            x=4.908608757122565e+99,
+            x=4908608757122565690308565067218363237132611264780998192685820855842445335770939672175222992610107420,
             a_of_x=552894859527394875569343557029664471230935979729073119167520324055862885879,
             r=5.851355963301736e+24,
             r_normalized=0.6990639626748218,
@@ -92,7 +92,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         10**300 + 1,
         AnalysisSample(
-            x=1e+300,
+            x=10**300 + 1,
             a_of_x=942809041582063365867792482806465385713114583584632048784453158660488318975238025900258356218427715156675897487274864683283224037233824808429414331400967616335211156770435199660516707347504889438391488385349566059554160629758,
             r=1.0103953930627128e+75,
             r_normalized=1.0103953930627128,
@@ -104,7 +104,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         10**308,
         AnalysisSample(
-            x=1e+308,
+            x=10**308,
             a_of_x=942809041582063365867792482806465385713114583584632048784453158660488318974743025900258356218427715156675897487274864683283224037233824808429414331399957329961342243699670475090110745395808801176286369352643419448973404873359879614,
             r=1.09019193799748e+77,
             r_normalized=1.09019193799748,
@@ -116,7 +116,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         4 * 10**16 + 10**8,
         AnalysisSample(
-            x=4.00000001e+16,
+            x=4 * 10**16 + 10**8,
             a_of_x=2666766679999,
             r=8332.208334895911,
             r_normalized=0.589176101218162,
@@ -128,7 +128,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         (2 * 10**8 + 10**4) ** 2,
         AnalysisSample(
-            x=4.00040001e+16,
+            x=(2 * 10**8 + 10**4) ** 2,
             a_of_x=2666966689999,
             r=15832.35416627605,
             r_normalized=1.1194885124491085,
@@ -140,7 +140,7 @@ REMAINDER_GOLDEN = [
     pytest.param(
         4 * 10**280 + 1,
         AnalysisSample(
-            x=4e+280,
+            x=4 * 10**280 + 1,
             a_of_x=2666666666666666666666666666666666666666666666666666666666666666666666766666666666666666666666666666666666666666666666666666666666666666666679999999999999999999999999999999999999999999999999999999999999999999999,
             r=1.3333333333333333e+70,
             r_normalized=0.9428090415820634,
@@ -167,7 +167,7 @@ B_VALUE_GOLDEN = [
     pytest.param(
         4,
         BTerms(
-            x=4.0,
+            x=4,
             gamma=0.0,
             delta=0.0,
             b0=5.0,
@@ -179,7 +179,7 @@ B_VALUE_GOLDEN = [
     pytest.param(
         196,
         BTerms(
-            x=196.0,
+            x=196,
             gamma=0.29150262212918115,
             delta=0.6457513110645906,
             b0=60.46145017954556,
@@ -191,7 +191,7 @@ B_VALUE_GOLDEN = [
     pytest.param(
         10**30 + 1,
         BTerms(
-            x=1e+30,
+            x=10**30 + 1,
             gamma=0.5499957939281834,
             delta=0.7749978969640917,
             b0=2.981424019999723e+22,
@@ -215,7 +215,7 @@ B_VALUE_GOLDEN = [
     pytest.param(
         4 * 10**280 + 4,
         BTerms(
-            x=4e+280,
+            x=4 * 10**280 + 4,
             gamma=5e-211,
             delta=2.5e-211,
             b0=2.666666666666667e+210,
@@ -269,13 +269,18 @@ class TestBValue:
         assert b_value(20.25).gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_float_range_edge(self):
-        assert b_value(10**308).x == 1e308
-        with pytest.raises(ValueError, match="beyond float range"):
-            b_value(10**310)
+        # B is about (2*sqrt(2)/3) * x^(3/4), so 0.943 * 2^1023 just below 2^1364
+        top = 2**1364
+        bt = b_value(top - 1)
+        assert bt.x == top - 1
+        assert bt.b == pytest.approx(2 * SQRT2 / 3 * 2.0**1023, rel=1e-12)
+        assert b_value(10**310).x == 10**310  # once refused for x's own float
+        with pytest.raises(ValueError, match=r"below 2\^1364 .*float range"):
+            b_value(top)
 
     def test_non_finite_floats_refused(self):
-        for x in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match="must be finite"):
+        for x in (float("inf"), float("-inf"), float("nan"), 0.5, 0, -(2**1364)):
+            with pytest.raises(ValueError, match=r"x must be >= 1 and below 2\^1364"):
                 b_value(x)
 
 
@@ -380,9 +385,24 @@ class TestRemainder:
             remainder(0)
 
     def test_float_range_edge(self):
-        assert remainder(10**308).x == 1e308
-        with pytest.raises(ValueError, match="beyond float range"):
-            remainder(10**310)
+        top = 2**4092
+        s = remainder(top - 1)
+        assert s.x == top - 1
+        assert 1e307 < s.r < 1.1e308  # R is about 1.12 * 2^1023 at most
+        with pytest.raises(ValueError, match=r"n must be below 2\^4092 .*float range"):
+            remainder(top)
+
+    def test_fields_match_the_series_row(self):
+        # remainder and a one-step grid row answer the same n under the same bound
+        rng = random.Random(4092)
+        ns = [rng.randrange(1, 2 ** rng.randrange(2, 4093)) for _ in range(40)]
+        for n in [*range(1, 2001), *ns, 2**4092 - 1]:
+            plan = SamplingPlan("R-of-x", n, n, at_members=False)
+            x, a, *reals = _series_lines(plan)[0].split(",")
+            s = remainder(n)
+            assert (s.x, s.a_of_x, s.r, s.r_normalized, s.g_val, s.h_val) == (
+                int(x), int(a), *map(float, reals)
+            ), n
 
     def test_decomposition_residual_and_normalized_bounds(self):
         # one pass over all members to 1e7: the residual after removing
@@ -412,6 +432,17 @@ class TestLimitProbe:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             limit_probe(0)
+
+    def test_thousand_bit_j_at_limits(self):
+        j = random.Random(1000).getrandbits(999) | 1 << 999
+        low, high = limit_probe(j)
+        assert low == pytest.approx(5 / (6 * SQRT2), abs=1e-12)
+        assert high == pytest.approx(19 / (12 * SQRT2), abs=1e-12)
+
+    def test_inherits_remainder_bound(self):
+        # (2j^2 + j)^2 passes 2^4092 at j = 2^1023
+        with pytest.raises(ValueError, match=r"below 2\^4092"):
+            limit_probe(2**1023)
 
 
 class TestZBracket:
@@ -830,7 +861,7 @@ def _five_root_b_value(x):
     b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
     scale = 12 * one**3
     return BTerms(
-        x=float(x),
+        x=x,
         gamma=gamma / one,
         delta=delta / one,
         b0=b0 / scale,

@@ -466,6 +466,27 @@ class TestWideDecimalIO:
         assert code == 0 and out.splitlines()[1].startswith(f"{n},")
         assert max(widths, default=0) <= 3 * n.bit_length() // 4 + 2
 
+    @pytest.mark.parametrize("template", ["{}", "+{}", "-{}", " {} ", "{} ", "\t-{}\n", "+000{}"])
+    def test_signed_or_padded_argument_skips_int(self, monkeypatch, template):
+        n = random.Random(11).randrange(10**9_999, 10**10_000)
+        text = template.format(n)
+        parsed = []
+        int_from_digits = _digits.int_from_digits
+        monkeypatch.setattr(
+            _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
+        )
+        assert cli._parse_int(text) == int(text)
+        assert [s.lstrip("0") for s in parsed] == [str(n)]
+
+    @pytest.mark.parametrize("verb", ["check", "count"])
+    def test_signed_or_padded_argument_writes_the_same_bytes(self, verb):
+        n = floor_almost_square(random.Random(13).randrange(10**9_999, 10**10_000)).value
+        for fmt in ("text", "json", "csv"):
+            plain = _main_bytes([verb, str(n), "--format", fmt])
+            assert plain[0] == 0
+            for text in (f"+{n}", f" {n} "):
+                assert _main_bytes([verb, text, "--format", fmt]) == plain, (text, fmt)
+
     def test_list_near_1e20000(self, monkeypatch):
         m = 10**10_000
         lo = m * m - 24  # the window holds m^2 - j^2 for j <= 4, the end of flock 2m

@@ -77,6 +77,11 @@ class TestBruteRecordSet:
     def test_limit_1(self):
         assert brute_record_set(1).members == [1]
 
+    def test_limit_above_scan_cap_refused(self):
+        # refused before the sieve is built, so this takes no time or memory
+        with pytest.raises(ValueError, match="above the oracle scan cap of 10000000"):
+            brute_record_set(10**7 + 1)
+
     def test_ratios_nondecreasing(self, record_set_small):
         ratios = record_set_small.ratios
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
