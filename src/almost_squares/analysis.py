@@ -346,10 +346,14 @@ _PLAN_KINDS = ("A-of-x", "R-of-x", "R-normalized", "tri-grid")
 class SamplingPlan:
     """What to emit: which series, over which range, sampled how.
 
-    The remainder series sample at the almost-square values themselves
-    (one point every time x passes a member) while at_members is True,
-    the default; at_members=False samples a fixed-step grid instead.
-    For tri-grid plans lo and hi bound both table indices.
+    A series has two sample sources: the members themselves, read off the
+    flock walk (one point every time x passes a member), or the grid
+    lo, lo + step, ... up to hi.  The remainder series sample the members
+    while at_members is True, the default, and the grid with
+    at_members=False; A-of-x always samples the grid, so at_members does
+    not change it.  step applies only to grid samples.  For tri-grid plans
+    lo and hi bound both table indices, and every cell of the window is
+    written, a 1x1 window's one cell too.
     """
 
     kind: str
@@ -374,6 +378,12 @@ def _remainder_line(x: int, a: int) -> str:
 def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     """Write the planned series as CSV to out; returns the row count.
 
+    Each plan takes its samples from one of two sources: the flock walk,
+    one sample per member, for a remainder series at the members, and
+    the grid range(lo, hi + 1, step) with A from count_le, for A-of-x and
+    for a remainder series with at_members=False.  step applies only to
+    the grid.  Each source's row count is known before its first sample.
+
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
     integers exact.  Infeasible plans (a step below 1 or a negative
@@ -390,38 +400,36 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         raise ValueError("step must be >= 1")
     if plan.max_rows < 0:
         raise ValueError("max_rows must be >= 0")
-
-    if plan.kind == "tri-grid":
-        lo = max(plan.lo, 1)
-        span = range(lo, plan.hi + 1)
-        if span:
-            _check_rows((plan.hi - lo + 1) ** 2, plan)  # len() overflows above 2**63
-        header, lines = "m,n,is_member\n", ()
-        if span and plan.hi >= 2:
-            lines = (
-                f"{m},{n},{1 if cell else 0}\n"
-                for m, row in zip(span, _tri_table(span))
-                for n, cell in zip(span, row)
-            )
-    elif plan.hi >= plan.lo and plan.lo < 1:
+    if plan.kind != "tri-grid" and plan.lo < 1 and plan.hi >= plan.lo:
         raise ValueError("lo must be >= 1")
-    elif plan.kind == "A-of-x":
-        _check_rows(max(0, (plan.hi - plan.lo) // plan.step + 1), plan)
-        header = "x,A\n"
-        lines = (f"{x},{count_le(x)}\n" for x in range(plan.lo, plan.hi + 1, plan.step))
-    else:  # a remainder series
+    if plan.kind in ("R-of-x", "R-normalized"):
         _require_r_range("hi", plan.hi)
-        header = "x,A,R,R_norm,g,h\n"
-        if plan.at_members:
-            members, below, runs = _flock_runs(plan.lo, plan.hi)
-            _check_rows(members, plan)
-            xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
-            counts = count(below + 1)  # the i-th sample is the (below + i)-th member
-        else:
-            _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
-            xs = range(plan.lo, plan.hi + 1, plan.step)
-            counts = map(count_le, xs)
-        lines = map(_remainder_line, xs, counts)
+
+    # each branch checks its row count before the first sample is drawn: a
+    # generator expression builds its outermost iterable, the whole table for
+    # tri-grid, when it is created
+    if plan.kind == "tri-grid":
+        span = range(max(plan.lo, 1), plan.hi + 1)
+        _check_rows(max(0, plan.hi - span.start + 1) ** 2, plan)  # len() overflows past 2**63
+        header = "m,n,is_member\n"
+        lines = (
+            f"{m},{n},{1 if cell else 0}\n"
+            for m, row in zip(span, _tri_table(span))
+            for n, cell in zip(span, row)
+        )
+    elif plan.kind == "A-of-x" or not plan.at_members:  # the grid
+        _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
+        xs = range(plan.lo, plan.hi + 1, plan.step)
+        counts = map(count_le, xs)
+    else:  # the flock walk, one sample per member
+        members, below, runs = _flock_runs(plan.lo, plan.hi)
+        _check_rows(members, plan)
+        xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
+        counts = count(below + 1)  # the i-th sample is the (below + i)-th member
+    if plan.kind == "A-of-x":
+        header, lines = "x,A\n", (f"{x},{a}\n" for x, a in zip(xs, counts))
+    elif plan.kind != "tri-grid":
+        header, lines = "x,A,R,R_norm,g,h\n", map(_remainder_line, xs, counts)
     out.write(header)
     rows = 0
     for line in lines:

@@ -20,13 +20,14 @@ new one each time.
 Above _BIG_DIGITS (6000) digits, decimal I/O leaves CPython's int() and
 str(), which are quadratic before Python 3.12, for the divide-and-conquer
 conversions of ``_digits``: an argument of ASCII digits, bare, padded
-with whitespace or with one sign, is parsed by ``int_from_digits``, and
+with whitespace, with one sign or with single underscores between its
+digits, as int() takes them, is parsed by ``int_from_digits``, and
 unless negative it keeps its digits, which check and count write back as
-they were given, less sign, padding and leading zeros; an answer is
-rendered through exact Decimals, a record from its width and the excess
-of its length alone.  At or below the threshold, and for any other
-argument text, parsing and rendering are int() and str(); either way
-the bytes written are the same.
+they were given, less sign, padding, underscores and leading zeros; an
+answer is rendered through exact Decimals, a record from its width and
+the excess of its length alone.  At or below the threshold, and for any
+other argument text, parsing and rendering are int() and str(); either
+way the bytes written are the same.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _parse_int(text: str) -> int:
     digits = text.strip()
     sign = digits[:1] if digits[:1] in ("+", "-") else ""
     digits = digits[len(sign):]
+    if not (digits[:1] == "_" or digits[-1:] == "_" or "__" in digits):
+        digits = digits.replace("_", "")  # int() takes one '_' between two digits
     if len(digits) > _BIG_DIGITS and digits.isascii() and digits.isdigit():
         from ._digits import int_from_digits
 
@@ -112,7 +115,7 @@ def _parse_int(text: str) -> int:
         n = _Echo(int_from_digits(digits))
         n.digits = digits.lstrip("0") or "0"
         return n
-    return int(text)  # also takes '_' and non-ASCII digits
+    return int(text)  # short text, non-ASCII digits or a refusal
 
 
 # argparse names a type by its __name__ in its refusal, "invalid int value"
@@ -230,8 +233,8 @@ def cmd_floor(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    row = (_cell(args.n), _cell(count_le(args.n)))
-    _emit(args.format, ("n", "count"), [row], "{1}\n")
+    count = count_le(args.n)  # refuses n before n is rendered
+    _emit(args.format, ("n", "count"), [(_cell(args.n), _cell(count))], "{1}\n")
     return 0
 
 
@@ -327,15 +330,15 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
     record_set = brute_record_set(limit)
     members = record_set.members
-    idx = 0
-    running = 0
+    running = 0  # the brute-force count so far, and the index of the next member
     membership_bad = 0
     count_bad = 0
     witnesses = []
     for n in range(1, limit + 1):
-        brute_member = idx < len(members) and members[idx] == n
+        brute_member = running < len(members) and members[running] == n
+        # a branch, not running += brute_member: adding the bool took about
+        # 25 ns more per n (Python 3.11, 2-vCPU host)
         if brute_member:
-            idx += 1
             running += 1
         fast_member = is_almost_square(n) is not None
         fast_count = count_le(n)

@@ -296,7 +296,11 @@ def _locate(n: int) -> tuple[int, int, bool]:
     floor(k^2/4) - o(o + k%2) is <= n, and exact says whether that
     member is n itself.  The offset may exceed the flock's extent
     (isqrt(k) - k%2) // 2, in which case no member of flock k is <= n.
+    Raises ValueError for n < 1, the one refusal of the point queries
+    that locate n.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     # k is isqrt(4n - 1) + 1, but reaching it through m, which splits at
     # m(m-1) into flocks 2m - 1 and 2m, made this about 15% faster per call
     # at n < 2*10^4 (Python 3.11, 2-vCPU host)
@@ -396,8 +400,6 @@ def is_almost_square(n: int) -> Rectangle | None:
     k = 2m-1.  Runs in time polynomial in the digit count of n and never
     factors n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k, offset, exact = _locate(n)
     if exact and offset <= _flock_extent(k):
         return _rect(k, offset)
@@ -434,8 +436,6 @@ def count_at_square(m: int) -> int:
 
 def count_le(n: int) -> int:
     """Number of almost-squares not exceeding n (exact, polynomial time)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
     return _count_located(k, offset)
 
@@ -522,8 +522,6 @@ def floor_almost_square(n: int) -> AlmostSquareRecord:
     It is the member at n's located offset; when that offset is past the
     flock's extent, it is the last member of flock k - 1, floor((k-1)^2/4).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k, offset, _ = _locate(n)
     if offset > _flock_extent(k):
         k, offset = k - 1, 0

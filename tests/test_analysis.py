@@ -597,6 +597,27 @@ class TestEmitSeries:
             emit_series(SamplingPlan("A-of-x", 1, 10**7, max_rows=100), out)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("plan", [
+        SamplingPlan("tri-grid", 1, 10**6),
+        SamplingPlan("tri-grid", 0, 10**40, max_rows=0),
+        SamplingPlan("A-of-x", 1, 10**7),
+        SamplingPlan("A-of-x", 1, 10**40, step=10**30, max_rows=10),
+        SamplingPlan("R-of-x", 1, 10**7, at_members=False),
+        SamplingPlan("R-normalized", 1, 10**13),
+    ], ids=["tri-grid", "tri-grid-wide", "A-of-x", "A-of-x-step", "R-grid", "R-members"])
+    def test_cap_checked_before_the_first_sample(self, monkeypatch, plan):
+        # a refused plan builds no tri-grid table and takes no count or row:
+        # each spy raises, so a sample drawn before the cap check fails here
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before the cap check")
+
+        for name in ("_tri_table", "count_le", "_remainder_fields"):
+            monkeypatch.setattr(analysis, name, no_sample)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="above the cap of"):
+            emit_series(plan, out)
+        assert out.getvalue() == ""
+
     def test_beyond_float_range_rejected_before_output(self):
         # a row holds x exactly, so the bound is on R: hi must be below 2^4092
         big = 2**4092  # a perfect square, so a member too
@@ -904,8 +925,8 @@ H = 2**4092  # the least hi a remainder plan refuses
 # every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
 # count (at members from lo = 1, from a member lo past 1 and from a lo that
 # is no member) and a negative cap (refused for every kind and window), tri-grid
-# windows that start past 1 or below 2, and remainder plans past float
-# range, answered up to H - 1 and refused from H on.
+# windows that start past 1 or below 2, a 1x1 window writing its one cell, and
+# remainder plans past float range, answered up to H - 1 and refused from H on.
 EMIT_MATRIX = [
     (SamplingPlan("A-of-x", 1, 50), 50,
      "f71066e51364de52115b7bf1ea44ae86bffba1ad15f12149b886f0851fbc34e8"),
@@ -984,8 +1005,8 @@ EMIT_MATRIX = [
      "b980fa1d8415ce6da6fa2e5e670c35ff5ae685e6834a8aded15f467384ce374c"),
     (SamplingPlan("R-normalized", H - 10, H), ValueError,
      "hi must be below 2^4092 (about 6.5e1231), past which R may leave float range"),
-    (SamplingPlan("tri-grid", 1, 1), 0,
-     "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
+    (SamplingPlan("tri-grid", 1, 1), 1,
+     "4ea3efd39d4bc75469ad12cba29db92d1bf02daad068fc6879ca03bbac5e2d40"),
     (SamplingPlan("tri-grid", 1, 8), 64,
      "e9a940d39859f3b3362acbb0a0e1b1fd908daee99c6701e5e7a16833af88f08e"),
     (SamplingPlan("tri-grid", 2, 2), 1,

@@ -371,6 +371,17 @@ class TestOracleVerify:
         ]
 
 
+def test_internal_check_failure_exits_1(monkeypatch):
+    # main turns an AssertionError from a verb into exit 1 and one stderr line
+    def broken(j):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(cli, "nth", broken)
+    assert _main_bytes(["nth", "5"]) == (
+        1, "", "almost-squares: internal check failed: boom\n"
+    )
+
+
 class TestBigIntegers:
     def test_thousand_digit_inputs(self, capsys):
         n = "1" + "0" * 999
@@ -486,6 +497,62 @@ class TestWideDecimalIO:
             assert plain[0] == 0
             for text in (f"+{n}", f" {n} "):
                 assert _main_bytes([verb, text, "--format", fmt]) == plain, (text, fmt)
+
+    @pytest.mark.parametrize("template", [
+        "7_{}", "{}_7", "1_2_3{}", "-7_{}", " +7_{} ", "000_7{}", "{}_0",
+    ])
+    def test_underscored_argument_skips_int(self, monkeypatch, template):
+        # single '_' between two digits, as int() takes them, are dropped
+        # before the digit test, so the digits go to int_from_digits too
+        n = random.Random(17).randrange(10**9_999, 10**10_000)
+        text = template.format(n)
+        parsed = []
+        int_from_digits = _digits.int_from_digits
+        monkeypatch.setattr(
+            _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
+        )
+        assert cli._parse_int(text) == int(text)
+        assert parsed == [text.strip().lstrip("+-").replace("_", "")]
+
+    @pytest.mark.parametrize("template", ["1__{}", "_{}", "{}_", "+_{}", "+{}__1"])
+    @pytest.mark.parametrize("digits", [3, 10_000], ids=["short", "long"])
+    def test_misplaced_underscores_refused(self, monkeypatch, capsys, template, digits):
+        text = template.format("7" * digits)
+        monkeypatch.setattr(_digits, "int_from_digits", None)  # never reached
+        with pytest.raises(ValueError):
+            cli._parse_int(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", text])
+        assert exc.value.code == 2
+        assert f"argument n: invalid int value: '{text}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, member", [
+        ("check", True), ("check", False), ("count", True), ("count", False),
+    ])
+    def test_underscored_argument_writes_the_same_bytes(self, verb, member):
+        n = random.Random(19).randrange(10**9_999, 10**10_000)
+        if member:
+            n = floor_almost_square(n).value
+        digits = str(n)
+        grouped = "_".join(digits[i:i + 3] for i in range(0, len(digits), 3))
+        for fmt in ("text", "json", "csv"):
+            plain = _main_bytes([verb, digits, "--format", fmt])
+            assert plain[0] == 0
+            assert _main_bytes([verb, grouped, "--format", fmt]) == plain, fmt
+
+    def test_negative_count_refused_before_rendering(self, monkeypatch):
+        # count_le refuses n before n's cell is rendered, so a wide negative
+        # n is never converted back to decimal
+        text = "-" + "7" * 20_000
+        want = _main_bytes(["count", text])
+        assert want == (2, "", "almost-squares: n must be >= 1\n")
+
+        def no_render(n):
+            raise AssertionError("to_decimal called")
+
+        monkeypatch.setattr(_digits, "to_decimal", no_render)
+        for fmt in ("text", "json", "csv"):
+            assert _main_bytes(["count", text, "--format", fmt]) == want, fmt
 
     def test_list_near_1e20000(self, monkeypatch):
         m = 10**10_000

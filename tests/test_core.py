@@ -556,6 +556,14 @@ class TestDomainTypes:
     def test_record_ratio(self):
         rec = AlmostSquareRecord(Rectangle(13, 14))
         assert rec.ratio == RatioValue(182, 27)
+        assert float(rec.ratio) == 182 / 27
+        assert repr(rec.ratio) == "RatioValue(182, 27)"
+        # a comparison with another type is left to it: == is False, < raises
+        assert RatioValue.__eq__(rec.ratio, 182 / 27) is NotImplemented
+        assert RatioValue.__lt__(rec.ratio, 7) is NotImplemented
+        assert rec.ratio != 182 / 27
+        with pytest.raises(TypeError):
+            rec.ratio < 7
         assert (rec.value, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
 
     def test_record_is_its_rectangle(self):
