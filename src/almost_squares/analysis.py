@@ -52,6 +52,8 @@ from math import isqrt
 from operator import mul
 from typing import TextIO
 
+from ._digits import cell, wide
+
 # the at-member series reads its samples straight from the flock runs, so
 # enumerate_range is not called here; the name stays imported because
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
@@ -383,6 +385,8 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     the grid range(lo, hi + 1, step) with A from count_le, for A-of-x and
     for a remainder series with at_members=False.  step applies only to
     the grid.  Each source's row count is known before its first sample.
+    A-of-x cells are rendered by the decimal-I/O rule of _digits, chosen
+    once per plan from hi's width; the bytes are those of str().
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
@@ -413,9 +417,9 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         _check_rows(max(0, plan.hi - span.start + 1) ** 2, plan)  # len() overflows past 2**63
         header = "m,n,is_member\n"
         lines = (
-            f"{m},{n},{1 if cell else 0}\n"
+            f"{m},{n},{1 if hit else 0}\n"
             for m, row in zip(span, _tri_table(span))
-            for n, cell in zip(span, row)
+            for n, hit in zip(span, row)
         )
     elif plan.kind == "A-of-x" or not plan.at_members:  # the grid
         _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
@@ -427,6 +431,8 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
         counts = count(below + 1)  # the i-th sample is the (below + i)-th member
     if plan.kind == "A-of-x":
+        if wide(plan.hi.bit_length()):  # every x is at most hi, and A is below x
+            xs, counts = map(cell, xs), map(cell, counts)
         header, lines = "x,A\n", (f"{x},{a}\n" for x, a in zip(xs, counts))
     elif plan.kind != "tri-grid":
         header, lines = "x,A,R,R_norm,g,h\n", map(_remainder_line, xs, counts)

@@ -17,17 +17,8 @@ are spelled out.  main builds its argument parser on its first call and
 reuses it for every later call in the process; build_parser() returns a
 new one each time.
 
-Above _BIG_DIGITS (6000) digits, decimal I/O leaves CPython's int() and
-str(), which are quadratic before Python 3.12, for the divide-and-conquer
-conversions of ``_digits``: an argument of ASCII digits, bare, padded
-with whitespace, with one sign or with single underscores between its
-digits, as int() takes them, is parsed by ``int_from_digits``, and
-unless negative it keeps its digits, which check and count write back as
-they were given, less sign, padding, underscores and leading zeros; an
-answer is rendered through exact Decimals, a record from its width and
-the excess of its length alone.  At or below the threshold, and for any
-other argument text, parsing and rendering are int() and str(); either
-way the bytes written are the same.
+Wide int arguments and answers are parsed and rendered by the one
+decimal-I/O rule of ``_digits``.
 """
 
 from __future__ import annotations
@@ -39,6 +30,8 @@ from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain, islice, repeat, starmap
 from operator import mul
+
+from ._digits import cell, parse_int, record_cells, wide
 
 # list and flock write their rows straight from the flock runs, so nothing
 # here calls enumerate_range or flock_members.  Both names stay imported all
@@ -64,14 +57,6 @@ __all__ = ["build_parser", "main", "run_main"]
 
 _LIST_ROW_CAP = 10_000_000
 
-# Decimal I/O of ints wider than this many digits goes through _digits.  On
-# a 2-vCPU host with Python 3.11 the two ways cost about the same at 6000
-# digits; at 10^5 digits _digits parses 3x and renders a record 10x faster.
-# _digits loads decimal (about 2 ms), so it is imported on the first wide
-# int, and importing cli stays as fast as it was.
-_BIG_DIGITS = 6000
-_BITS_PER_DIGIT = 3.3219  # log2(10), a little under
-
 # oracle-verify prints at most this many mismatching n after its summary
 _WITNESS_LINES = 5
 
@@ -85,82 +70,8 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _wide(bits: int) -> bool:
-    """Whether an int of this many bits has more than about _BIG_DIGITS digits."""
-    return bits > _BIG_DIGITS * _BITS_PER_DIGIT
-
-
-class _Echo(int):
-    """An int parsed from a wide argument of ASCII digits, with its digits.
-
-    Its digits, leading zeros stripped, are str(n) already, so a verb that
-    writes the argument back (count, check) need not convert it again.
-    Arithmetic on it gives plain ints.
-    """
-
-    digits: str
-
-
-def _parse_int(text: str) -> int:
-    digits = text.strip()
-    sign = digits[:1] if digits[:1] in ("+", "-") else ""
-    digits = digits[len(sign):]
-    if not (digits[:1] == "_" or digits[-1:] == "_" or "__" in digits):
-        digits = digits.replace("_", "")  # int() takes one '_' between two digits
-    if len(digits) > _BIG_DIGITS and digits.isascii() and digits.isdigit():
-        from ._digits import int_from_digits
-
-        if sign == "-":
-            return -int_from_digits(digits)
-        n = _Echo(int_from_digits(digits))
-        n.digits = digits.lstrip("0") or "0"
-        return n
-    return int(text)  # short text, non-ASCII digits or a refusal
-
-
-# argparse names a type by its __name__ in its refusal, "invalid int value"
-_parse_int.__name__ = "int"
-
-
-def _cell(n: int) -> int | str:
-    """n as a template cell: itself, or its digits when str(n) would be slow.
-
-    An argument parsed from plain digits gives back the digits it was
-    parsed from.
-    """
-    if isinstance(n, _Echo):
-        return n.digits
-    if _wide(n.bit_length()):
-        from ._digits import to_decimal
-
-        return str(to_decimal(n))
-    return n
-
-
-def _cells(
-    width: int, length: int, value: int | str | None = None
-) -> tuple[int | str, ...]:
-    """The cells, in _RECORD order, of the record with these sides.
-
-    ``value``, when given, is the value's cell, as _cell renders it.
-
-    A wide record converts its width and the excess of its length, which
-    for a member is about sqrt(k) at most, and forms its length, value and
-    k (its semiperimeter and flock) in exact Decimal arithmetic.
-    """
-    if _wide(width.bit_length() + length.bit_length()):
-        from ._digits import EXACT, to_decimal
-
-        w = to_decimal(width)
-        l = EXACT.add(w, to_decimal(length - width))
-        semi = str(EXACT.add(w, l))
-        return value or str(EXACT.multiply(w, l)), str(w), str(l), semi, semi
-    semi = width + length  # also the flock's k
-    return value or width * length, width, length, semi, semi
-
-
 def _record_cells(rec: AlmostSquareRecord) -> tuple[int | str, ...]:
-    return _cells(rec.rect.width, rec.rect.length)
+    return record_cells(rec.rect.width, rec.rect.length)
 
 
 def _run_rows(k: int, widths: range, lengths: range) -> Iterator[tuple[int | str, ...]]:
@@ -168,8 +79,8 @@ def _run_rows(k: int, widths: range, lengths: range) -> Iterator[tuple[int | str
 
     The path is chosen once per run, as every member's value is near k^2/4.
     """
-    if _wide(2 * k.bit_length()):
-        return map(_cells, widths, lengths)
+    if wide(2 * k.bit_length()):
+        return map(record_cells, widths, lengths)
     return zip(map(mul, widths, lengths), widths, lengths, repeat(k), repeat(k))
 
 
@@ -211,9 +122,9 @@ def _emit(
 
 def cmd_check(args: argparse.Namespace) -> int:
     rect = is_almost_square(args.n)
-    n_cell = _cell(args.n)
+    n_cell = cell(args.n)
     if rect:  # member is json's bool; text skips it and csv replaces it
-        cells = _cells(rect.width, rect.length, n_cell)  # n is the record's value
+        cells = record_cells(rect.width, rect.length, n_cell)  # n is the record's value
         columns, row = ("n", "member", *_RECORD), (n_cell, "true", *cells)
         text = "{0} is an almost-square: {3} x {4} (semiperimeter {5}, flock {6})\n"
     else:
@@ -234,7 +145,7 @@ def cmd_floor(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     count = count_le(args.n)  # refuses n before n is rendered
-    _emit(args.format, ("n", "count"), [(_cell(args.n), _cell(count))], "{1}\n")
+    _emit(args.format, ("n", "count"), [(cell(args.n), cell(count))], "{1}\n")
     return 0
 
 
@@ -390,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, verb_help, func, ints in _FORMAT_VERBS:
         sp = sub.add_parser(verb, help=verb_help)
         for name, arg_help in ints:
-            sp.add_argument(name, type=_parse_int, help=arg_help)
+            sp.add_argument(name, type=parse_int, help=arg_help)
         sp.add_argument(
             "--format",
             choices=("text", "json", "csv"),
@@ -406,29 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("A-of-x", "R-of-x", "R-normalized"),
         help="which series to emit",
     )
-    sp.add_argument("--lo", type=_parse_int, required=True)
-    sp.add_argument("--hi", type=_parse_int, required=True)
-    sp.add_argument("--step", type=_parse_int, default=1, help="grid step (default 1)")
+    sp.add_argument("--lo", type=parse_int, required=True)
+    sp.add_argument("--hi", type=parse_int, required=True)
+    sp.add_argument("--step", type=parse_int, default=1, help="grid step (default 1)")
     sp.add_argument(
         "--grid",
         action="store_true",
         help="sample a fixed-step grid instead of the member values",
     )
-    sp.add_argument("--max-rows", type=_parse_int, default=1_000_000)
+    sp.add_argument("--max-rows", type=parse_int, default=1_000_000)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser(
         "trigrid", help="stream the triangular-product membership table as CSV"
     )
-    sp.add_argument("size", type=_parse_int, nargs="?", default=60)
-    sp.add_argument("--max-rows", type=_parse_int, default=1_000_000)
+    sp.add_argument("size", type=parse_int, nargs="?", default=60)
+    sp.add_argument("--max-rows", type=parse_int, default=1_000_000)
     sp.set_defaults(func=cmd_trigrid)
 
     sp = sub.add_parser(
         "oracle-verify",
         help="compare fast membership and counts against the brute-force scan",
     )
-    sp.add_argument("--limit", type=_parse_int, default=DEFAULT_SCAN_CAP)
+    sp.add_argument("--limit", type=parse_int, default=DEFAULT_SCAN_CAP)
     sp.set_defaults(func=cmd_oracle_verify)
 
     return parser

@@ -151,11 +151,11 @@ class AlmostSquareRecord:
 
     @property
     def value(self) -> int:
-        return self.rect.width * self.rect.length
+        return self.rect.area
 
     @property
     def semiperimeter(self) -> int:
-        return self.rect.width + self.rect.length
+        return self.rect.semiperimeter
 
     @property
     def flock(self) -> FlockId:

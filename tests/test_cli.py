@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import _digits, cli, core
+from almost_squares import _digits, analysis, cli, core
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
@@ -228,19 +228,35 @@ class TestPioneers:
         assert "above the cap" in err and err.count("\n") == 1
 
     def test_json_rows_are_streamed(self):
-        # json holds one row at a time, as csv does, not a list of all rows;
-        # both peaks include the output itself, which json makes twice as long
+        # json holds one row at a time, as csv does, not a list of all rows:
+        # into a sink that keeps only a length, neither peak grows with the
+        # row count.  The first main call in a process builds the cached
+        # parser, so one warm-up call comes before the peaks are taken.
+        class Length:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.size += len(text)
+
+        with contextlib.redirect_stdout(Length()):
+            main(["pioneers", "1"])
         peaks = {}
         for fmt in ("csv", "json"):
-            tracemalloc.start()
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(["pioneers", "20000", "--format", fmt])
-                peaks[fmt] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-        assert peaks["json"] <= 2 * peaks["csv"], peaks
+            for count in (20_000, 80_000):
+                sink = Length()
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(sink):
+                        code = main(["pioneers", str(count), "--format", fmt])
+                    peaks[fmt, count] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0 and sink.size > 40 * count
+            assert peaks[fmt, 80_000] <= peaks[fmt, 20_000] + 4096, peaks
 
 
 class TestAnalyze:
@@ -415,21 +431,21 @@ def _assert_same_as_int_str_path(monkeypatch, argv):
     for fmt in ("text", "json", "csv"):
         fast = _main_bytes([*argv, "--format", fmt])
         with monkeypatch.context() as m:
-            m.setattr(cli, "_BIG_DIGITS", 10**9)  # above every input: int() and str()
+            m.setattr(_digits, "_BIG_DIGITS", 10**9)  # above every input: int() and str()
             assert _main_bytes([*argv, "--format", fmt]) == fast, (argv[0], fmt)
 
 
 @pytest.mark.usefixtures("no_int_digit_limit")
 class TestWideDecimalIO:
-    """Past cli._BIG_DIGITS digits, parsing and rendering go through _digits."""
+    """Past _digits._BIG_DIGITS digits, parsing and rendering go through _digits."""
 
     @pytest.mark.parametrize("verb, digits, member, prefix", [
         ("check", 10_000, True, ""),
         ("check", 40_000, False, ""),
         ("check", 17_000, False, "000"),
         ("check", 12_000, True, "0"),
-        ("check", 5, False, "0" * cli._BIG_DIGITS),
-        ("check", 5, True, "0" * cli._BIG_DIGITS),
+        ("check", 5, False, "0" * _digits._BIG_DIGITS),
+        ("check", 5, True, "0" * _digits._BIG_DIGITS),
         ("count", 40_000, True, ""),
         ("count", 25_000, False, ""),
         ("count", 12_000, False, "-"),
@@ -486,7 +502,7 @@ class TestWideDecimalIO:
         monkeypatch.setattr(
             _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
         )
-        assert cli._parse_int(text) == int(text)
+        assert _digits.parse_int(text) == int(text)
         assert [s.lstrip("0") for s in parsed] == [str(n)]
 
     @pytest.mark.parametrize("verb", ["check", "count"])
@@ -511,7 +527,7 @@ class TestWideDecimalIO:
         monkeypatch.setattr(
             _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
         )
-        assert cli._parse_int(text) == int(text)
+        assert _digits.parse_int(text) == int(text)
         assert parsed == [text.strip().lstrip("+-").replace("_", "")]
 
     @pytest.mark.parametrize("template", ["1__{}", "_{}", "{}_", "+_{}", "+{}__1"])
@@ -520,7 +536,7 @@ class TestWideDecimalIO:
         text = template.format("7" * digits)
         monkeypatch.setattr(_digits, "int_from_digits", None)  # never reached
         with pytest.raises(ValueError):
-            cli._parse_int(text)
+            _digits.parse_int(text)
         with pytest.raises(SystemExit) as exc:
             main(["count", text])
         assert exc.value.code == 2
@@ -561,6 +577,50 @@ class TestWideDecimalIO:
         assert len(_main_bytes(argv)[1].splitlines()) == 5
         _assert_same_as_int_str_path(monkeypatch, argv)
 
+    # A-of-x windows of about 10^4 digits: one point, a stepped window, and a
+    # grid from 5 whose x and A cells run from one digit to hi's width
+    _D = random.Random(23).randrange(10**9_999, 10**10_000)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (_D, _D, 1), (_D, _D + 60, 7), (5, _D, _D // 4),
+    ], ids=["point", "stepped", "mixed"])
+    def test_a_of_x_writes_the_int_str_bytes(self, monkeypatch, lo, hi, step):
+        argv = ["analyze", "--plan", "A-of-x", "--lo", str(lo), "--hi", str(hi),
+                "--step", str(step)]
+        fast = _main_bytes(argv)
+        assert fast[0] == 0 and len(fast[1].splitlines()) == (hi - lo) // step + 2
+        with monkeypatch.context() as m:
+            m.setattr(_digits, "_BIG_DIGITS", 10**9)  # above every input: str()
+            assert _main_bytes(argv) == fast
+
+    def test_a_of_x_renders_wide_cells_by_to_decimal(self, monkeypatch):
+        rendered = []
+        to_decimal = _digits.to_decimal
+        monkeypatch.setattr(
+            _digits, "to_decimal", lambda m: rendered.append(m) or to_decimal(m)
+        )
+        argv = ["analyze", "--plan", "A-of-x", "--lo", str(self._D), "--hi",
+                str(self._D + 60), "--step", "7"]
+        code, out, _ = _main_bytes(argv)
+        assert code == 0
+        cells = [int(c) for row in out.splitlines()[1:] for c in row.split(",")]
+        assert rendered == cells and len(cells) == 18
+
+    @pytest.mark.parametrize("argv", [
+        ["--plan", "A-of-x", "--lo", "1", "--hi", "5000"],
+        ["--plan", "R-of-x", "--lo", "1", "--hi", "5000"],
+        ["--plan", "R-normalized", "--lo", f"1{0:01000}", "--hi", f"1{9999:01000}",
+         "--grid", "--step", "97"],
+    ], ids=["A-of-x", "R-of-x", "R-normalized-1e1000-grid"])
+    def test_narrow_series_call_nothing_new(self, monkeypatch, argv):
+        def no_render(n):
+            raise AssertionError("wide-cell rendering reached")
+
+        monkeypatch.setattr(analysis, "cell", no_render)
+        monkeypatch.setattr(_digits, "to_decimal", no_render)
+        code, out, _ = _main_bytes(["analyze", *argv])
+        assert code == 0 and out.count("\n") > 100
+
 
 class TestParser:
     def test_missing_command(self, capsys):
@@ -577,7 +637,7 @@ class TestParser:
     # int() also takes whitespace, '_', a sign and non-ASCII digits, short
     # or past the threshold where plain digits go to _digits
     @pytest.mark.parametrize(
-        "digits", ["182", "1" + "0" * cli._BIG_DIGITS], ids=["short", "long"]
+        "digits", ["182", "1" + "0" * _digits._BIG_DIGITS], ids=["short", "long"]
     )
     @pytest.mark.parametrize("spell", [
         lambda d: " " + d,

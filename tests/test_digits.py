@@ -6,8 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import cli
-from almost_squares._digits import _LEAF_DIGITS, int_from_digits, to_decimal
+# by name: the helper _digits below would shadow the module
+from almost_squares._digits import (
+    _BIG_DIGITS,
+    _LEAF_DIGITS,
+    int_from_digits,
+    record_cells,
+    to_decimal,
+)
 
 pytestmark = pytest.mark.usefixtures("no_int_digit_limit")
 
@@ -15,7 +21,7 @@ pytestmark = pytest.mark.usefixtures("no_int_digit_limit")
 _LENGTHS = st.one_of(
     st.integers(1, 40_000),
     st.sampled_from([_LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1,
-                     cli._BIG_DIGITS, cli._BIG_DIGITS + 1]),
+                     _BIG_DIGITS, _BIG_DIGITS + 1]),
 )
 
 
@@ -39,13 +45,13 @@ def test_conversions_match_int_and_str(length, seed, zeros):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 20_000), st.integers(0, 2**32), st.integers(0, 10**6))
-@example(cli._BIG_DIGITS // 2, 0, 1)  # the record's value near the threshold
+@example(_BIG_DIGITS // 2, 0, 1)  # the record's value near the threshold
 @example(10_000, 0, 0)  # a square
-@example(cli._BIG_DIGITS, 1, 0)  # length == width at the threshold
+@example(_BIG_DIGITS, 1, 0)  # length == width at the threshold
 @example(15_000, 2, 12_345)  # an odd k
 def test_record_cells_match_str(digits, seed, gap):
     width = int("1" + _digits(digits - 1, seed))
     length = width + gap
     semi = str(width + length)
     want = (str(width * length), str(width), str(length), semi, semi)
-    assert tuple(map(str, cli._cells(width, length))) == want
+    assert tuple(map(str, record_cells(width, length))) == want
