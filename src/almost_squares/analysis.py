@@ -355,7 +355,9 @@ class SamplingPlan:
     at_members=False; A-of-x always samples the grid, so at_members does
     not change it.  step applies only to grid samples.  For tri-grid plans
     lo and hi bound both table indices, and every cell of the window is
-    written, a 1x1 window's one cell too.
+    written, a 1x1 window's one cell too.  R-of-x and R-normalized write
+    the same header and rows; both names stay because callers use both
+    (the demos R-normalized, the benchmark both).
     """
 
     kind: str
@@ -384,9 +386,12 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     one sample per member, for a remainder series at the members, and
     the grid range(lo, hi + 1, step) with A from count_le, for A-of-x and
     for a remainder series with at_members=False.  step applies only to
-    the grid.  Each source's row count is known before its first sample.
-    A-of-x cells are rendered by the decimal-I/O rule of _digits, chosen
-    once per plan from hi's width; the bytes are those of str().
+    the grid.  Each source states its row count once, before its first
+    sample: that count is checked against max_rows, equals the rows
+    written, and is returned.  A-of-x cells are rendered by the
+    decimal-I/O rule of _digits, chosen once per plan from hi's width,
+    the first x from lo itself, so digits that parse_int kept are
+    written back; the bytes are those of str().
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
@@ -414,7 +419,8 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     # tri-grid, when it is created
     if plan.kind == "tri-grid":
         span = range(max(plan.lo, 1), plan.hi + 1)
-        _check_rows(max(0, plan.hi - span.start + 1) ** 2, plan)  # len() overflows past 2**63
+        rows = max(0, plan.hi - span.start + 1) ** 2  # len() overflows past 2**63
+        _check_rows(rows, plan)
         header = "m,n,is_member\n"
         lines = (
             f"{m},{n},{1 if hit else 0}\n"
@@ -422,24 +428,23 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
             for n, hit in zip(span, row)
         )
     elif plan.kind == "A-of-x" or not plan.at_members:  # the grid
-        _check_rows((plan.hi - plan.lo) // plan.step + 1, plan)
+        rows = max(0, (plan.hi - plan.lo) // plan.step + 1)
+        _check_rows(rows, plan)
         xs = range(plan.lo, plan.hi + 1, plan.step)
         counts = map(count_le, xs)
     else:  # the flock walk, one sample per member
-        members, below, runs = _flock_runs(plan.lo, plan.hi)
-        _check_rows(members, plan)
+        rows, below, runs = _flock_runs(plan.lo, plan.hi)
+        _check_rows(rows, plan)
         xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
         counts = count(below + 1)  # the i-th sample is the (below + i)-th member
     if plan.kind == "A-of-x":
         if wide(plan.hi.bit_length()):  # every x is at most hi, and A is below x
-            xs, counts = map(cell, xs), map(cell, counts)
+            # range() drops the digits parse_int kept for lo, so lo is the first x
+            xs, counts = map(cell, chain(xs[:1] and (plan.lo,), xs[1:])), map(cell, counts)
         header, lines = "x,A\n", (f"{x},{a}\n" for x, a in zip(xs, counts))
     elif plan.kind != "tri-grid":
         header, lines = "x,A,R,R_norm,g,h\n", map(_remainder_line, xs, counts)
     out.write(header)
-    rows = 0
-    for line in lines:
-        out.write(line)
-        rows += 1
+    out.writelines(lines)
     return rows
 

@@ -12,8 +12,7 @@ consistency failure, 141 when the reader closes stdout early (as
 
 The seven verbs that take only int arguments and --format (check,
 floor, count, nth, list, flock, pioneers) are built from one table,
-_FORMAT_VERBS; analyze, trigrid and oracle-verify, whose options differ,
-are spelled out.  main builds its argument parser on its first call and
+_FORMAT_VERBS.  main builds its argument parser on its first call and
 reuses it for every later call in the process; build_parser() returns a
 new one each time.
 
@@ -198,43 +197,32 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_row_cap(max_rows: int) -> None:
+def _emit_plan(max_rows: int, **fields: object) -> int:
+    """Refuse max_rows outside [0, _LIST_ROW_CAP], then stream the plan's CSV."""
+    # analysis is imported here, not at module top.  An eager import made a
+    # fresh `import almost_squares.cli` slower (29.4 -> 36.0 ms median over 40
+    # alternating fresh interpreters, 2-vCPU host, Python 3.11), and
+    # perfbench/tracing.py replaces analysis.emit_series after cli is
+    # imported, which a name bound at cli's import time would bypass.
+    from .analysis import SamplingPlan, emit_series
+
     _require(max_rows >= 0, "--max-rows must be >= 0")
     _require(
         max_rows <= _LIST_ROW_CAP,
         f"--max-rows {max_rows} is above the cap of {_LIST_ROW_CAP}",
     )
-
-
-# analysis is imported inside the two verbs that use it.  An eager import
-# made a fresh `import almost_squares.cli` slower (29.4 -> 36.0 ms median over
-# 40 alternating fresh interpreters, 2-vCPU host, Python 3.11), and
-# perfbench/tracing.py replaces analysis.emit_series after cli is imported,
-# which a name bound at cli's import time would bypass.
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import SamplingPlan, emit_series
-
-    _require_row_cap(args.max_rows)
-    plan = SamplingPlan(
-        kind=args.plan,
-        lo=args.lo,
-        hi=args.hi,
-        step=args.step,
-        at_members=not args.grid,
-        max_rows=args.max_rows,
-    )
-    emit_series(plan, sys.stdout)
+    emit_series(SamplingPlan(max_rows=max_rows, **fields), sys.stdout)
     return 0
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    return _emit_plan(args.max_rows, kind=args.plan, lo=args.lo, hi=args.hi,
+                      step=args.step, at_members=not args.grid)
 
 
 def cmd_trigrid(args: argparse.Namespace) -> int:
-    from .analysis import SamplingPlan, emit_series
-
     _require(args.size >= 2, "size must be >= 2")
-    _require_row_cap(args.max_rows)
-    plan = SamplingPlan(kind="tri-grid", lo=1, hi=args.size, max_rows=args.max_rows)
-    emit_series(plan, sys.stdout)
-    return 0
+    return _emit_plan(args.max_rows, kind="tri-grid", lo=1, hi=args.size)
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:

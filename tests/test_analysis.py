@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -617,6 +618,32 @@ class TestEmitSeries:
         with pytest.raises(ValueError, match="above the cap of"):
             emit_series(plan, out)
         assert out.getvalue() == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["A-of-x", "R-of-x", "R-normalized", "tri-grid"]),
+        st.integers(-5, 3000),
+        st.integers(-10, 40),
+        st.integers(1, 20),
+        st.booleans(),
+    )
+    @example("R-of-x", -5, -5, 1, True)
+    @example("A-of-x", 10, -5, 3, False)
+    @example("tri-grid", -3, 6, 1, True)
+    @example("tri-grid", 0, -2, 1, True)
+    def test_returned_count_is_the_rows_written(self, kind, lo, width, step, at_members):
+        # hi = lo + width: a negative width is an empty window, and tri-grid
+        # windows may start at or below 0; the other kinds refuse lo < 1 otherwise
+        if kind != "tri-grid" and width >= 0:
+            lo = max(lo, 1)
+        plan = SamplingPlan(kind, lo, lo + width, step=step, at_members=at_members)
+        out = io.StringIO()
+        rows = emit_series(plan, out)
+        assert rows == out.getvalue().count("\n") - 1
+        # and it is the count the cap was checked against
+        if rows:
+            with pytest.raises(ValueError, match=f"would emit {rows} rows, above"):
+                emit_series(replace(plan, max_rows=rows - 1), io.StringIO())
 
     def test_beyond_float_range_rejected_before_output(self):
         # a row holds x exactly, so the bound is on R: hi must be below 2^4092

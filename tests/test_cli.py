@@ -246,7 +246,7 @@ class TestPioneers:
             main(["pioneers", "1"])
         peaks = {}
         for fmt in ("csv", "json"):
-            for count in (20_000, 80_000):
+            for count in (5_000, 20_000):
                 sink = Length()
                 tracemalloc.start()
                 try:
@@ -256,7 +256,7 @@ class TestPioneers:
                 finally:
                     tracemalloc.stop()
                 assert code == 0 and sink.size > 40 * count
-            assert peaks[fmt, 80_000] <= peaks[fmt, 20_000] + 4096, peaks
+            assert peaks[fmt, 20_000] <= peaks[fmt, 5_000] + 4096, peaks
 
 
 class TestAnalyze:
@@ -594,6 +594,8 @@ class TestWideDecimalIO:
             assert _main_bytes(argv) == fast
 
     def test_a_of_x_renders_wide_cells_by_to_decimal(self, monkeypatch):
+        # every cell but the first x, which is --lo and written back from the
+        # digits parse_int kept
         rendered = []
         to_decimal = _digits.to_decimal
         monkeypatch.setattr(
@@ -603,8 +605,9 @@ class TestWideDecimalIO:
                 str(self._D + 60), "--step", "7"]
         code, out, _ = _main_bytes(argv)
         assert code == 0
-        cells = [int(c) for row in out.splitlines()[1:] for c in row.split(",")]
-        assert rendered == cells and len(cells) == 18
+        cells = [c for row in out.splitlines()[1:] for c in row.split(",")]
+        assert len(cells) == 18 and cells[0] == str(self._D)
+        assert rendered == [int(c) for c in cells[1:]]
 
     @pytest.mark.parametrize("argv", [
         ["--plan", "A-of-x", "--lo", "1", "--hi", "5000"],
