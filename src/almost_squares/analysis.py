@@ -25,9 +25,13 @@ floor(floor(y) / 2^j) = floor(y / 2^j) and floor(sqrt(floor(y))) =
 floor(sqrt(y)) for y >= 0.
 A remainder row takes t, u at y = 4n: sqrt(4n) is t >> P, sqrt(n) is
 t >> P + 1, (4n)^(1/4) is u and n^(1/4) is isqrt(t >> 1); with the pair
-for 64n^3 it takes five roots.  A grid row adds count_le's three for A;
-a row at a member needs none, as its A is the count of members below
-the window plus the row's index.  b_value takes t, u at y = 4x with
+for 64n^3 it takes five roots.  A row's A takes none where it is read
+off the flock walk: at a member it is the count of members below the
+window plus the row's index, and on a grid whose window holds no more
+members than rows it is that count plus the members <= x.  A grid row
+adds count_le's three only where the members outnumber the rows.  A plan
+also takes a fixed few to locate its window's two ends, and the walk one
+per flock it enters.  b_value takes t, u at y = 4x with
 P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
 (x/4)^(1/4), t >> P + 3 is sqrt(x), and with the pair for 64x^3 it
 takes four roots.
@@ -46,11 +50,12 @@ most about 0.943 * 2^1023 = 8.5e307.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from math import isqrt
 from operator import mul
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from ._digits import cell, wide
 
@@ -309,20 +314,39 @@ def kite_region_contains(m: int, n: int) -> bool:
     return d <= 0 or d * d < 8 * n * (n - 1)
 
 
+def _tested(a: int, tris: list[int]) -> list[bool]:
+    # whether each product a * b is a positive almost-square, by the interval test
+    return [(p := a * b) > 0 and is_almost_square(p) is not None for b in tris]
+
+
 def _tri_table(span: range) -> list[list[bool]]:
     """Cell [i][j] says whether t_a * t_b is an almost-square, a = span[i], b = span[j].
 
-    t_i = i(i-1)/2.  Only the upper triangle is tested; the table is
-    symmetric.  Products that are not positive come out False.
+    t_i = i(i-1)/2.  The table is symmetric, so only the upper triangle is
+    built, and the lower is its transpose.  Strictly inside the kite
+    region a cell is the parity of n - m, as the paper proves, so those
+    cells are filled by it; every other cell (the diagonal, the band
+    n = m + 1, and outside the kite) is tested.  Row m's kite cells are
+    one run of columns from n = m + 2: for n >= m + 2 the region is
+    (3n - m - 1)^2 < 8n(n - 1), a quadratic in n that is positive from
+    there up to its larger root, so the run's end is found by bisection.
+    Products that are not positive come out False.
     """
     tri = [i * (i - 1) // 2 for i in span]
-    table = [[False] * len(tri) for _ in tri]
-    for i, a in enumerate(tri):
-        for j in range(i, len(tri)):
-            product = a * tri[j]
-            hit = product > 0 and is_almost_square(product) is not None
-            table[i][j] = table[j][i] = hit
-    return table
+    upper = []
+    for i, (m, a) in enumerate(zip(span, tri)):
+        near = min(i + 2, len(tri))
+        kite = bisect(
+            range(near, len(tri)), False, key=lambda j: not kite_region_contains(m, span[j])
+        )
+        upper.append(
+            [False] * i
+            + _tested(a, tri[i:near])
+            + [(j - i) % 2 == 0 for j in range(near, near + kite)]
+            + _tested(a, tri[near + kite:])
+        )
+    lower = list(zip(*upper))
+    return [[*lower[i][:i], *row[i:]] for i, row in enumerate(upper)]
 
 
 def tri_product_grid(m_max: int) -> list[list[bool]]:
@@ -330,7 +354,9 @@ def tri_product_grid(m_max: int) -> list[list[bool]]:
 
     Rows and columns are 1-based (index 0 is unused).  Products with
     t_1 = 0 are not positive integers and come out False.  Strictly
-    inside the kite region the table equals the parity of n - m.
+    inside the kite region the table equals the parity of n - m, as the
+    paper proves, and is filled by it; the diagonal, the band n = m + 1
+    and the cells outside the kite are tested with is_almost_square.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -348,12 +374,13 @@ _PLAN_KINDS = ("A-of-x", "R-of-x", "R-normalized", "tri-grid")
 class SamplingPlan:
     """What to emit: which series, over which range, sampled how.
 
-    A series has two sample sources: the members themselves, read off the
-    flock walk (one point every time x passes a member), or the grid
-    lo, lo + step, ... up to hi.  The remainder series sample the members
-    while at_members is True, the default, and the grid with
-    at_members=False; A-of-x always samples the grid, so at_members does
-    not change it.  step applies only to grid samples.  For tri-grid plans
+    A series samples either the members themselves, read off the flock
+    walk (one point every time x passes a member), or the grid lo,
+    lo + step, ... up to hi, with A read off the walk or from count_le
+    (see emit_series).  The remainder series sample the members while
+    at_members is True, the default, and the grid with at_members=False;
+    A-of-x always samples the grid, so at_members does not change it.
+    step applies only to grid samples.  For tri-grid plans
     lo and hi bound both table indices, and every cell of the window is
     written, a 1x1 window's one cell too.  R-of-x and R-normalized write
     the same header and rows; both names stay because callers use both
@@ -379,19 +406,45 @@ def _remainder_line(x: int, a: int) -> str:
     return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(x, a, *_remainder_fields(x, a))
 
 
+def _members(runs: Iterable[tuple[int, range, range]]) -> Iterator[int]:
+    """The values of the runs' members, in order, each the product of its width and length."""
+    return chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
+
+
+def _grid_counts(
+    lo: int, step: int, rows: int, below: int, members: Iterator[int]
+) -> Iterator[repeat[int]]:
+    # A at the rows lo + i*step, i < rows, as one repeat per run of rows between
+    # two members: below plus the members <= x, taken from the walk one member
+    # at a time.  Member v counts from the first row with x >= v, row
+    # ceil((v - lo) / step), so the rows before it keep the count below it
+    a, done = below, 0
+    for v in members:
+        first = (v - lo - 1) // step + 1
+        yield repeat(a, first - done)
+        a, done = a + 1, first
+    yield repeat(a, rows - done)
+
+
 def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     """Write the planned series as CSV to out; returns the row count.
 
-    Each plan takes its samples from one of two sources: the flock walk,
-    one sample per member, for a remainder series at the members, and
-    the grid range(lo, hi + 1, step) with A from count_le, for A-of-x and
-    for a remainder series with at_members=False.  step applies only to
-    the grid.  Each source states its row count once, before its first
-    sample: that count is checked against max_rows, equals the rows
-    written, and is returned.  A-of-x cells are rendered by the
-    decimal-I/O rule of _digits, chosen once per plan from hi's width,
-    the first x from lo itself, so digits that parse_int kept are
-    written back; the bytes are those of str().
+    Each plan takes its (x, A) samples from one of three sources: the
+    flock walk, one sample per member, for a remainder series at the
+    members; and, for A-of-x and for a remainder series with
+    at_members=False, the grid range(lo, hi + 1, step) with A read off
+    the walk, below plus the members <= x merged lazily against the
+    grid, while the window [lo, last x] holds no more members than grid
+    rows, or with A from count_le, three roots a row, where the members
+    outnumber the rows.  _flock_runs gives the window's member count and
+    below in closed form, so the choice is made before the first sample,
+    and no member list is built.  step applies only to the grid.  Each
+    source states its row count once, before its first sample: that
+    count is checked against max_rows, equals the rows written, and is
+    returned.  A-of-x cells are rendered by the decimal-I/O rule of
+    _digits, chosen once per plan from hi's width, the first x from lo
+    itself, so digits that parse_int kept are written back; the bytes are
+    those of str().
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
@@ -414,7 +467,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     if plan.kind in ("R-of-x", "R-normalized"):
         _require_r_range("hi", plan.hi)
 
-    # each branch checks its row count before the first sample is drawn: a
+    # each source checks its row count before the first sample is drawn: a
     # generator expression builds its outermost iterable, the whole table for
     # tri-grid, when it is created
     if plan.kind == "tri-grid":
@@ -422,20 +475,28 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         rows = max(0, plan.hi - span.start + 1) ** 2  # len() overflows past 2**63
         _check_rows(rows, plan)
         header = "m,n,is_member\n"
+        # one string per table row: m before each of its cells ",n,0" or ",n,1",
+        # picked from column n's pair by the cell's bool
+        cells = [(f",{n},0\n", f",{n},1\n") for n in span]
         lines = (
-            f"{m},{n},{1 if hit else 0}\n"
-            for m, row in zip(span, _tri_table(span))
-            for n, hit in zip(span, row)
+            m + m.join(map(tuple.__getitem__, cells, row))
+            for m, row in zip(map(str, span), _tri_table(span))
         )
     elif plan.kind == "A-of-x" or not plan.at_members:  # the grid
         rows = max(0, (plan.hi - plan.lo) // plan.step + 1)
         _check_rows(rows, plan)
         xs = range(plan.lo, plan.hi + 1, plan.step)
-        counts = map(count_le, xs)
+        members, below, runs = _flock_runs(plan.lo, plan.lo + (rows - 1) * plan.step)
+        if members > rows:  # A from count_le, three roots a row
+            counts = map(count_le, xs)
+        else:  # A off the walk
+            counts = chain.from_iterable(
+                _grid_counts(plan.lo, plan.step, rows, below, _members(runs))
+            )
     else:  # the flock walk, one sample per member
         rows, below, runs = _flock_runs(plan.lo, plan.hi)
         _check_rows(rows, plan)
-        xs = chain.from_iterable(map(mul, ws, ls) for _, ws, ls in runs)
+        xs = _members(runs)
         counts = count(below + 1)  # the i-th sample is the (below + i)-th member
     if plan.kind == "A-of-x":
         if wide(plan.hi.bit_length()):  # every x is at most hi, and A is below x

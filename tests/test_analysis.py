@@ -527,6 +527,27 @@ class TestTriProductGrid:
         with pytest.raises(ValueError):
             tri_product_grid(1)
 
+    # the table fills the kite by the parity rule, so test_parity_inside_kite
+    # and criterion 7 check it against itself there; these test every cell by
+    # the interval test alone
+    def test_every_cell_against_the_interval_test(self):
+        size = 300
+        grid = tri_product_grid(size)
+        for m in range(size + 1):
+            for n in range(size + 1):
+                product = triangular(max(m, 1)) * triangular(max(n, 1))
+                want = product > 0 and is_almost_square(product) is not None
+                assert grid[m][n] == want, (m, n)
+
+    @pytest.mark.parametrize("lo", [10**5, 10**12])
+    def test_wide_window_far_out_against_the_interval_test(self, lo):
+        out = io.StringIO()
+        assert emit_series(SamplingPlan("tri-grid", lo, lo + 39), out) == 40 * 40
+        for line in out.getvalue().splitlines()[1:]:
+            m, n, flag = map(int, line.split(","))
+            member = is_almost_square(triangular(m) * triangular(n)) is not None
+            assert flag == int(member), (m, n)
+
     @pytest.mark.parametrize("lo", [10**5, 10**40])
     def test_narrow_window_far_out(self, lo):
         # the table covers the plan's window only, not [1..hi]^2
@@ -605,7 +626,9 @@ class TestEmitSeries:
         SamplingPlan("A-of-x", 1, 10**40, step=10**30, max_rows=10),
         SamplingPlan("R-of-x", 1, 10**7, at_members=False),
         SamplingPlan("R-normalized", 1, 10**13),
-    ], ids=["tri-grid", "tri-grid-wide", "A-of-x", "A-of-x-step", "R-grid", "R-members"])
+        SamplingPlan("R-of-x", 10**40, 10**40 + 10**12, at_members=False, max_rows=10),
+    ], ids=["tri-grid", "tri-grid-wide", "A-of-x", "A-of-x-step", "R-grid", "R-members",
+            "R-grid-sparse"])
     def test_cap_checked_before_the_first_sample(self, monkeypatch, plan):
         # a refused plan builds no tri-grid table and takes no count or row:
         # each spy raises, so a sample drawn before the cap check fails here
@@ -807,6 +830,35 @@ class TestSharedRoots:
         assert _assert_a_column_is_count_le(lo, hi) == 0
         assert _assert_a_column_is_count_le(hi + 1, hi) == 0
 
+    # grid rows read A off the walk while [lo, last x] holds no more members
+    # than rows, and take count_le past that; either way A is count_le(x)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["A-of-x", "R-of-x"]),
+        st.one_of(
+            st.integers(1, 10**4),
+            st.integers(1, 10**40),
+            st.tuples(st.integers(2, 2 * 10**20), st.integers(0, 3), st.integers(-2, 1)).map(
+                lambda p: max(1, _member(p[0], min(p[1], _flock_extent(p[0]))) + p[2])
+            ),
+        ),
+        st.integers(1, 1000),
+        st.integers(0, 60),
+    )
+    @example("A-of-x", 10**6, 45, 46)  # 46 members in 46 rows: the walk
+    @example("R-of-x", 10**6, 45, 46)
+    @example("A-of-x", 10**6, 46, 45)  # 46 members in 45 rows: count_le
+    @example("R-of-x", 10**6, 46, 45)
+    @example("A-of-x", 1, 1, 60)
+    def test_a_column_on_a_grid(self, kind, lo, step, rows):
+        plan = SamplingPlan(kind, lo, lo + (rows - 1) * step, step=step, at_members=False)
+        out = io.StringIO()
+        assert emit_series(plan, out) == rows
+        lines = out.getvalue().splitlines()[1:]
+        samples = [tuple(map(int, line.split(",")[:2])) for line in lines]
+        assert [x for x, _ in samples] == list(range(plan.lo, plan.hi + 1, step))
+        assert [a for _, a in samples] == [count_le(x) for x, _ in samples], plan
+
     @staticmethod
     def _roots_per_row(monkeypatch, plan):
         calls = []
@@ -832,8 +884,15 @@ class TestSharedRoots:
         plan = SamplingPlan("R-of-x", _member(k, 40), _member(k, 0))
         assert self._roots_per_row(monkeypatch, plan) == [5] * 41
 
+    def test_five_roots_per_sparse_grid_row(self, monkeypatch):
+        # one member in 41 rows, all in one flock: A is read off the walk
+        v = _member(2 * 10**15 + 1, 1000)  # 2000 and 2002 from its neighbours
+        plan = SamplingPlan("R-normalized", v - 140, v + 140, step=7, at_members=False)
+        assert self._roots_per_row(monkeypatch, plan) == [5] * 41
+
     def test_five_plus_three_roots_per_grid_row(self, monkeypatch):
-        plan = SamplingPlan("R-normalized", 10**30, 10**30 + 280, step=7, at_members=False)
+        # 889 members in 41 rows: each row takes count_le's three roots for A
+        plan = SamplingPlan("R-normalized", 10**6, 10**6 + 40000, step=1000, at_members=False)
         assert self._roots_per_row(monkeypatch, plan) == [5 + 3] * 41
 
 
