@@ -18,6 +18,11 @@ new one each time.
 
 Wide int arguments and answers are parsed and rendered by the one
 decimal-I/O rule of ``_digits``.
+
+list and flock render each flock run of members as a whole: the run's
+semiperimeter and flock, both k, are rendered once into its row
+template, and its rows go out in chunks of at most about 64 KB, one
+write each.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from functools import cache
-from itertools import chain, islice, repeat, starmap
-from operator import mul
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache, partial
+from itertools import islice, starmap
 
 from ._digits import cell, parse_int, record_cells, wide
 
@@ -56,6 +60,11 @@ __all__ = ["build_parser", "main", "run_main"]
 
 _LIST_ROW_CAP = 10_000_000
 
+# list and flock write their rows in chunks of at most about this many bytes,
+# one write each; a fixed row count would hold about 15 MB per chunk of
+# 1024 rows of 5000-digit members
+_CHUNK_BYTES = 1 << 16
+
 # oracle-verify prints at most this many mismatching n after its summary
 _WITNESS_LINES = 5
 
@@ -73,31 +82,53 @@ def _record_cells(rec: AlmostSquareRecord) -> tuple[int | str, ...]:
     return record_cells(rec.rect.width, rec.rect.length)
 
 
-def _run_rows(k: int, widths: range, lengths: range) -> Iterator[tuple[int | str, ...]]:
-    """The cells of a run's members in _RECORD order, from its sides alone.
+def _run_chunks(runs: Iterable[tuple[int, range, range]], template: str) -> Iterator[str]:
+    """The rows of the runs' members, filled into template, in chunks of whole rows.
 
-    The path is chosen once per run, as every member's value is near k^2/4.
+    A run's semiperimeter and flock, both k, are rendered once and folded
+    into the run's row template, so each row formats its value, width and
+    length alone.  A chunk holds at most _CHUNK_BYTES // (2 * bits of k +
+    len(template)) of a run's rows, at least one: a row's digits are at
+    most six times k's, which is under 2 bits of k, so no chunk but a
+    single row passes _CHUNK_BYTES.  A run whose values pass
+    _digits._BIG_DIGITS renders through record_cells.
     """
-    if wide(2 * k.bit_length()):
-        return map(record_cells, widths, lengths)
-    return zip(map(mul, widths, lengths), widths, lengths, repeat(k), repeat(k))
+    a, b, c, tail = template.format(*["\0"] * 5).split("\0", 3)
+    for k, widths, lengths in runs:
+        bits = k.bit_length()
+        size = _CHUNK_BYTES // (2 * bits + len(template)) or 1
+        pairs = zip(widths, lengths)
+        if wide(2 * bits):  # every member's value is near k^2/4
+            for _ in range(0, len(widths), size):
+                cells = starmap(record_cells, islice(pairs, size))
+                yield "".join(starmap(template.format, cells))
+            continue
+        d = tail.replace("\0", str(k))
+        for _ in range(0, len(widths), size):
+            yield "".join([f"{a}{w * l}{b}{w}{c}{l}{d}" for w, l in islice(pairs, size)])
 
 
 def _emit(
     fmt: str,
     columns: tuple[str, ...],
-    rows: Iterable[tuple[object, ...]],
+    rows: Iterable[tuple[object, ...]] | Callable[[str], Iterable[str]],
     text: str,
     key: str | None = None,
 ) -> None:
     """Write rows (tuples in column order) to stdout in one of the three formats.
 
-    Every format fills one template with each row's cells by position.
+    Every format fills one row template with each row's cells by position.
     text uses the template ``text``.  csv writes the column names, then
     each row's cells joined by commas.  json quotes every cell, so ints
     render as decimal strings, except ``member``, a bare JSON bool that
     check passes as ``true`` or ``false``; with no ``key`` the single row
-    is a bare object, otherwise the rows are a list under ``key``.
+    is a bare object, otherwise the rows are a list under ``key``, each
+    after the first preceded by ", ".
+
+    ``rows`` may instead be a function that takes the row template, with
+    that separator before it, and yields chunks of rows so filled.  Each
+    chunk goes out in one write, the first without its separator and
+    after the head.
     """
     head, sep, tail = "", "", ""
     if fmt == "csv":
@@ -107,11 +138,11 @@ def _emit(
         cells = (f'"{c}": {{}}' if c == "member" else f'"{c}": "{{}}"' for c in columns)
         text = "{{" + ", ".join(cells) + "}}"
         head, sep, tail = (f'{{"{key}": [', ", ", "]}\n") if key else ("", "", "\n")
+    text = sep + text
+    chunks = iter(rows(text) if callable(rows) else starmap(text.format, rows))
     out = sys.stdout
-    rows = iter(rows)
-    out.write(head)
-    out.writelines(starmap(text.format, islice(rows, 1)))
-    out.writelines(starmap((sep + text).format, rows))
+    out.write(head + next(chunks, sep)[len(sep):])
+    out.writelines(chunks)
     out.write(tail)
 
 
@@ -157,12 +188,13 @@ def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
     """Write the members in [lo, hi], refused up front with ``refusal`` above the cap.
 
     The count and the rows come from one flock walk; ``refusal`` takes the
-    count as its one field.
+    count as its one field.  Each flock run's rows go out in chunks of at
+    most about _CHUNK_BYTES, one write each (_run_chunks), so memory holds
+    one chunk, not the window.
     """
     count, _, runs = _flock_runs(lo, hi)
     _require(count <= _LIST_ROW_CAP, refusal.format(count))
-    rows = chain.from_iterable(starmap(_run_rows, runs))
-    _emit(fmt, _RECORD, rows, _MEMBER_TEXT, key="members")
+    _emit(fmt, _RECORD, partial(_run_chunks, runs), _MEMBER_TEXT, key="members")
     return 0
 
 

@@ -516,20 +516,22 @@ class TestTriProductGrid:
                 assert grid[m][m + 2]
 
     def test_parity_inside_kite(self):
+        # the table fills the kite by this parity rule, so each cell is also
+        # tested on its product directly
         size = 30
         grid = tri_product_grid(size)
         for n in range(2, size + 1):
             for m in range(2, n):
                 if kite_region_contains(m, n):
-                    assert grid[m][n] == ((n - m) % 2 == 0), (m, n)
+                    member = is_almost_square(triangular(m) * triangular(n)) is not None
+                    assert grid[m][n] == member == ((n - m) % 2 == 0), (m, n)
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             tri_product_grid(1)
 
-    # the table fills the kite by the parity rule, so test_parity_inside_kite
-    # and criterion 7 check it against itself there; these test every cell by
-    # the interval test alone
+    # these test every cell, in the kite and out of it, by the interval test
+    # alone
     def test_every_cell_against_the_interval_test(self):
         size = 300
         grid = tri_product_grid(size)

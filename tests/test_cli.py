@@ -824,6 +824,92 @@ def test_flock_rows_match_flock_members_at_1e10(k):
     )
 
 
+class _Writes:
+    """A stdout that keeps each write, or, with keep=False, only their length."""
+
+    def __init__(self, keep=True):
+        self.writes = [] if keep else None
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        if self.writes is not None:
+            self.writes.append(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+
+_K = 25_000_000  # an even flock of 2501 members, more than a chunk of rows in any format
+_END = _K * _K // 4  # its end; its members are _END - o*o for o <= 2500
+_END_NEXT = (_K + 1) ** 2 // 4  # flock _K + 1's end; its members are _END_NEXT - o*(o + 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("big_digits", [None, 5], ids=["narrow", "wide"])
+@pytest.mark.parametrize("argv, lo, hi", [
+    (["flock", str(_K)], _END - 2500**2, _END),
+    # from between offsets 2000 and 1999 of flock _K to just below offset
+    # 1000 of flock _K + 1: 2000 and 1499 rows
+    (["list", str(_END - 2000**2 + 1), str(_END_NEXT - 1000 * 1001 - 1)],
+     _END - 2000**2 + 1, _END_NEXT - 1000 * 1001 - 1),
+    (["list", str(_END + 1), str(_END + 1000)], _END + 1, _END + 1000),
+], ids=["flock", "mid-run-window", "empty-window"])
+def test_rows_across_chunk_joins(monkeypatch, argv, lo, hi, big_digits, fmt):
+    # list and flock write each run's rows in chunks of whole rows; the bytes
+    # must be those of the records, joined as if written one row at a time
+    recs = enumerate_range(lo, hi)
+    rendered = []
+
+    def counted(*sides):
+        rendered.append(sides)
+        return _digits.record_cells(*sides)
+
+    if big_digits is not None:  # below the values' width: the record_cells path
+        monkeypatch.setattr(_digits, "_BIG_DIGITS", big_digits)
+        monkeypatch.setattr(cli, "record_cells", counted)
+    rows = [(r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k) for r in recs]
+    if fmt == "json":
+        members = [dict(zip(cli._RECORD, map(str, row))) for row in rows]
+        want = json.dumps({"members": members}) + "\n"
+    elif fmt == "csv":
+        want = "".join(",".join(map(str, row)) + "\n" for row in [cli._RECORD, *rows])
+    else:
+        want = "".join(f"{v} = {w} x {l}\n" for v, w, l, _, _ in rows)
+    sink = _Writes()
+    with contextlib.redirect_stdout(sink):
+        assert main([*argv, "--format", fmt]) == 0
+    # compared as a flag, as pytest's diff of two long strings takes minutes
+    same = "".join(sink.writes) == want
+    assert same, (argv, fmt)
+    assert len(rendered) == (len(recs) if big_digits else 0)
+    if recs:  # the head with the first chunk, at least one more, and the tail
+        assert len(recs) > 1000 and len(sink.writes) >= 3, len(sink.writes)
+
+
+@pytest.mark.usefixtures("no_int_digit_limit")
+def test_wide_rows_are_written_a_chunk_at_a_time():
+    # 3000 members of about 5000 digits, about 15 kB a row: one chunk of a
+    # fixed 1024 rows would hold about 15 MB, so rows per chunk follow the
+    # width of k.  The first main call in a process builds the cached parser,
+    # so one warm-up call comes before the peak is taken.
+    m = 10**2500
+    lo, hi = m * m - 2999**2, m * m  # m^2 - j^2 for j <= 2999, the end of flock 2m
+    with contextlib.redirect_stdout(_Writes(keep=False)):
+        main(["list", "1", "2"])
+    sink = _Writes(keep=False)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["list", str(lo), str(hi), "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 3000 * 15_000
+    assert peak < 1 << 20, peak
+
+
 # --------------------------------------------------------------------------
 # fuzzed argv
 # --------------------------------------------------------------------------
