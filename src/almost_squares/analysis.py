@@ -57,7 +57,7 @@ from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, TextIO
 
-from ._digits import cell, wide
+from ._bigint import cell, wide
 
 # the at-member series reads its samples straight from the flock runs, so
 # enumerate_range is not called here; the name stays imported because
@@ -442,7 +442,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     source states its row count once, before its first sample: that
     count is checked against max_rows, equals the rows written, and is
     returned.  A-of-x cells are rendered by the decimal-I/O rule of
-    _digits, chosen once per plan from hi's width, the first x from lo
+    _bigint, chosen once per plan from hi's width, the first x from lo
     itself, so digits that parse_int kept are written back; the bytes are
     those of str().
 

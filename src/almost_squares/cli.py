@@ -17,7 +17,7 @@ reuses it for every later call in the process; build_parser() returns a
 new one each time.
 
 Wide int arguments and answers are parsed and rendered by the one
-decimal-I/O rule of ``_digits``.
+decimal-I/O rule of ``_bigint``.
 
 list and flock render each flock run of members as a whole: the run's
 semiperimeter and flock, both k, are rendered once into its row
@@ -34,7 +34,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import islice, starmap
 
-from ._digits import cell, parse_int, record_cells, wide
+from ._bigint import cell, parse_int, record_cells, wide
 
 # list and flock write their rows straight from the flock runs, so nothing
 # here calls enumerate_range or flock_members.  Both names stay imported all
@@ -91,7 +91,7 @@ def _run_chunks(runs: Iterable[tuple[int, range, range]], template: str) -> Iter
     len(template)) of a run's rows, at least one: a row's digits are at
     most six times k's, which is under 2 bits of k, so no chunk but a
     single row passes _CHUNK_BYTES.  A run whose values pass
-    _digits._BIG_DIGITS renders through record_cells.
+    _bigint._BIG_DIGITS renders through record_cells.
     """
     a, b, c, tail = template.format(*["\0"] * 5).split("\0", 3)
     for k, widths, lengths in runs:

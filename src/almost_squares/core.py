@@ -61,6 +61,8 @@ from functools import total_ordering
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
+from . import _bigint
+
 __all__ = [
     "AlmostSquareRecord",
     "FlockId",
@@ -214,19 +216,21 @@ def _icbrt(n: int) -> int:
     is within 10^-8 of the real root r, so rounding gives floor(r) or
     floor(r) + 1.  Above it the root doubles its precision, the scheme
     math.isqrt uses for square roots: with s = bits // 6 - 1, the root
-    r0 of the top bits n >> 3s, taken recursively, gives the start
-    x = (r0 + 1) << s, which lies above the real root r by at most 2^s.
-    One full-width Newton step (2x + n // x^2) // 3 cannot fall below
-    floor(r), by AM-GM, and it overshoots the real root by less than
-    2^2s / r <= 2^(-5/3) < 1/3.  Either way a single decrement finishes
-    the floor root whenever one is needed at all.
+    r0 of the top bits n >> 3s, taken recursively, gives y = r0 + 1 and
+    the start x = y << s, which lies above the real root r by at most 2^s.
+    One Newton step (2x + n // x^2) // 3 cannot fall below floor(r), by
+    AM-GM, and it overshoots the real root by less than 2^2s / r <=
+    2^(-5/3) < 1/3.  Either way a single decrement finishes the floor root
+    whenever one is needed at all.  The step's quotient n // (y^2 << 2s)
+    is taken as (n >> 2s) // y^2, the same floor with half the divisor's
+    width, by ``_bigint.divmod``, subquadratic before Python 3.12 too.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >> 60:
         s = n.bit_length() // 6 - 1
-        x = (_icbrt(n >> 3 * s) + 1) << s
-        x = (2 * x + n // (x * x)) // 3
+        y = _icbrt(n >> 3 * s) + 1
+        x = ((2 * y << s) + _bigint.divmod(n >> 2 * s, y * y)[0]) // 3
     else:
         x = round(n ** (1 / 3))
     while x * x * x > n:
@@ -494,7 +498,9 @@ def nth(j: int) -> AlmostSquareRecord:
     One exact comparison, j > L_c(M), tells the two apart.  Then the first
     m whose count reaches j is ceil((j - _block_base(mu)) / (mu + 1)), one
     exact division, which is in block mu because j > before(mu) = L_mu of
-    the block's first m less one (and L_1(0) = -1 < j).  The division's
+    the block's first m less one (and L_1(0) = -1 < j).  At a wide j,
+    the cube root and this division are nth's cost, and both divide by
+    ``_bigint.divmod``, subquadratic before Python 3.12 too.  The division's
     remainder r gives the offset down from m^2, the count there less j, as
     mu - r: the member at that offset in flock 2m, whose extent is mu // 2,
     or past it in flock 2m - 1, as the two flocks hold the mu + 1 members
@@ -508,7 +514,7 @@ def nth(j: int) -> AlmostSquareRecord:
     mu, base = c, _block_base(c)
     if j <= last * (c + 1) + base:  # j <= before(c): in block c - 1
         mu, base = c - 1, base + last
-    m, r = divmod(j - base + mu, mu + 1)
+    m, r = _bigint.divmod(j - base + mu, mu + 1)
     k, offset = 2 * m, mu - r  # m^2 is the (j + offset)-th member
     extent = mu // 2  # flock 2m's, as isqrt(2m) = mu
     if offset > extent:  # past flock 2m, so in flock 2m - 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import _digits, analysis, cli, core
+from almost_squares import _bigint, analysis, cli, core
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
@@ -431,21 +431,21 @@ def _assert_same_as_int_str_path(monkeypatch, argv):
     for fmt in ("text", "json", "csv"):
         fast = _main_bytes([*argv, "--format", fmt])
         with monkeypatch.context() as m:
-            m.setattr(_digits, "_BIG_DIGITS", 10**9)  # above every input: int() and str()
+            m.setattr(_bigint, "_BIG_DIGITS", 10**9)  # above every input: int() and str()
             assert _main_bytes([*argv, "--format", fmt]) == fast, (argv[0], fmt)
 
 
 @pytest.mark.usefixtures("no_int_digit_limit")
 class TestWideDecimalIO:
-    """Past _digits._BIG_DIGITS digits, parsing and rendering go through _digits."""
+    """Past _bigint._BIG_DIGITS digits, parsing and rendering go through _bigint."""
 
     @pytest.mark.parametrize("verb, digits, member, prefix", [
         ("check", 10_000, True, ""),
         ("check", 40_000, False, ""),
         ("check", 17_000, False, "000"),
         ("check", 12_000, True, "0"),
-        ("check", 5, False, "0" * _digits._BIG_DIGITS),
-        ("check", 5, True, "0" * _digits._BIG_DIGITS),
+        ("check", 5, False, "0" * _bigint._BIG_DIGITS),
+        ("check", 5, True, "0" * _bigint._BIG_DIGITS),
         ("count", 40_000, True, ""),
         ("count", 25_000, False, ""),
         ("count", 12_000, False, "-"),
@@ -476,17 +476,17 @@ class TestWideDecimalIO:
         if member:
             n = floor_almost_square(n).value
         widths = []
-        to_decimal = _digits.to_decimal
+        to_decimal = _bigint.to_decimal
         monkeypatch.setattr(
-            _digits, "to_decimal", lambda m: widths.append(m.bit_length()) or to_decimal(m)
+            _bigint, "to_decimal", lambda m: widths.append(m.bit_length()) or to_decimal(m)
         )
 
         class NoProduct(decimal.Context):
             def multiply(self, a, b):
                 raise AssertionError("a value was multiplied out")
 
-        exact = _digits.EXACT
-        monkeypatch.setattr(_digits, "EXACT", NoProduct(
+        exact = _bigint.EXACT
+        monkeypatch.setattr(_bigint, "EXACT", NoProduct(
             prec=exact.prec, Emax=exact.Emax, Emin=exact.Emin, traps=[decimal.Inexact]
         ))
         code, out, _ = _main_bytes([verb, "00" + str(n), "--format", "csv"])
@@ -498,11 +498,11 @@ class TestWideDecimalIO:
         n = random.Random(11).randrange(10**9_999, 10**10_000)
         text = template.format(n)
         parsed = []
-        int_from_digits = _digits.int_from_digits
+        int_from_digits = _bigint.int_from_digits
         monkeypatch.setattr(
-            _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
+            _bigint, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
         )
-        assert _digits.parse_int(text) == int(text)
+        assert _bigint.parse_int(text) == int(text)
         assert [s.lstrip("0") for s in parsed] == [str(n)]
 
     @pytest.mark.parametrize("verb", ["check", "count"])
@@ -523,20 +523,20 @@ class TestWideDecimalIO:
         n = random.Random(17).randrange(10**9_999, 10**10_000)
         text = template.format(n)
         parsed = []
-        int_from_digits = _digits.int_from_digits
+        int_from_digits = _bigint.int_from_digits
         monkeypatch.setattr(
-            _digits, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
+            _bigint, "int_from_digits", lambda s: parsed.append(s) or int_from_digits(s)
         )
-        assert _digits.parse_int(text) == int(text)
+        assert _bigint.parse_int(text) == int(text)
         assert parsed == [text.strip().lstrip("+-").replace("_", "")]
 
     @pytest.mark.parametrize("template", ["1__{}", "_{}", "{}_", "+_{}", "+{}__1"])
     @pytest.mark.parametrize("digits", [3, 10_000], ids=["short", "long"])
     def test_misplaced_underscores_refused(self, monkeypatch, capsys, template, digits):
         text = template.format("7" * digits)
-        monkeypatch.setattr(_digits, "int_from_digits", None)  # never reached
+        monkeypatch.setattr(_bigint, "int_from_digits", None)  # never reached
         with pytest.raises(ValueError):
-            _digits.parse_int(text)
+            _bigint.parse_int(text)
         with pytest.raises(SystemExit) as exc:
             main(["count", text])
         assert exc.value.code == 2
@@ -566,7 +566,7 @@ class TestWideDecimalIO:
         def no_render(n):
             raise AssertionError("to_decimal called")
 
-        monkeypatch.setattr(_digits, "to_decimal", no_render)
+        monkeypatch.setattr(_bigint, "to_decimal", no_render)
         for fmt in ("text", "json", "csv"):
             assert _main_bytes(["count", text, "--format", fmt]) == want, fmt
 
@@ -590,16 +590,16 @@ class TestWideDecimalIO:
         fast = _main_bytes(argv)
         assert fast[0] == 0 and len(fast[1].splitlines()) == (hi - lo) // step + 2
         with monkeypatch.context() as m:
-            m.setattr(_digits, "_BIG_DIGITS", 10**9)  # above every input: str()
+            m.setattr(_bigint, "_BIG_DIGITS", 10**9)  # above every input: str()
             assert _main_bytes(argv) == fast
 
     def test_a_of_x_renders_wide_cells_by_to_decimal(self, monkeypatch):
         # every cell but the first x, which is --lo and written back from the
         # digits parse_int kept
         rendered = []
-        to_decimal = _digits.to_decimal
+        to_decimal = _bigint.to_decimal
         monkeypatch.setattr(
-            _digits, "to_decimal", lambda m: rendered.append(m) or to_decimal(m)
+            _bigint, "to_decimal", lambda m: rendered.append(m) or to_decimal(m)
         )
         argv = ["analyze", "--plan", "A-of-x", "--lo", str(self._D), "--hi",
                 str(self._D + 60), "--step", "7"]
@@ -620,7 +620,7 @@ class TestWideDecimalIO:
             raise AssertionError("wide-cell rendering reached")
 
         monkeypatch.setattr(analysis, "cell", no_render)
-        monkeypatch.setattr(_digits, "to_decimal", no_render)
+        monkeypatch.setattr(_bigint, "to_decimal", no_render)
         code, out, _ = _main_bytes(["analyze", *argv])
         assert code == 0 and out.count("\n") > 100
 
@@ -638,9 +638,9 @@ class TestParser:
         assert "argument n: invalid int value: '12abc'" in capsys.readouterr().err
 
     # int() also takes whitespace, '_', a sign and non-ASCII digits, short
-    # or past the threshold where plain digits go to _digits
+    # or past the threshold where plain digits go to _bigint
     @pytest.mark.parametrize(
-        "digits", ["182", "1" + "0" * _digits._BIG_DIGITS], ids=["short", "long"]
+        "digits", ["182", "1" + "0" * _bigint._BIG_DIGITS], ids=["short", "long"]
     )
     @pytest.mark.parametrize("spell", [
         lambda d: " " + d,
@@ -864,10 +864,10 @@ def test_rows_across_chunk_joins(monkeypatch, argv, lo, hi, big_digits, fmt):
 
     def counted(*sides):
         rendered.append(sides)
-        return _digits.record_cells(*sides)
+        return _bigint.record_cells(*sides)
 
     if big_digits is not None:  # below the values' width: the record_cells path
-        monkeypatch.setattr(_digits, "_BIG_DIGITS", big_digits)
+        monkeypatch.setattr(_bigint, "_BIG_DIGITS", big_digits)
         monkeypatch.setattr(cli, "record_cells", counted)
     rows = [(r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k) for r in recs]
     if fmt == "json":

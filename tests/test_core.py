@@ -71,6 +71,29 @@ class TestIcbrt:
         assert _icbrt(2**60) == 2**20
         assert _icbrt(2**60 + 1) == 2**20
 
+    def test_cube_neighbours_across_the_threshold(self):
+        # r^3 - 1, r^3 and r^3 + 1 for roots r on both sides of 2^20, where n
+        # crosses 2^60 and the Newton step on the shifted n takes over
+        rng = random.Random(17)
+        roots = [*range((1 << 20) - 64, (1 << 20) + 64)]
+        roots += [rng.randrange(2, 1 << 40) for _ in range(500)]
+        for r in roots:
+            for n in (r**3 - 1, r**3, r**3 + 1):
+                x = _icbrt(n)
+                assert x**3 <= n < (x + 1) ** 3
+
+    def test_wide_random_n(self):
+        # n of 10^3 to 10^5 digits, and the cubes about them: the step divides
+        # by _bigint.divmod, Burnikel-Ziegler on wide operands before 3.12
+        rng = random.Random(18)
+        for digits in (1000, 3000, 10_000, 31_000, 100_000):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            x = _icbrt(n)
+            assert x**3 <= n < (x + 1) ** 3
+            for m in (x**3 - 1, x**3, x**3 + 1):
+                y = _icbrt(m)
+                assert y**3 <= m < (y + 1) ** 3
+
     def test_hundred_digit_cube(self):
         k = 10**100
         assert _icbrt(k**3 - 1) == k - 1
