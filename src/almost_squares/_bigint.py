@@ -67,7 +67,7 @@ result it cannot hold exactly raises ``decimal.Inexact``.  Sums and
 products of the Decimals that ``to_decimal`` returns, taken through its
 methods, are exact integers whose ``str`` is their decimal digits.
 
-The division backport serves Python 3.10 and 3.11 alone: once the
+The division backport serves Python 3.11 alone: once the
 package requires 3.12, the block below the "division before 3.12" line,
 _DIV_BITS and _DIV_LIMIT can go, and ``divmod`` becomes the builtin
 everywhere; no output byte changes.
@@ -131,7 +131,9 @@ def to_decimal(n: int) -> decimal.Decimal:
     quotient and remainder by 10^(d//2), one ``divmod``, are its high
     d - d//2 and low d//2 digits, split the same way down to _LEAF_DIGITS
     digits, which str() renders, padded with zeros to the count asked for.
-    Each Decimal 2**w and each 10**k is computed once per call.
+    Each Decimal 2**w and each 10**k is computed once per call, and above
+    _LEAF_BITS bits 2**w by one squaring of the 2**(w // 2) that the level
+    below takes.
     """
     pow2: dict[int, decimal.Decimal] = {}
     pow10: dict[int, int] = {}
@@ -147,16 +149,23 @@ def to_decimal(n: int) -> decimal.Decimal:
         hi, lo = divmod(m, p)
         return digits(hi, d - k) + digits(lo, k)
 
+    def power2(w: int) -> decimal.Decimal:
+        # 2**w; above _LEAF_BITS bits the square of 2**(w // 2), which the
+        # low half's split takes too, doubled for an odd w
+        if w not in pow2 and w <= _LEAF_BITS:
+            pow2[w] = EXACT.power(2, w)
+        elif w not in pow2:
+            h = EXACT.power(power2(w // 2), 2)
+            pow2[w] = EXACT.add(h, h) if w % 2 else h
+        return pow2[w]
+
     def convert(m: int, bits: int) -> decimal.Decimal:
         if bits <= _LEAF_BITS:
             d = int(bits * 0.30103) + 1  # 0.30103 > log10(2), so 10**d > 2**bits > |m|
             return decimal.Decimal("-" + digits(-m, d) if m < 0 else digits(m, d))
         w = bits // 2
         hi = m >> w
-        p = pow2.get(w)
-        if p is None:
-            p = pow2[w] = EXACT.power(2, w)
-        return EXACT.fma(convert(hi, bits - w), p, convert(m - (hi << w), w))
+        return EXACT.fma(convert(hi, bits - w), power2(w), convert(m - (hi << w), w))
 
     return convert(n, n.bit_length())
 

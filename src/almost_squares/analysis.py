@@ -50,7 +50,6 @@ most about 0.943 * 2^1023 = 8.5e307.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import isqrt
@@ -319,34 +318,38 @@ def _tested(a: int, tris: list[int]) -> list[bool]:
     return [(p := a * b) > 0 and is_almost_square(p) is not None for b in tris]
 
 
-def _tri_table(span: range) -> list[list[bool]]:
-    """Cell [i][j] says whether t_a * t_b is an almost-square, a = span[i], b = span[j].
+def _tri_table(span: range) -> Iterator[list[bool]]:
+    """Rows of cells [i][j], whether t_a * t_b is an almost-square, a = span[i], b = span[j].
 
-    t_i = i(i-1)/2.  The table is symmetric, so only the upper triangle is
-    built, and the lower is its transpose.  Strictly inside the kite
-    region a cell is the parity of n - m, as the paper proves, so those
-    cells are filled by it; every other cell (the diagonal, the band
-    n = m + 1, and outside the kite) is tested.  Row m's kite cells are
-    one run of columns from n = m + 2: for n >= m + 2 the region is
-    (3n - m - 1)^2 < 8n(n - 1), a quadratic in n that is positive from
-    there up to its larger root, so the run's end is found by bisection.
-    Products that are not positive come out False.
+    t_i = i(i-1)/2.  Strictly inside the kite region a cell is the parity
+    of n - m, as the paper proves, so those cells are filled by it; every
+    other cell (the diagonal, the bands n = m +- 1, and outside the kite)
+    is tested.  For n >= m + 2 the region is (3n - m - 1)^2 < 8n(n - 1),
+    that is n^2 - 2(3m - 1)n + (m + 1)^2 < 0, or (n - 3m + 1)^2 <
+    8m(m - 1); for n <= m - 2 it holds the mirror cell (n, m), inside when
+    (3m - n - 1)^2 < 8m(m - 1), the same condition.  In integers it is
+    |n - 3m + 1| <= s = isqrt(8m(m - 1) - 1), so for m >= 2 row m's kite
+    cells are the columns L = 3m - 1 - s to m - 2 and m + 2 to U =
+    3m - 1 + s (as s >= 2m - 3, L <= m + 2), and for m < 2 there are
+    none.  Each row's tested cells right of its kite, from U + 1, are kept
+    as bytes: the cells left of a later row's kite, below its L, are
+    their mirrors, read from there and not tested again.  Products that
+    are not positive come out False.
     """
+    lo, hi = span.start, span.stop - 1
     tri = [i * (i - 1) // 2 for i in span]
-    upper = []
+    alt = [False, True] * (len(span) // 2 + 1)
+    # each row's tested cells right of its kite, and the index of the first
+    tails: list[tuple[int, bytes]] = []
     for i, (m, a) in enumerate(zip(span, tri)):
-        near = min(i + 2, len(tri))
-        kite = bisect(
-            range(near, len(tri)), False, key=lambda j: not kite_region_contains(m, span[j])
-        )
-        upper.append(
-            [False] * i
-            + _tested(a, tri[i:near])
-            + [(j - i) % 2 == 0 for j in range(near, near + kite)]
-            + _tested(a, tri[near + kite:])
-        )
-    lower = list(zip(*upper))
-    return [[*lower[i][:i], *row[i:]] for i, row in enumerate(upper)]
+        s = isqrt(max(8 * m * (m - 1) - 1, 0))
+        up = max(3 * m - 1 + s, m + 1)
+        left = max(min(3 * m - 1 - s, m - 1) - lo, 0)  # the columns read from the tails
+        below, above = max(i - 1 - left, 0), max(min(up, hi) - m - 1, 0)  # the kite's two runs
+        tail = _tested(a, tri[up + 1 - lo:])
+        tails.append((up + 1 - lo, bytes(tail)))
+        row = [t[i - first] == 1 for first, t in tails[:left]] + alt[below % 2:below % 2 + below]
+        yield row + _tested(a, tri[max(i - 1, 0):i + 2]) + alt[1:1 + above] + tail
 
 
 def tri_product_grid(m_max: int) -> list[list[bool]]:
@@ -360,7 +363,7 @@ def tri_product_grid(m_max: int) -> list[list[bool]]:
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    return _tri_table(range(m_max + 1))
+    return list(_tri_table(range(m_max + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -467,9 +470,7 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     if plan.kind in ("R-of-x", "R-normalized"):
         _require_r_range("hi", plan.hi)
 
-    # each source checks its row count before the first sample is drawn: a
-    # generator expression builds its outermost iterable, the whole table for
-    # tri-grid, when it is created
+    # each source checks its row count before the first sample is drawn
     if plan.kind == "tri-grid":
         span = range(max(plan.lo, 1), plan.hi + 1)
         rows = max(0, plan.hi - span.start + 1) ** 2  # len() overflows past 2**63

@@ -373,8 +373,7 @@ _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # answers legitimately run to thousands of digits
+    sys.set_int_max_str_digits(0)  # answers legitimately run to thousands of digits
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

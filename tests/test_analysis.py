@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
@@ -564,6 +565,51 @@ class TestTriProductGrid:
             assert lo <= m <= lo + 3 and lo <= n <= lo + 3
             member = is_almost_square(triangular(m) * triangular(n)) is not None
             assert flag == int(member), (m, n)
+
+
+def _kite_ends(m):
+    # row m's kite columns are L..m-2 and m+2..U, by _tri_table's closed form
+    s = math.isqrt(8 * m * (m - 1) - 1)
+    return 3 * m - 1 - s, 3 * m - 1 + s
+
+
+class TestTriTableRows:
+    def test_closed_form_against_the_region_for_every_small_m(self):
+        # every n: below m the kite holds (n, m), from m on (m, n); past
+        # 6m - 2 the region's quadratic in n is positive, so 6m bounds the scan
+        for m in range(1500):
+            low, up = _kite_ends(m) if m >= 2 else (m - 1, m + 1)
+            below = list(map(kite_region_contains, range(m), itertools.repeat(m)))
+            above = list(map(kite_region_contains, itertools.repeat(m), range(m, 6 * m + 2)))
+            assert below == [low <= n <= m - 2 for n in range(m)], m
+            assert above == [m + 2 <= n <= up for n in range(m, 6 * m + 2)], m
+
+    @pytest.mark.parametrize("e", [5, 12, 40, 300])
+    def test_closed_form_at_the_boundary_far_out(self, e):
+        for m in range(10**e - 2, 10**e + 3):
+            low, up = _kite_ends(m)
+            assert kite_region_contains(m, up) and not kite_region_contains(m, up + 1), m
+            assert kite_region_contains(low, m) and not kite_region_contains(low - 1, m), m
+
+    # windows off 0 where L(m) falls inside, so the cells left of a row's
+    # kite are read from earlier rows' tails at an offset
+    @pytest.mark.parametrize("lo, hi", [(37, 400), (13, 150)])
+    def test_window_off_zero_against_the_interval_test(self, lo, hi):
+        assert _kite_ends(hi)[0] > lo
+        out = io.StringIO()
+        assert emit_series(SamplingPlan("tri-grid", lo, hi), out) == (hi - lo + 1) ** 2
+        lines = out.getvalue().splitlines()[1:]
+        tri = {m: triangular(m) for m in range(lo, hi + 1)}
+        for i, line in enumerate(lines):
+            m, n, flag = map(int, line.split(","))
+            assert (m, n) == (lo + i // (hi - lo + 1), lo + i % (hi - lo + 1))
+            assert flag == (is_almost_square(tri[m] * tri[n]) is not None), (m, n)
+
+    def test_grid_is_a_list_of_lists_of_bool(self):
+        grid = tri_product_grid(40)
+        assert type(grid) is list and len(grid) == 41
+        assert all(type(row) is list and len(row) == 41 for row in grid)
+        assert {type(cell) for row in grid for cell in row} == {bool}
 
 
 class TestEmitSeries:

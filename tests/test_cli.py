@@ -910,6 +910,39 @@ def test_wide_rows_are_written_a_chunk_at_a_time():
     assert peak < 1 << 20, peak
 
 
+_WIDE = "1" + "0" * 7000  # A-of-x cells past _bigint's 6000 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["list", "1000000", "1450000", "--format", "json"],
+    ["flock", "10000000000", "--format", "csv"],
+    ["pioneers", "5000", "--format", "json"],
+    ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "20000"],  # the flock walk
+    ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "20000"],  # a grid with A off the walk
+    ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "100000000", "--step", "20000"],  # count_le
+    ["analyze", "--plan", "A-of-x", "--lo", _WIDE, "--hi", _WIDE[:-3] + "200"],
+    ["trigrid", "500", "--max-rows", "250000"],
+], ids=["list", "flock", "pioneers", "analyze-walk", "analyze-grid-walk", "analyze-grid-count",
+        "analyze-wide", "trigrid"])
+def test_every_streaming_verb_holds_under_a_quarter_of_its_output(argv):
+    # a verb that streams holds a chunk of rows at most, so into a sink that
+    # keeps only a length its peak stays a fraction of the bytes it writes;
+    # one that held its rows, as text or as records, would pass them.  The
+    # warm-up builds the cached parser and imports analysis first.
+    with contextlib.redirect_stdout(_Writes(keep=False)):
+        main(["trigrid", "2"])
+    sink = _Writes(keep=False)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.size // 4, (peak, sink.size)
+
+
 # --------------------------------------------------------------------------
 # fuzzed argv
 # --------------------------------------------------------------------------
