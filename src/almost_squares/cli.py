@@ -10,11 +10,12 @@ Exit codes: 0 success, 2 argument parse or validation error, 1 internal
 consistency failure, 141 when the reader closes stdout early (as
 ``| head`` does), with nothing on stderr.
 
-The seven verbs that take only int arguments and --format (check,
-floor, count, nth, list, flock, pioneers) are built from one table,
-_FORMAT_VERBS.  main builds its argument parser on its first call and
-reuses it for every later call in the process; build_parser() returns a
-new one each time.
+Every verb is one row of one table, _VERBS: its name, its help, its
+handler and its arguments with their add_argument keywords; --format and
+--max-rows are each declared once and shared by the rows that take them.
+build_parser() builds the parser by one loop over the table and returns
+a new one on each call; main builds its parser on its first call and
+reuses it for every later call in the process.
 
 Wide int arguments and answers are parsed and rendered by the one
 decimal-I/O rule of ``_bigint``.
@@ -291,19 +292,42 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-# the verbs whose only options are int arguments and --format, one row each:
-# (verb, help, handler, ((int argument, its help or None), ...))
-_FORMAT_VERBS = (
+def _int(**keywords: object) -> dict[str, object]:
+    return {"type": parse_int, **keywords}
+
+
+_FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text",
+                        "help": "output format (default text)"})
+_MAX_ROWS = ("--max-rows", _int(default=1_000_000))
+
+# every verb, one row each, in the order of the help screen:
+# (verb, help, handler, ((argument, add_argument keywords), ...))
+_VERBS = (
     ("check", "test membership and report the rectangle", cmd_check,
-     (("n", "integer to test"),)),
-    ("floor", "largest almost-square not exceeding n", cmd_floor, (("n", None),)),
-    ("count", "number of almost-squares not exceeding n", cmd_count, (("n", None),)),
+     (("n", _int(help="integer to test")), _FORMAT)),
+    ("floor", "largest almost-square not exceeding n", cmd_floor, (("n", _int()), _FORMAT)),
+    ("count", "number of almost-squares not exceeding n", cmd_count, (("n", _int()), _FORMAT)),
     ("nth", "the j-th almost-square in increasing order", cmd_nth,
-     (("index", "1-based rank"),)),
-    ("list", "all almost-squares in [lo, hi]", cmd_list, (("lo", None), ("hi", None))),
-    ("flock", "members of the flock with semiperimeter k", cmd_flock, (("k", None),)),
+     (("index", _int(help="1-based rank")), _FORMAT)),
+    ("list", "all almost-squares in [lo, hi]", cmd_list,
+     (("lo", _int()), ("hi", _int()), _FORMAT)),
+    ("flock", "members of the flock with semiperimeter k", cmd_flock, (("k", _int()), _FORMAT)),
     ("pioneers", "the first J flock-lengthening members", cmd_pioneers,
-     (("count", "how many pioneers to print"),)),
+     (("count", _int(help="how many pioneers to print")), _FORMAT)),
+    ("analyze", "stream a counting/remainder series as CSV", cmd_analyze, (
+        ("--plan", {"required": True, "choices": ("A-of-x", "R-of-x", "R-normalized"),
+                    "help": "which series to emit"}),
+        ("--lo", _int(required=True)),
+        ("--hi", _int(required=True)),
+        ("--step", _int(default=1, help="grid step (default 1)")),
+        ("--grid", {"action": "store_true",
+                    "help": "sample a fixed-step grid instead of the member values"}),
+        _MAX_ROWS,
+    )),
+    ("trigrid", "stream the triangular-product membership table as CSV", cmd_trigrid,
+     (("size", _int(nargs="?", default=60)), _MAX_ROWS)),
+    ("oracle-verify", "compare fast membership and counts against the brute-force scan",
+     cmd_oracle_verify, (("--limit", _int(default=DEFAULT_SCAN_CAP)),)),
 )
 
 
@@ -317,51 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for verb, verb_help, func, ints in _FORMAT_VERBS:
+    for verb, verb_help, func, arguments in _VERBS:
         sp = sub.add_parser(verb, help=verb_help)
-        for name, arg_help in ints:
-            sp.add_argument(name, type=parse_int, help=arg_help)
-        sp.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default="text",
-            help="output format (default text)",
-        )
+        for name, keywords in arguments:
+            sp.add_argument(name, **keywords)
         sp.set_defaults(func=func)
-
-    sp = sub.add_parser("analyze", help="stream a counting/remainder series as CSV")
-    sp.add_argument(
-        "--plan",
-        required=True,
-        choices=("A-of-x", "R-of-x", "R-normalized"),
-        help="which series to emit",
-    )
-    sp.add_argument("--lo", type=parse_int, required=True)
-    sp.add_argument("--hi", type=parse_int, required=True)
-    sp.add_argument("--step", type=parse_int, default=1, help="grid step (default 1)")
-    sp.add_argument(
-        "--grid",
-        action="store_true",
-        help="sample a fixed-step grid instead of the member values",
-    )
-    sp.add_argument("--max-rows", type=parse_int, default=1_000_000)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser(
-        "trigrid", help="stream the triangular-product membership table as CSV"
-    )
-    sp.add_argument("size", type=parse_int, nargs="?", default=60)
-    sp.add_argument("--max-rows", type=parse_int, default=1_000_000)
-    sp.set_defaults(func=cmd_trigrid)
-
-    sp = sub.add_parser(
-        "oracle-verify",
-        help="compare fast membership and counts against the brute-force scan",
-    )
-    sp.add_argument("--limit", type=parse_int, default=DEFAULT_SCAN_CAP)
-    sp.set_defaults(func=cmd_oracle_verify)
-
     return parser
 
 
