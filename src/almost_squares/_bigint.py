@@ -31,7 +31,10 @@ divide-and-conquer conversions of Brent and Zimmermann, section 1.7:
 each splits its input in halves and recombines them with one big
 multiplication, or splits it by one big division.  Both are exact for
 every input, so they can serve any size; below a few thousand digits
-the built-in ``int`` and ``str`` are faster.  ``to_decimal`` splits by
+the built-in ``int`` and ``str`` are faster.  Each is a plain recursive
+function that passes its call's power dicts down as arguments, so a
+conversion leaves no reference cycle: its powers are freed when it
+returns, not when the cyclic collector next runs.  ``to_decimal`` splits by
 Decimal arithmetic above _LEAF_BITS (32768) bits and by ``divmod`` by
 powers of ten below, as 3.13's ``int_to_decimal_string`` does.  Against
 Decimal splits down to 2048 bits it rendered 6000 to 3*10^5 digits
@@ -52,7 +55,9 @@ _BIG_DIGITS stays.  At 10^5 digits on 3.11.7 the conversions here parse
 3.4x and render 6.1x as fast as int() and str() (14.5 against 48.6 ms,
 25.1 against 154 ms); on 3.12.1 they cost what the builtins do (15.7
 against 15.1 ms, 25.3 against 26.0 ms).  The CLI and the A-of-x series
-both write through this rule.
+both write through this rule; a wide A-of-x grid renders its first x
+by it and each later x as the one before plus the step, one exact add
+in EXACT, so its x cells cost time linear in their digits.
 
 ``parse_int`` reads an argument as int() does.  One of ASCII digits,
 bare, padded with whitespace, with one sign or with single underscores
@@ -106,19 +111,18 @@ def int_from_digits(s: str) -> int:
     The high half's value times 10^k, for the k digits of the low half, is
     formed as ``(hi * 5**k) << k``; each 5**k is computed once per call.
     """
-    pow5: dict[int, int] = {}
+    return _from_digits(s, 0, len(s), {})
 
-    def convert(a: int, b: int) -> int:
-        if b - a <= _LEAF_DIGITS:
-            return int(s[a:b])
-        k = (b - a) // 2
-        mid = b - k
-        p = pow5.get(k)
-        if p is None:
-            p = pow5[k] = 5**k
-        return ((convert(a, mid) * p) << k) + convert(mid, b)
 
-    return convert(0, len(s))
+def _from_digits(s: str, a: int, b: int, pow5: dict[int, int]) -> int:
+    # int(s[a:b]), with pow5[k] = 5**k for each split's k low digits
+    if b - a <= _LEAF_DIGITS:
+        return int(s[a:b])
+    k = (b - a) // 2
+    mid = b - k
+    if k not in pow5:
+        pow5[k] = 5**k
+    return ((_from_digits(s, a, mid, pow5) * pow5[k]) << k) + _from_digits(s, mid, b, pow5)
 
 
 def to_decimal(n: int) -> decimal.Decimal:
@@ -135,39 +139,42 @@ def to_decimal(n: int) -> decimal.Decimal:
     _LEAF_BITS bits 2**w by one squaring of the 2**(w // 2) that the level
     below takes.
     """
-    pow2: dict[int, decimal.Decimal] = {}
-    pow10: dict[int, int] = {}
+    return _to_decimal(n, n.bit_length(), {}, {})
 
-    def digits(m: int, d: int) -> str:
-        # the d digits of 0 <= m < 10**d, leading zeros included
-        if d <= _LEAF_DIGITS:
-            return str(m).zfill(d)
-        k = d // 2
-        p = pow10.get(k)
-        if p is None:
-            p = pow10[k] = 5**k << k
-        hi, lo = divmod(m, p)
-        return digits(hi, d - k) + digits(lo, k)
 
-    def power2(w: int) -> decimal.Decimal:
-        # 2**w; above _LEAF_BITS bits the square of 2**(w // 2), which the
-        # low half's split takes too, doubled for an odd w
-        if w not in pow2 and w <= _LEAF_BITS:
-            pow2[w] = EXACT.power(2, w)
-        elif w not in pow2:
-            h = EXACT.power(power2(w // 2), 2)
-            pow2[w] = EXACT.add(h, h) if w % 2 else h
-        return pow2[w]
+def _to_decimal(
+    m: int, bits: int, pow2: dict[int, decimal.Decimal], pow10: dict[int, int]
+) -> decimal.Decimal:
+    # m of at most this many bits, with pow2[w] = 2**w and pow10[k] = 10**k
+    if bits <= _LEAF_BITS:
+        d = int(bits * 0.30103) + 1  # 0.30103 > log10(2), so 10**d > 2**bits > |m|
+        return decimal.Decimal("-" + _digits(-m, d, pow10) if m < 0 else _digits(m, d, pow10))
+    w = bits // 2
+    hi = m >> w
+    lo = _to_decimal(m - (hi << w), w, pow2, pow10)
+    return EXACT.fma(_to_decimal(hi, bits - w, pow2, pow10), _power2(w, pow2), lo)
 
-    def convert(m: int, bits: int) -> decimal.Decimal:
-        if bits <= _LEAF_BITS:
-            d = int(bits * 0.30103) + 1  # 0.30103 > log10(2), so 10**d > 2**bits > |m|
-            return decimal.Decimal("-" + digits(-m, d) if m < 0 else digits(m, d))
-        w = bits // 2
-        hi = m >> w
-        return EXACT.fma(convert(hi, bits - w), power2(w), convert(m - (hi << w), w))
 
-    return convert(n, n.bit_length())
+def _digits(m: int, d: int, pow10: dict[int, int]) -> str:
+    # the d digits of 0 <= m < 10**d, leading zeros included
+    if d <= _LEAF_DIGITS:
+        return str(m).zfill(d)
+    k = d // 2
+    if k not in pow10:
+        pow10[k] = 5**k << k
+    hi, lo = divmod(m, pow10[k])
+    return _digits(hi, d - k, pow10) + _digits(lo, k, pow10)
+
+
+def _power2(w: int, pow2: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    # 2**w; above _LEAF_BITS bits the square of 2**(w // 2), which the low
+    # half's split takes too, doubled for an odd w
+    if w not in pow2 and w <= _LEAF_BITS:
+        pow2[w] = EXACT.power(2, w)
+    elif w not in pow2:
+        h = EXACT.power(_power2(w // 2, pow2), 2)
+        pow2[w] = EXACT.add(h, h) if w % 2 else h
+    return pow2[w]
 
 
 def wide(bits: int) -> bool:

@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from decimal import Decimal
+from itertools import accumulate, chain, count, repeat
 from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, TextIO
 
-from ._bigint import cell, wide
+from ._bigint import EXACT, cell, wide
 
 # the at-member series reads its samples straight from the flock runs, so
 # enumerate_range is not called here; the name stays imported because
@@ -446,8 +447,10 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
     count is checked against max_rows, equals the rows written, and is
     returned.  A-of-x cells are rendered by the decimal-I/O rule of
     _bigint, chosen once per plan from hi's width, the first x from lo
-    itself, so digits that parse_int kept are written back; the bytes are
-    those of str().
+    itself, so digits that parse_int kept are written back.  Past that
+    width each later x is the one before plus the step, one exact Decimal
+    add with the step converted once, so an x cell costs time linear in
+    its digits; the bytes are those of str().
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
@@ -501,8 +504,10 @@ def emit_series(plan: SamplingPlan, out: TextIO) -> int:
         counts = count(below + 1)  # the i-th sample is the (below + i)-th member
     if plan.kind == "A-of-x":
         if wide(plan.hi.bit_length()):  # every x is at most hi, and A is below x
-            # range() drops the digits parse_int kept for lo, so lo is the first x
-            xs, counts = map(cell, chain(xs[:1] and (plan.lo,), xs[1:])), map(cell, counts)
+            # each x after lo's cell by one exact add of the step, converted once
+            step, first = Decimal(cell(plan.step)), Decimal(cell(plan.lo))
+            xs = map(str, accumulate(repeat(step, rows - 1), EXACT.add, initial=first))
+            counts = map(cell, counts)
         header, lines = "x,A\n", (f"{x},{a}\n" for x, a in zip(xs, counts))
     elif plan.kind != "tri-grid":
         header, lines = "x,A,R,R_norm,g,h\n", map(_remainder_line, xs, counts)

@@ -581,9 +581,12 @@ class TestWideDecimalIO:
     # grid from 5 whose x and A cells run from one digit to hi's width
     _D = random.Random(23).randrange(10**9_999, 10**10_000)
 
+    # and a carry: x steps from 10^10000 - 5, all nines but its last digit,
+    # past 10^10000 to one digit more
     @pytest.mark.parametrize("lo, hi, step", [
         (_D, _D, 1), (_D, _D + 60, 7), (5, _D, _D // 4),
-    ], ids=["point", "stepped", "mixed"])
+        (10**10_000 - 5, 10**10_000 + 20, 3),
+    ], ids=["point", "stepped", "mixed", "carry"])
     def test_a_of_x_writes_the_int_str_bytes(self, monkeypatch, lo, hi, step):
         argv = ["analyze", "--plan", "A-of-x", "--lo", str(lo), "--hi", str(hi),
                 "--step", str(step)]
@@ -594,8 +597,9 @@ class TestWideDecimalIO:
             assert _main_bytes(argv) == fast
 
     def test_a_of_x_renders_wide_cells_by_to_decimal(self, monkeypatch):
-        # every cell but the first x, which is --lo and written back from the
-        # digits parse_int kept
+        # the A cells; the first x is --lo, written back from the digits
+        # parse_int kept, and each later x is an exact Decimal step from it,
+        # so no x is converted
         rendered = []
         to_decimal = _bigint.to_decimal
         monkeypatch.setattr(
@@ -607,7 +611,7 @@ class TestWideDecimalIO:
         assert code == 0
         cells = [c for row in out.splitlines()[1:] for c in row.split(",")]
         assert len(cells) == 18 and cells[0] == str(self._D)
-        assert rendered == [int(c) for c in cells[1:]]
+        assert rendered == [int(c) for c in cells[1::2]]
 
     @pytest.mark.parametrize("argv", [
         ["--plan", "A-of-x", "--lo", "1", "--hi", "5000"],
@@ -911,10 +915,14 @@ def test_wide_rows_are_written_a_chunk_at_a_time():
 
 
 _WIDE = "1" + "0" * 7000  # A-of-x cells past _bigint's 6000 digits
+# m^2 - 199^2 = 10^7000 - 39601 for m = 10^3500: the last 200 members of
+# flock 2m, m^2 - j^2 for j <= 199, rows of about 7000-digit cells
+_WIDE_MEMBERS = "9" * 6995 + "60399"
 
 
 @pytest.mark.parametrize("argv", [
     ["list", "1000000", "1450000", "--format", "json"],
+    ["list", _WIDE_MEMBERS, _WIDE, "--format", "csv"],
     ["flock", "10000000000", "--format", "csv"],
     ["pioneers", "5000", "--format", "json"],
     ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "20000"],  # the flock walk
@@ -922,8 +930,8 @@ _WIDE = "1" + "0" * 7000  # A-of-x cells past _bigint's 6000 digits
     ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "100000000", "--step", "20000"],  # count_le
     ["analyze", "--plan", "A-of-x", "--lo", _WIDE, "--hi", _WIDE[:-3] + "200"],
     ["trigrid", "500", "--max-rows", "250000"],
-], ids=["list", "flock", "pioneers", "analyze-walk", "analyze-grid-walk", "analyze-grid-count",
-        "analyze-wide", "trigrid"])
+], ids=["list", "list-wide", "flock", "pioneers", "analyze-walk", "analyze-grid-walk",
+        "analyze-grid-count", "analyze-wide", "trigrid"])
 def test_every_streaming_verb_holds_under_a_quarter_of_its_output(argv):
     # a verb that streams holds a chunk of rows at most, so into a sink that
     # keeps only a length its peak stays a fraction of the bytes it writes;

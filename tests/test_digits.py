@@ -1,6 +1,7 @@
 """The wide-int routines of _bigint against int(), str() and divmod()."""
 
 import builtins
+import gc
 import random
 import sys
 
@@ -104,6 +105,37 @@ def test_leaf_halves_keep_their_leading_zeros(d):
         for m in (n, -n, n * 10**third):
             assert str(to_decimal(m)) == str(m)
             assert str(cell(m)) == str(m)
+
+
+def test_conversions_leave_no_cyclic_garbage(monkeypatch):
+    # a conversion whose power tables sat in a reference cycle would leave
+    # them to the cyclic collector after every call.  Leaves this small keep
+    # every int(), str() and divmod() below the sizes at which CPython 3.12
+    # and later hand them to Lib/_pylong.py, whose own garbage would count
+    monkeypatch.setattr(_bigint, "_LEAF_BITS", 8192)
+    monkeypatch.setattr(_bigint, "_LEAF_DIGITS", 500)
+    rng = random.Random(31)
+    ints = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (40_000, 100_000, 170_000)]
+    ints.append(-ints[1])
+    s = _digits(30_000, 31)
+    width = ints[0]
+    length = width + 987_654_321
+    semi = str(width + length)
+    cells = (str(width * length), str(width), str(length), semi, semi)
+    want = ([str(n) for n in ints], int(s), cells)
+    gc.collect()
+    gc.disable()
+    try:
+        got = (
+            [str(to_decimal(n)) for n in ints],
+            int_from_digits(s),
+            tuple(map(str, record_cells(width, length))),
+        )
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert got == want
+    assert garbage == 0
 
 
 # -- division ------------------------------------------------------------------
