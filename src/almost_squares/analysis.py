@@ -50,7 +50,7 @@ most about 0.943 * 2^1023 = 8.5e307.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from itertools import accumulate, chain, count, repeat
 from math import isqrt
@@ -116,8 +116,7 @@ def _roots(num: int, den: int, bits: int) -> tuple[int, int]:
 # the smooth counting approximation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BTerms:
+class BTerms(namedtuple("BTerms", "x gamma delta b0 b1 b")):
     """The smooth count approximation at x, split into its pieces.
 
     x is the argument as given, an int or a float.  gamma and delta are
@@ -126,12 +125,7 @@ class BTerms:
     [-2, -1], and b = b0 + b1.
     """
 
-    x: int | float
-    gamma: float
-    delta: float
-    b0: float
-    b1: float
-    b: float
+    __slots__ = ()
 
 
 def b_value(x: int | float) -> BTerms:
@@ -205,20 +199,14 @@ def h_func(t: float) -> float:
 # remainder term
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisSample:
+class AnalysisSample(namedtuple("AnalysisSample", "x a_of_x r r_normalized g_val h_val")):
     """One sampled point of the remainder-term series.
 
     x and a_of_x are exact ints, x the sampled n and a_of_x the count of
     almost-squares up to it; the other fields are floats.
     """
 
-    x: int
-    a_of_x: int
-    r: float
-    r_normalized: float
-    g_val: float
-    h_val: float
+    __slots__ = ()
 
 
 def remainder(n: int) -> AnalysisSample:
@@ -374,8 +362,8 @@ def tri_product_grid(m_max: int) -> list[list[bool]]:
 _PLAN_KINDS = ("A-of-x", "R-of-x", "R-normalized", "tri-grid")
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(namedtuple("SamplingPlan", "kind lo hi step at_members max_rows",
+                               defaults=(1, True, 1_000_000))):
     """What to emit: which series, over which range, sampled how.
 
     A series samples either the members themselves, read off the flock
@@ -391,12 +379,7 @@ class SamplingPlan:
     (the demos R-normalized, the benchmark both).
     """
 
-    kind: str
-    lo: int
-    hi: int
-    step: int = 1
-    at_members: bool = True
-    max_rows: int = 1_000_000
+    __slots__ = ()
 
 
 def _check_rows(expected: int, plan: SamplingPlan) -> None:

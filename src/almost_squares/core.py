@@ -49,6 +49,12 @@ AlmostSquareRecord holds the rectangle alone, and its value (width *
 length), semiperimeter and flock (both width + length) and ratio are
 read off it, so no record can disagree with its own witness.
 
+Rectangle, FlockId and AlmostSquareRecord are named tuples: they unpack,
+compare equal (with equal hashes) to the tuple of their fields, and offer
+_fields and _replace, which validates as the constructor does.  Records
+and rectangles refuse <, <=, > and >=, since tuple order would rank a
+3x6 rectangle (area 18) before a 4x4 one (area 16).
+
 Everything in this module is exact integer arithmetic, so results are
 bit-exact for integers of any size and run in time polynomial in the
 digit count.  No routine here ever factors its input.
@@ -56,10 +62,10 @@ digit count.  No routine here ever factors its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import total_ordering
 from math import gcd, isqrt
-from typing import Iterable, Iterator
 
 from . import _bigint
 
@@ -88,8 +94,7 @@ __all__ = [
 # domain types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(namedtuple("Rectangle", "width length")):
     """An optimal factorization of an almost-square, width <= length.
 
     The width is the largest divisor of the area not exceeding its
@@ -97,12 +102,17 @@ class Rectangle:
     over all integer-sided rectangles of the same area.
     """
 
-    width: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.length < self.width:
-            raise ValueError(f"invalid rectangle {self.width}x{self.length}")
+    def __new__(cls, width: int, length: int) -> Rectangle:
+        if width < 1 or length < width:
+            raise ValueError(f"invalid rectangle {width}x{length}")
+        return tuple.__new__(cls, (width, length))
+
+    # namedtuple's _make, which _replace calls, would skip the check in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    # tuple order would rank 3x6 before 4x4; rectangles have no order
+    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
 
     @property
     def area(self) -> int:
@@ -116,8 +126,7 @@ class Rectangle:
         return f"{self.width}x{self.length}"
 
 
-@dataclass(frozen=True)
-class FlockId:
+class FlockId(namedtuple("FlockId", "k")):
     """A flock addressed by its common semiperimeter k.
 
     The k-th flock holds the almost-squares whose optimal rectangle has
@@ -127,29 +136,33 @@ class FlockId:
     members 1 and 2.
     """
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __new__(cls, k: int) -> FlockId:
+        if k < 1:
             raise ValueError("flock semiperimeter k must be >= 1")
+        return tuple.__new__(cls, (k,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def value_interval(self) -> tuple[int, int]:
         """Bounds (lo, hi] of the values this flock may contain."""
         return (self.k - 1) ** 2 // 4, self.k * self.k // 4
 
 
-@dataclass(frozen=True)
-class AlmostSquareRecord:
+class AlmostSquareRecord(namedtuple("AlmostSquareRecord", "rect")):
     """One almost-square, held as its optimal rectangle.
 
     The rectangle is the record's only field, so a record cannot
     disagree with its own witness: the value is width * length, and the
     semiperimeter, which is also the flock's k, is width + length.  Two
     records are equal, with equal hashes, exactly when their rectangles
-    are, whichever query built them.
+    are, whichever query built them.  Records have no order: as tuples,
+    the 11th member, 18 = 3x6, would sort before the 10th, 16 = 4x4.
     """
 
-    rect: Rectangle
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
 
     @property
     def value(self) -> int:

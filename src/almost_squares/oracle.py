@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import factorial, isqrt
 
 from .core import RatioValue, is_almost_square
@@ -42,21 +42,11 @@ DEFAULT_SCAN_CAP = 200_000
 _MAX_SCAN_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True)
-class DivisorPair:
-    """d(n) and its cofactor: small is the largest divisor with small^2 <= n."""
+# d(n) and its cofactor: small is the largest divisor with small^2 <= n
+DivisorPair = namedtuple("DivisorPair", "small large")
 
-    small: int
-    large: int
-
-
-@dataclass
-class RecordSet:
-    """All ratio record-breakers (ties included) up to limit, ascending."""
-
-    limit: int
-    members: list[int] = field(default_factory=list)
-    ratios: list[RatioValue] = field(default_factory=list)
+# all ratio record-breakers (ties included) up to limit, ascending
+RecordSet = namedtuple("RecordSet", "limit members ratios")
 
 
 def brute_divisor_pair(n: int) -> DivisorPair:
@@ -90,16 +80,16 @@ def brute_record_set(limit: int) -> RecordSet:
     small = array("H", [1]) * (limit + 1)
     for j in range(2, isqrt(limit) + 1):
         small[j * j::j] = array("H", [j]) * len(range(j * j, limit + 1, j))
-    result = RecordSet(limit=limit)
+    members, ratios = [], []
     best_num, best_den = 0, 1
     for n in range(1, limit + 1):
         d = small[n]
         s = d + n // d
         if n * best_den >= best_num * s:
-            result.members.append(n)
-            result.ratios.append(RatioValue(n, s))
+            members.append(n)
+            ratios.append(RatioValue(n, s))
             best_num, best_den = n, s
-    return result
+    return RecordSet(limit, members, ratios)
 
 
 def brute_is_member(n: int, record_set: RecordSet) -> bool:

@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -297,21 +296,22 @@ class TestGoldenValues:
 
 
 def _modules_after(statement, names):
+    # -S: a site-packages .pth file may import modules the package itself does not
     code = f"import sys; {statement}; print([m for m in {names!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(almost_squares.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
 
 
 def test_import_leaves_mpmath_unloaded():
-    names = ("mpmath", "numpy", "fractions")
+    names = ("mpmath", "numpy", "fractions", "dataclasses", "inspect")
     assert _modules_after("import almost_squares.analysis", names) == "[]\n"
 
 
 def test_cli_import_leaves_analysis_unloaded():
-    names = ("almost_squares.analysis",)
+    names = ("almost_squares.analysis", "dataclasses", "inspect", "typing")
     assert _modules_after("import almost_squares.cli", names) == "[]\n"
 
 
@@ -714,7 +714,7 @@ class TestEmitSeries:
         # and it is the count the cap was checked against
         if rows:
             with pytest.raises(ValueError, match=f"would emit {rows} rows, above"):
-                emit_series(replace(plan, max_rows=rows - 1), io.StringIO())
+                emit_series(plan._replace(max_rows=rows - 1), io.StringIO())
 
     def test_beyond_float_range_rejected_before_output(self):
         # a row holds x exactly, so the bound is on R: hi must be below 2^4092

@@ -1,8 +1,8 @@
 """Unit tests for the exact integer core."""
 
+import operator
 import random
 import time
-from dataclasses import fields
 
 import pytest
 
@@ -561,7 +561,7 @@ class TestDomainTypes:
 
     def test_flock_id_consistency(self):
         # a flock is its k alone; its interval follows from k
-        assert [f.name for f in fields(FlockId)] == ["k"]
+        assert FlockId._fields == ("k",)
         cases = [
             (1, (0, 0)),
             (4, (2, 4)),
@@ -590,9 +590,31 @@ class TestDomainTypes:
         assert (rec.value, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
 
     def test_record_is_its_rectangle(self):
-        assert [f.name for f in fields(AlmostSquareRecord)] == ["rect"]
+        assert AlmostSquareRecord._fields == ("rect",)
         for name in ("value", "semiperimeter", "flock", "ratio"):
             assert isinstance(getattr(AlmostSquareRecord, name), property)
+
+    def test_records_and_rectangles_have_no_order_and_no_setters(self):
+        # as plain tuples nth(11) = 18 = 3x6 would sort before nth(10) = 16 = 4x4
+        rec10, rec11 = nth(10), nth(11)
+        assert (rec10.rect, rec11.rect) == (Rectangle(4, 4), Rectangle(3, 6))
+        ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        for a, b in ((rec11, rec10), (rec11.rect, rec10.rect)):
+            name = type(a).__name__
+            for sym, op in ops.items():
+                text = f"^'{sym}' not supported between instances of '{name}' and '{name}'$"
+                with pytest.raises(TypeError, match=text):
+                    op(a, b)
+        fields = ((rec10, "rect", rec11.rect), (rec10.rect, "width", 3), (FlockId(8), "k", 9))
+        for obj, field, value in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, value)
+        # _replace builds through the validating constructor
+        assert Rectangle(4, 4)._replace(length=5) == Rectangle(4, 5)
+        with pytest.raises(ValueError):
+            Rectangle(4, 4)._replace(width=5)
+        with pytest.raises(ValueError):
+            FlockId(8)._replace(k=0)
 
     def test_record_equal_across_views(self):
         # the same member built by nth, floor, a one-value window and its
