@@ -9,8 +9,11 @@ calls them.
 Division.  ``divmod(a, b)`` is the builtin on Python 3.12 and later,
 which already hands wide operands to ``_pylong``.  Before 3.12 it is
 Burnikel and Ziegler's recursive division (MPI-I-98-1-022, 1998; Brent
-and Zimmermann, *Modern Computer Arithmetic*, section 1.4.3) whenever b
-and the quotient are both wider than _DIV_BITS bits: a 2n-by-n-bit
+and Zimmermann, *Modern Computer Arithmetic*, section 1.4.3) whenever
+a >= 0 < b and b and the quotient are both wider than _DIV_BITS bits;
+other signs take the builtin, as every caller here divides a
+non-negative a by a positive b (a root's Newton step, nth's rank within
+its block, a leaf's split by 10^k).  The recursion: a 2n-by-n-bit
 division becomes two 3n/2-by-n ones, each one n-by-n/2 division and one
 n/2-by-n/2 multiplication, so its cost follows that of multiplication.
 The recursion stops at quotients of _DIV_LIMIT bits, which the builtin
@@ -251,19 +254,12 @@ def record_cells(
 # --------------------------------------------------------------------------
 
 def _divmod_bz(a: int, b: int) -> tuple[int, int]:
-    """``divmod(a, b)`` by Burnikel-Ziegler recursive division, for b != 0.
+    """``divmod(a, b)`` by Burnikel-Ziegler recursive division, for a >= 0 < b.
 
-    Signs are reduced to a >= 0 < b as ``Lib/_pylong.py`` reduces them.
-    Then, with n the bits of b, a is divided one base-2^n digit at a time
-    from the top, each step a 2n-by-n division of the last remainder and
-    the next digit.
+    ``divmod`` sends other signs to the builtin.  With n the bits of b, a
+    is divided one base-2^n digit at a time from the top, each step a
+    2n-by-n division of the last remainder and the next digit.
     """
-    if b < 0:
-        q, r = _divmod_bz(-a, -b)
-        return q, -r
-    if a < 0:
-        q, r = _divmod_bz(~a, b)  # ~a = -a - 1
-        return ~q, b + ~r
     n = b.bit_length()
     mask = (1 << n) - 1
     q = r = 0
@@ -310,8 +306,8 @@ if sys.version_info >= (3, 12):
 else:
 
     def divmod(a: int, b: int) -> tuple[int, int]:
-        """``divmod(a, b)``, by _divmod_bz when b and the quotient are both wide."""
+        """``divmod(a, b)``, by _divmod_bz when a >= 0 < b and b and the quotient are wide."""
         n = b.bit_length()
-        if n > _DIV_BITS and a.bit_length() - n > _DIV_BITS:
+        if n > _DIV_BITS and a.bit_length() - n > _DIV_BITS and a >= 0 < b:
             return _divmod_bz(a, b)
         return builtins.divmod(a, b)

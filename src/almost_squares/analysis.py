@@ -49,13 +49,14 @@ most about 0.943 * 2^1023 = 8.5e307.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from itertools import accumulate, chain, count, repeat
 from math import isqrt
 from operator import mul
-from typing import Iterable, Iterator, TextIO
 
 from ._bigint import EXACT, cell, wide
 
@@ -413,7 +414,7 @@ def _grid_counts(
     yield repeat(a, rows - done)
 
 
-def emit_series(plan: SamplingPlan, out: TextIO) -> int:
+def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     """Write the planned series as CSV to out; returns the row count.
 
     Each plan takes its (x, A) samples from one of three sources: the

@@ -43,7 +43,6 @@ from ._bigint import cell, parse_int, record_cells, wide
 # cli.flock_members by name, and its getattr raises AttributeError on a
 # missing name, which would fail every traced benchmark run.
 from .core import (
-    AlmostSquareRecord,
     FlockId,
     _flock_runs,
     count_le,
@@ -77,10 +76,6 @@ _MEMBER_TEXT = "{} = {} x {}\n"  # one line per member of a list or flock
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _record_cells(rec: AlmostSquareRecord) -> tuple[int | str, ...]:
-    return record_cells(rec.rect.width, rec.rect.length)
 
 
 def _run_chunks(runs: Iterable[tuple[int, range, range]], template: str) -> Iterator[str]:
@@ -170,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_floor(args: argparse.Namespace) -> int:
     rec = floor_almost_square(args.n)
-    _emit(args.format, _RECORD, [_record_cells(rec)], _RECORD_TEXT)
+    _emit(args.format, _RECORD, [record_cells(*rec.rect)], _RECORD_TEXT)
     return 0
 
 
@@ -181,7 +176,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_nth(args: argparse.Namespace) -> int:
-    _emit(args.format, _RECORD, [_record_cells(nth(args.index))], _RECORD_TEXT)
+    _emit(args.format, _RECORD, [record_cells(*nth(args.index).rect)], _RECORD_TEXT)
     return 0
 
 

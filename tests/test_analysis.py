@@ -306,7 +306,7 @@ def _modules_after(statement, names):
 
 
 def test_import_leaves_mpmath_unloaded():
-    names = ("mpmath", "numpy", "fractions", "dataclasses", "inspect")
+    names = ("mpmath", "numpy", "fractions", "dataclasses", "inspect", "typing", "contextlib")
     assert _modules_after("import almost_squares.analysis", names) == "[]\n"
 
 

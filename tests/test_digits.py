@@ -22,6 +22,7 @@ from almost_squares._bigint import (
     record_cells,
     to_decimal,
 )
+from almost_squares.core import _icbrt, nth
 
 pytestmark = pytest.mark.usefixtures("no_int_digit_limit")
 
@@ -168,8 +169,11 @@ def test_divmod_bz_matches_divmod_in_every_shape(monkeypatch, limit):
                 for a in (b * q, b * q + rng.randrange(b), b * q + b - 1):  # multiples, and past
                     assert _divmod_bz(a, b) == builtins.divmod(a, b)
             for a in (0, rng.randrange(b), -(b * q) - 1):  # a < b, and a negative a
-                assert _divmod_bz(a, b) == builtins.divmod(a, b)
-                assert _divmod_bz(a, -b) == builtins.divmod(a, -b)
+                if a >= 0:  # _divmod_bz takes a >= 0 < b alone
+                    assert _divmod_bz(a, b) == builtins.divmod(a, b)
+                # divmod sends the other signs to the builtin
+                assert _bigint.divmod(a, b) == builtins.divmod(a, b)
+                assert _bigint.divmod(a, -b) == builtins.divmod(a, -b)
 
 
 @pytest.mark.parametrize("limit", [8, 64])
@@ -200,9 +204,9 @@ def test_divmod_matches_builtin_across_the_threshold(bbits, qbits, seed):
     rng = random.Random(seed)
     b = rng.getrandbits(bbits) | 1 << bbits - 1
     a = (b << qbits) + rng.getrandbits(bbits + qbits)  # quotient of qbits + 1 bits
-    for x, y in ((a, b), (-a, b), (a, -b)):
+    for x, y in ((a, b), (-a, b), (a, -b), (-a, -b)):
         assert _bigint.divmod(x, y) == builtins.divmod(x, y)
-        assert _divmod_bz(x, y) == builtins.divmod(x, y)
+    assert _divmod_bz(a, b) == builtins.divmod(a, b)
 
 
 def test_divmod_dispatch(monkeypatch):
@@ -213,12 +217,31 @@ def test_divmod_dispatch(monkeypatch):
     monkeypatch.setattr(_bigint, "_divmod_bz", lambda a, b: taken.append(b) or divmod(a, b))
     wide = (1 << _DIV_BITS) + 1  # _DIV_BITS + 1 bits
     narrow = (1 << _DIV_BITS - 1) + 1  # _DIV_BITS bits
-    # the quotient's bits are counted as a's less b's
+    # the quotient's bits are counted as a's less b's, and a wide pair of
+    # any other signs than a >= 0 < b goes to the builtin
     for a, b, bz in (
         (1 << 2 * _DIV_BITS, wide, False),
         (1 << 2 * _DIV_BITS + 1, wide, True),
         (1 << 10 * _DIV_BITS, narrow, False),
+        (-(1 << 2 * _DIV_BITS + 1), wide, False),
+        (1 << 2 * _DIV_BITS + 1, -wide, False),
+        (-(1 << 2 * _DIV_BITS + 1), -wide, False),
     ):
         taken.clear()
         assert _bigint.divmod(a, b) == divmod(a, b)
         assert taken == ([b] if bz else [])
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="divmod is the builtin from 3.12 on")
+def test_every_caller_divides_wide_ints_with_a_non_negative_and_b_positive(monkeypatch):
+    # _icbrt's Newton step, nth's rank in its block and to_decimal's leaf
+    # splits by 10^k, a negative n's too, each reach _divmod_bz
+    signs = []
+    monkeypatch.setattr(
+        _bigint, "_divmod_bz", lambda a, b: signs.append(a >= 0 < b) or divmod(a, b)
+    )
+    n = random.Random(3).getrandbits(40_000) | 1 << 40_000
+    for f, x in ((_icbrt, n), (nth, n), (to_decimal, n), (to_decimal, -n)):
+        signs.clear()
+        f(x)
+        assert signs and all(signs), f.__name__
