@@ -1,10 +1,11 @@
-"""Wide-int arithmetic: exact division and decimal I/O, one rule each.
+"""Wide-int arithmetic: exact division, square roots and decimal I/O.
 
 CPython before 3.12 divides and converts between int and decimal text in
 quadratic time.  CPython 3.12 ships subquadratic versions of all three
 as ``Lib/_pylong.py``; this module holds the same algorithms for the
 interpreters that lack them, and the one rule by which the package
-calls them.
+calls them.  ``math.isqrt`` is quadratic on every version, so the square
+root here serves them all.
 
 Division.  ``divmod(a, b)`` is the builtin on Python 3.12 and later,
 which already hands wide operands to ``_pylong``.  Before 3.12 it is
@@ -28,6 +29,28 @@ and 660,000 by 330,000 6.3x as fast as the builtin.  On Python 3.12.1
 the builtin, which goes to ``_pylong`` past 9000-bit divisors, was as
 fast as this routine or faster from 24,000 to 200,000 bits (0.84-0.88x
 for it), so there it stays.
+
+Square roots.  ``sqrtrem(n)`` is s = isqrt(n) with its remainder n - s^2,
+by Zimmermann's Karatsuba square root (INRIA RR-3805, 1999; Brent and
+Zimmermann, section 1.5).  n, shifted left by 0 or 2 bits to 4b - 1 or
+4b bits, has the root and remainder of its top 2b bits taken
+recursively; one ``divmod`` by twice that root and one square of the
+b-bit quotient give the root of the whole, at most one too large, which
+the remainder's sign shows, and the shift is undone on root and
+remainder alike.  So its cost follows that of one division at each
+level, which ``divmod`` makes subquadratic.  An int of at most
+_ROOT_BITS (4000) bits takes ``math.isqrt`` and one square.  The same
+constant is the width above which ``core`` roots an int here: at the
+dispatch and at the base of the recursion the choice is the same, the
+builtin against one level of recursion on an int of that width, so the
+width where one starts to pay sets the other.  Timing ``count_le``
+both ways on a 2-vCPU host (best of 15 and 21), the recursion passed the
+builtin near 3000 bits on Python 3.11.7, 3.12.1 and 3.13.0, where the
+remainder is wanted too, and a bare root near 4000-5000 bits; 4000 lies
+between.  Against ``math.isqrt`` and one square, best of 7, it takes a
+root and its remainder 2.0x as fast at 10^4 digits on 3.11.7, 2.7x at
+3*10^4 and 3.9x at 10^5; 2.2x, 2.3x and 2.4x on 3.12.1, and about the
+same on 3.13.0.
 
 Decimal I/O.  ``int_from_digits`` and ``to_decimal`` are the
 divide-and-conquer conversions of Brent and Zimmermann, section 1.7:
@@ -78,7 +101,9 @@ methods, are exact integers whose ``str`` is their decimal digits.
 The division backport serves Python 3.11 alone: once the
 package requires 3.12, the block below the "division before 3.12" line,
 _DIV_BITS and _DIV_LIMIT can go, and ``divmod`` becomes the builtin
-everywhere; no output byte changes.
+everywhere; no output byte changes.  ``sqrtrem`` stays after that cut,
+over the builtin division, as ``math.isqrt`` is still quadratic on 3.12
+and 3.13.
 """
 
 from __future__ import annotations
@@ -86,10 +111,11 @@ from __future__ import annotations
 import builtins
 import decimal
 import sys
+from math import isqrt
 
 __all__ = [
-    "EXACT", "cell", "divmod", "int_from_digits", "parse_int", "record_cells", "to_decimal",
-    "wide",
+    "EXACT", "cell", "divmod", "int_from_digits", "parse_int", "record_cells", "sqrtrem",
+    "to_decimal", "wide",
 ]
 
 _LEAF_DIGITS = 2048  # digit slices up to this long go to int(), ints to str(), whole
@@ -99,6 +125,8 @@ _BIG_DIGITS = 6000  # ints wider than this many digits convert here
 
 _DIV_BITS = 6000  # before 3.12, b and quotient both wider than this divide here
 _DIV_LIMIT = 3000  # quotients up to this many bits go to the builtin whole
+
+_ROOT_BITS = 4000  # ints wider than this many bits take their square root by halves
 
 EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -247,6 +275,37 @@ def record_cells(
         return value or str(EXACT.multiply(w, l)), str(w), str(l), semi, semi
     semi = width + length  # also the flock's k
     return value or width * length, width, length, semi, semi
+
+
+def sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) for s = isqrt(n) and n >= 0, by the Karatsuba square root.
+
+    With n shifted left by 2t bits, t = 0 or 1, to 4b - 1 or 4b bits, its
+    top 2b bits are at least 2^(2b - 2).  Their root s1 and remainder r1,
+    taken recursively, and one division, q, u = divmod(r1 2^b + a1, 2 s1)
+    for a1 the next b bits, give s = s1 2^b + q, the shifted n's root or
+    one above it; r = u 2^b + a0 - q^2, for a0 the low b bits, is its
+    remainder, negative exactly when s is one too large.  The root of n
+    itself is s >> t, and with s0 = s mod 2^t its remainder is
+    (r + s0 (2s - s0)) >> 2t.
+    """
+    bits = n.bit_length()
+    if bits <= _ROOT_BITS:
+        s = isqrt(n)
+        return s, n - s * s
+    b = (bits + 3) >> 2
+    t = (4 * b - bits) >> 1
+    n <<= 2 * t
+    mask = (1 << b) - 1
+    s, r = sqrtrem(n >> 2 * b)
+    q, u = divmod(r << b | n >> b & mask, s << 1)
+    s = (s << b) + q
+    r = (u << b | n & mask) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    s0 = s & (1 << t) - 1
+    return s >> t, (r + s0 * (2 * s - s0)) >> 2 * t
 
 
 # --------------------------------------------------------------------------

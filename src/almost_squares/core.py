@@ -253,8 +253,12 @@ def _icbrt(n: int) -> int:
 
 # the largest offset in flock k: (isqrt(2m-1) - 1) // 2 for k = 2m-1 and
 # isqrt(m // 2) = isqrt(2m) // 2 for k = 2m; unguarded so the edge flocks
-# (k = 1 empty, k = 2 holding just 1x1) reuse the same formula
+# (k = 1 empty, k = 2 holding just 1x1) reuse the same formula; a k wider
+# than _bigint._ROOT_BITS bits is rooted by _bigint.sqrtrem, tested as in
+# _locate
 def _flock_extent(k: int) -> int:
+    if k > (1 << 30) - 1 and k >> _bigint._ROOT_BITS:
+        return (_bigint.sqrtrem(k)[0] - k % 2) // 2
     return (isqrt(k) - k % 2) // 2
 
 
@@ -315,13 +319,32 @@ def _locate(n: int) -> tuple[int, int, bool]:
     (isqrt(k) - k%2) // 2, in which case no member of flock k is <= n.
     Raises ValueError for n < 1, the one refusal of the point queries
     that locate n.
+
+    n's ceiling root m splits its flocks at m(m-1), and the gap m^2 - n
+    gives the offset.  When n is wider than _bigint._ROOT_BITS bits, each
+    root is ``_bigint.sqrtrem``'s, with its remainder: with s, r =
+    sqrtrem(n - 1), m = s + 1 and the gap is 2s - r, as n - 1 = s^2 + r,
+    so no full-width square is formed; the gap's own remainder then says
+    whether o is exact, 0 in flock 2m and o in flock 2m - 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    # a narrow n pays one comparison here, with an int below 2^30, which
+    # CPython specialises; n < 1 is refused by isqrt's domain error below,
+    # as a try costs nothing until it raises
+    if n > (1 << 30) - 1 and n >> _bigint._ROOT_BITS:
+        s, r = _bigint.sqrtrem(n - 1)
+        m, gap = s + 1, 2 * s - r
+        if gap < m:
+            o, r = _bigint.sqrtrem(gap)
+            return 2 * m, o + (r > 0), r == 0
+        o, r = _bigint.sqrtrem(gap - m)  # o(o + 1) < gap - m exactly when o < r
+        return 2 * m - 1, o + (o < r), o == r
     # k is isqrt(4n - 1) + 1, but reaching it through m, which splits at
     # m(m-1) into flocks 2m - 1 and 2m, made this about 15% faster per call
     # at n < 2*10^4 (Python 3.11, 2-vCPU host)
-    m = isqrt(n - 1) + 1  # the ceiling square root, as (m-1)^2 < n <= m^2
+    try:
+        m = isqrt(n - 1) + 1  # the ceiling square root, as (m-1)^2 < n <= m^2
+    except ValueError:
+        raise ValueError("n must be >= 1") from None
     gap = m * m - n
     if gap < m:  # n > m(m-1): flock 2m, whose members are m^2 - o^2
         o = isqrt(gap)
@@ -466,8 +489,13 @@ def _count_located(k: int, offset: int) -> int:
     # flock k's extent.  It is isqrt(2m) except at odd k = s^2, where
     # isqrt(2m) = isqrt(k - 1) = s - 1; there the closed form's step from mu
     # to mu + 1, (12m + 6 - 6(mu+1)^2 + 6[mu odd]) / 12, is 0 at mu = s - 1,
-    # as 2m = s^2 - 1 and s - 1 is even, so isqrt(k) serves too
-    m, mu = k // 2, isqrt(k)
+    # as 2m = s^2 - 1 and s - 1 is even, so isqrt(k) serves too; a wide k's
+    # is _bigint.sqrtrem's, tested as in _locate
+    if k > (1 << 30) - 1 and k >> _bigint._ROOT_BITS:
+        mu = _bigint.sqrtrem(k)[0]
+    else:
+        mu = isqrt(k)
+    m = k // 2
     size = (mu - k % 2) // 2 + 1  # _flock_extent(k) + 1
     kept = size - offset if offset < size else 0  # members of flock k from offset on
     count = m * (mu + 1) + _block_base(mu) + kept

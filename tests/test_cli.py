@@ -771,6 +771,9 @@ def test_each_window_end_is_located_once(monkeypatch, argv, locates):
     assert len(calls) == locates, calls
 
 
+_E30000 = "1" + "0" * 30_000  # 10^30000, the square of 10^15000: a member
+
+
 @pytest.mark.parametrize("argv, roots", [
     (["check", "182"], 3),  # a member: _locate's two roots and its flock's extent
     (["check", str(10**40)], 3),
@@ -780,8 +783,16 @@ def test_each_window_end_is_located_once(monkeypatch, argv, locates):
     (["count", "12345"], 3),
     (["nth", "59"], 0),  # one cube root, of 3j, and no square root
     (["nth", str(10**40)], 0),
+    # at 3*10^4 digits each root is one _bigint.sqrtrem, whose recursion
+    # ends in one math.isqrt of at most _ROOT_BITS bits
+    (["check", _E30000], 3),
+    (["check", _E30000[:-1] + "1"], 2),  # 10^30000 + 1, past its flock's extent
+    (["floor", _E30000[:-1] + "1"], 3),
+    (["count", "7" * 30_000], 3),
 ])
 def test_roots_per_verb(monkeypatch, argv, roots):
+    # every math.isqrt call, from core or from sqrtrem, is counted, so a wide
+    # root that fell back to the quadratic builtin would show as a wide argument
     calls = []
 
     def counted(n):
@@ -789,9 +800,13 @@ def test_roots_per_verb(monkeypatch, argv, roots):
         return isqrt(n)
 
     monkeypatch.setattr(core, "isqrt", counted)
+    monkeypatch.setattr(_bigint, "isqrt", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len(calls) == roots, calls
+    assert len(calls) == roots, [n.bit_length() for n in calls]
+    assert all(n.bit_length() <= _bigint._ROOT_BITS for n in calls), [
+        n.bit_length() for n in calls
+    ]
 
 
 @pytest.mark.parametrize("argv", [

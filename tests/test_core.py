@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from almost_squares import _bigint
 from almost_squares.core import (
     AlmostSquareRecord,
     FlockId,
@@ -13,6 +14,7 @@ from almost_squares.core import (
     Rectangle,
     _block_base,
     _icbrt,
+    _locate,
     count_at_square,
     count_le,
     count_triangular_le,
@@ -250,6 +252,39 @@ class TestIsAlmostSquare:
             assert is_almost_square(m * m) == Rectangle(m, m)
             assert is_almost_square(m * (m - 1)) == Rectangle(m - 1, m)
             assert is_almost_square(m * m - 1) == Rectangle(m - 1, m + 1)
+
+
+class TestWideRoots:
+    """The views of n whose roots are wide, against every root by math.isqrt."""
+
+    @staticmethod
+    def _views(n):
+        return _locate(n), count_le(n), floor_almost_square(n), is_almost_square(n)
+
+    @pytest.mark.parametrize("bits", [
+        _bigint._ROOT_BITS + 2,  # n's and the gap's roots by sqrtrem
+        _bigint._ROOT_BITS + 64,
+        2 * _bigint._ROOT_BITS + 2,  # and k's roots too
+        2 * _bigint._ROOT_BITS + 64,
+    ])
+    def test_match_math_isqrt_just_above_the_threshold(self, monkeypatch, bits):
+        # each m's square and pronic m(m - 1), one either side, and the first
+        # members of flocks 2m and 2m - 1, one either side: the flock ends;
+        # for a random m, and for the m whose flock 2m - 1 or 2m is a square,
+        # where a root of k one too small shows
+        rng = random.Random(bits)
+        ns = []
+        for _ in range(8):
+            m0 = isqrt(rng.getrandbits(bits) | 1 << bits - 1)
+            s = isqrt(2 * m0) | 1
+            for m in (m0, (s * s + 1) // 2, (s + 1) ** 2 // 2):
+                e, f = isqrt(2 * m) // 2, (isqrt(2 * m - 1) - 1) // 2
+                for x in (m * m, m * (m - 1), m * m - e * e, m * (m - 1) - f * (f + 1)):
+                    ns += [x - 1, x, x + 1]
+        assert min(n.bit_length() for n in ns) > _bigint._ROOT_BITS
+        wide = [self._views(n) for n in ns]
+        monkeypatch.setattr(_bigint, "_ROOT_BITS", 10**9)  # no root is wide
+        assert [self._views(n) for n in ns] == wide
 
 
 class TestTriDecompose:

@@ -4,6 +4,7 @@ import builtins
 import gc
 import random
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +17,12 @@ from almost_squares._bigint import (
     _DIV_LIMIT,
     _LEAF_BITS,
     _LEAF_DIGITS,
+    _ROOT_BITS,
     _divmod_bz,
     cell,
     int_from_digits,
     record_cells,
+    sqrtrem,
     to_decimal,
 )
 from almost_squares.core import _icbrt, nth
@@ -139,6 +142,38 @@ def test_conversions_leave_no_cyclic_garbage(monkeypatch):
     assert garbage == 0
 
 
+# -- square roots ----------------------------------------------------------------
+
+# four consecutive widths about _ROOT_BITS, where sqrtrem starts to recurse,
+# and about 2, 4 and 8 times it, where the top bits its recursion ends on are
+# about _ROOT_BITS wide again; the four residues mod 4 take both shifts, by 0
+# bits (to 4b - 1 or 4b bits) and by 2
+_ROOT_WIDTHS = [k * _ROOT_BITS + d for k in (1, 2, 4, 8) for d in (-1, 0, 1, 2)]
+
+
+def _at_root_widths(test):
+    for bits in _ROOT_WIDTHS:
+        test = example(bits, 0)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8 * _ROOT_BITS + 2), st.integers(0, 2**32))
+@_at_root_widths
+def test_sqrtrem_matches_isqrt(bits, seed):
+    # a random n of this width and, for its root s, s^2 - 1, s^2 and s^2 + 2s,
+    # the last with the largest remainder a root s can have
+    n = random.Random(seed).getrandbits(bits) | 1 << bits - 1
+    s = isqrt(n)
+    for m in (n, s * s - 1, s * s, s * s + 2 * s):
+        r = isqrt(m)
+        assert sqrtrem(m) == (r, m - r * r), m.bit_length()
+
+
+def test_sqrtrem_of_small_ints():
+    assert [sqrtrem(n) for n in range(65)] == [(isqrt(n), n - isqrt(n) ** 2) for n in range(65)]
+
+
 # -- division ------------------------------------------------------------------
 
 def _shapes(bits: int, rng: random.Random) -> list[int]:
@@ -234,14 +269,15 @@ def test_divmod_dispatch(monkeypatch):
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="divmod is the builtin from 3.12 on")
 def test_every_caller_divides_wide_ints_with_a_non_negative_and_b_positive(monkeypatch):
-    # _icbrt's Newton step, nth's rank in its block and to_decimal's leaf
-    # splits by 10^k, a negative n's too, each reach _divmod_bz
+    # _icbrt's Newton step, nth's rank in its block, to_decimal's leaf splits
+    # by 10^k, a negative n's too, and sqrtrem's quotient by 2s each reach
+    # _divmod_bz
     signs = []
     monkeypatch.setattr(
         _bigint, "_divmod_bz", lambda a, b: signs.append(a >= 0 < b) or divmod(a, b)
     )
     n = random.Random(3).getrandbits(40_000) | 1 << 40_000
-    for f, x in ((_icbrt, n), (nth, n), (to_decimal, n), (to_decimal, -n)):
+    for f, x in ((_icbrt, n), (nth, n), (to_decimal, n), (to_decimal, -n), (sqrtrem, n)):
         signs.clear()
         f(x)
         assert signs and all(signs), f.__name__
