@@ -1,11 +1,12 @@
-"""Wide-int arithmetic: exact division, square roots and decimal I/O.
+"""Wide-int arithmetic: exact division, square and cube roots and decimal I/O.
 
 CPython before 3.12 divides and converts between int and decimal text in
 quadratic time.  CPython 3.12 ships subquadratic versions of all three
 as ``Lib/_pylong.py``; this module holds the same algorithms for the
 interpreters that lack them, and the one rule by which the package
-calls them.  ``math.isqrt`` is quadratic on every version, so the square
-root here serves them all.
+calls them.  ``math.isqrt`` is quadratic on every version, and the
+standard library has no integer cube root, so the roots here serve them
+all.
 
 Division.  ``divmod(a, b)`` is the builtin on Python 3.12 and later,
 which already hands wide operands to ``_pylong``.  Before 3.12 it is
@@ -13,7 +14,7 @@ Burnikel and Ziegler's recursive division (MPI-I-98-1-022, 1998; Brent
 and Zimmermann, *Modern Computer Arithmetic*, section 1.4.3) whenever
 a >= 0 < b and b and the quotient are both wider than _DIV_BITS bits;
 other signs take the builtin, as every caller here divides a
-non-negative a by a positive b (a root's Newton step, nth's rank within
+non-negative a by a positive b (a root's quotient, nth's rank within
 its block, a leaf's split by 10^k).  The recursion: a 2n-by-n-bit
 division becomes two 3n/2-by-n ones, each one n-by-n/2 division and one
 n/2-by-n/2 multiplication, so its cost follows that of multiplication.
@@ -51,6 +52,21 @@ between.  Against ``math.isqrt`` and one square, best of 7, it takes a
 root and its remainder 2.0x as fast at 10^4 digits on 3.11.7, 2.7x at
 3*10^4 and 3.9x at 10^5; 2.2x, 2.3x and 2.4x on 3.12.1, and about the
 same on 3.13.0.
+
+Cube roots.  ``cbrtrem(n)`` is c = floor(n^(1/3)) with its remainder
+n - c^3, by the same scheme: the root y and remainder of n's top half
+and a few bits more, taken recursively, one ``divmod`` by 3y^2, and
+products of at most b by 2b bits, for a quotient of b bits, give the
+root of the whole, at most one too large, as its docstring proves; the
+remainder's sign shows it, and one step back mends it.  Below 2^60 a
+float root and one such step serve.  ``core.nth`` takes its one cube
+root here, and with the remainder it needs no product or division as
+wide as its index.  Against the Newton step it replaced, which divided n
+by a square of 2/3 its width at each level and formed a cube of n's
+width at the end, it takes a root 1.5x as fast at 10^4 digits, 1.7x at
+3*10^4 and 1.8-1.9x at 10^5 on Python 3.11.7; 1.6-1.7x, 1.7-1.8x and
+1.7-1.9x on 3.12.1; and 1.7x, 1.7x and 1.7-1.8x on 3.13.0 (2-vCPU host,
+best of 7 with both called alternately, two runs).
 
 Decimal I/O.  ``int_from_digits`` and ``to_decimal`` are the
 divide-and-conquer conversions of Brent and Zimmermann, section 1.7:
@@ -101,9 +117,9 @@ methods, are exact integers whose ``str`` is their decimal digits.
 The division backport serves Python 3.11 alone: once the
 package requires 3.12, the block below the "division before 3.12" line,
 _DIV_BITS and _DIV_LIMIT can go, and ``divmod`` becomes the builtin
-everywhere; no output byte changes.  ``sqrtrem`` stays after that cut,
-over the builtin division, as ``math.isqrt`` is still quadratic on 3.12
-and 3.13.
+everywhere; no output byte changes.  ``sqrtrem`` and ``cbrtrem`` stay
+after that cut, over the builtin division, as ``math.isqrt`` is still
+quadratic on 3.12 and 3.13, and neither has a cube root.
 """
 
 from __future__ import annotations
@@ -114,8 +130,8 @@ import sys
 from math import isqrt
 
 __all__ = [
-    "EXACT", "cell", "divmod", "int_from_digits", "parse_int", "record_cells", "sqrtrem",
-    "to_decimal", "wide",
+    "EXACT", "cbrtrem", "cell", "divmod", "int_from_digits", "parse_int", "record_cells",
+    "sqrtrem", "to_decimal", "wide",
 ]
 
 _LEAF_DIGITS = 2048  # digit slices up to this long go to int(), ints to str(), whole
@@ -306,6 +322,47 @@ def sqrtrem(n: int) -> tuple[int, int]:
         s -= 1
     s0 = s & (1 << t) - 1
     return s >> t, (r + s0 * (2 * s - s0)) >> 2 * t
+
+
+def cbrtrem(n: int) -> tuple[int, int]:
+    """(c, n - c**3) for c the floor cube root of n >= 0, by a Karatsuba cube root.
+
+    Below 2^60, c is round(n ** (1/3)): the float root is within 10^-8
+    of the real one, so rounding gives the floor root or one above it, and
+    one decrement fixes the second case.  Above 2^60, with b = bits // 6 - 1,
+    the top bits n >> 3b have root y and remainder r, taken recursively,
+    and one division, q, u = divmod(r 2^b + a2, 3 y^2) for a2 the next b
+    bits, gives x = y 2^b + q; R = u 2^2b + a - 3 y q^2 2^b - q^3, for a
+    the low 2b bits, is n - x^3.  The top bits are at least 2^(3b + 3),
+    so y >= 2^(b+1), and r <= 3y^2 + 3y then gives q <= 2^b.  x is at
+    least the floor root, as R < 3 y^2 2^2b <= 3x^2; and x - 1 is at most
+    it, as -R <= 3 y q^2 2^b + q^3 <= 3 y 2^3b + 2^3b, which is less than
+    3x^2 - 3x + 1 >= 3 y 2^b (y 2^b - 1) once y >= 2^(b+1).  So x is the
+    root or one above it, R's sign says which, and one decrement, which
+    adds 3x^2 - 3x + 1 to R with x^2 formed from y^2, yq and q^2, ends
+    it.  Every product has at most b by 2b bits, and the cost follows
+    that of one division at each level.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not n >> 60:
+        x = round(n ** (1 / 3))
+        r = n - x * x * x
+        if r < 0:
+            r += 3 * x * (x - 1) + 1
+            x -= 1
+        return x, r
+    b = n.bit_length() // 6 - 1
+    y, r = cbrtrem(n >> 3 * b)
+    yy = y * y
+    q, u = divmod(r << b | n >> 2 * b & (1 << b) - 1, 3 * yy)
+    qq = q * q
+    x = (y << b) + q
+    r = (u << 2 * b | n & (1 << 2 * b) - 1) - (3 * y * qq << b) - qq * q
+    if r < 0:
+        r += 3 * ((yy << 2 * b) + (y * q << b + 1) + qq) - 3 * x + 1
+        x -= 1
+    return x, r
 
 
 # --------------------------------------------------------------------------

@@ -58,13 +58,13 @@ from itertools import accumulate, chain, count, repeat
 from math import isqrt
 from operator import mul
 
-from ._bigint import EXACT, cell, wide
+from ._bigint import EXACT, cbrtrem, cell, wide
 
 # the at-member series reads its samples straight from the flock runs, so
 # enumerate_range is not called here; the name stays imported because
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
 # getattr raises AttributeError on a missing name, failing every traced run
-from .core import _flock_runs, _icbrt, count_le, enumerate_range, is_almost_square
+from .core import _flock_runs, count_le, enumerate_range, is_almost_square
 
 __all__ = [
     "AnalysisSample",
@@ -281,7 +281,7 @@ def z_bracket(j: int) -> tuple[float, bool]:
         raise ValueError("index j must be > 5")
     if j > 1.46e231:
         raise ValueError("index j must be <= 1.46e231, or z^2 leaves float range")
-    c = _icbrt(3 * j << 3 * _Z_BITS)  # floor((3j)^(1/3) * 2^64)
+    c = cbrtrem(3 * j << 3 * _Z_BITS)[0]  # floor((3j)^(1/3) * 2^64)
     z = (2 * c * c - (c << _Z_BITS)) / (1 << 2 * _Z_BITS + 2)
     ok = b_value((z - 1.0) ** 2).b < j < b_value(z * z).b
     return z, ok

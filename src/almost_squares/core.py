@@ -25,10 +25,15 @@ membership checks the offset is exact and within the extent, count_le
 is the one located count, _count_located(k, offset), the closed form in
 floor(sqrt(2m)) plus n's place in its flock (count_at_square is that
 count at a square), and the floor is the member at an offset (or the
-last member of flock k-1).  nth inverts the closed form exactly: on each
-block of m sharing floor(sqrt(2m)) = mu the count is linear in m, j's
-block is the cube root of 3j or one below it, and one division gives m,
-so it takes one cube root and no square root.
+last member of flock k-1).  With k = mu^2 + r, its root and remainder,
+the closed form is linear in k and r, so the count forms no cube.  nth
+inverts the closed form exactly: on each block of m sharing
+floor(sqrt(2m)) = mu the count is linear in m, and j's block is the cube
+root c of 3j or one below it.  With c's remainder, 3j - c^3, j's rank in
+its block is linear in that remainder and c^2, and one division of the
+rank, about two thirds of j's width, by mu + 1 gives m and the offset:
+nth takes one cube root, one square of c and one division, no square
+root, and no operand as wide as j.
 
 Enumeration is one walk, _flock_runs(lo, hi), over runs of offsets, one
 run per flock: it starts at lo's located offset, stops at hi's, and takes
@@ -221,35 +226,6 @@ class RatioValue:
 # --------------------------------------------------------------------------
 # integer root helpers
 # --------------------------------------------------------------------------
-
-def _icbrt(n: int) -> int:
-    """Floor cube root, exact for arbitrary magnitude.
-
-    Below 2^60 the base is round(n ** (1/3)): there the float cube root
-    is within 10^-8 of the real root r, so rounding gives floor(r) or
-    floor(r) + 1.  Above it the root doubles its precision, the scheme
-    math.isqrt uses for square roots: with s = bits // 6 - 1, the root
-    r0 of the top bits n >> 3s, taken recursively, gives y = r0 + 1 and
-    the start x = y << s, which lies above the real root r by at most 2^s.
-    One Newton step (2x + n // x^2) // 3 cannot fall below floor(r), by
-    AM-GM, and it overshoots the real root by less than 2^2s / r <=
-    2^(-5/3) < 1/3.  Either way a single decrement finishes the floor root
-    whenever one is needed at all.  The step's quotient n // (y^2 << 2s)
-    is taken as (n >> 2s) // y^2, the same floor with half the divisor's
-    width, by ``_bigint.divmod``, subquadratic before Python 3.12 too.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >> 60:
-        s = n.bit_length() // 6 - 1
-        y = _icbrt(n >> 3 * s) + 1
-        x = ((2 * y << s) + _bigint.divmod(n >> 2 * s, y * y)[0]) // 3
-    else:
-        x = round(n ** (1 / 3))
-    while x * x * x > n:
-        x -= 1
-    return x
-
 
 # the largest offset in flock k: (isqrt(2m-1) - 1) // 2 for k = 2m-1 and
 # isqrt(m // 2) = isqrt(2m) // 2 for k = 2m; unguarded so the edge flocks
@@ -466,8 +442,9 @@ def count_at_square(m: int) -> int:
     """Number of almost-squares not exceeding m**2, in closed form.
 
     m^2 is flock 2m's member at offset 0, so this is the located count
-    there, _count_located(2m, 0), whose closed form in mu = floor(sqrt(2m))
-    is the one count every query shares.
+    there, _count_located(2m, 0): m(mu + 1) plus the closed form's
+    intercept on the block of m sharing mu = floor(sqrt(2m)), linear in 2m
+    and its root's remainder, the one count every query shares.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -485,50 +462,65 @@ def _count_located(k: int, offset: int) -> int:
     # flock and flock k's from offset to its extent, none where it is past.
     # With m = k // 2 and mu = floor(sqrt(2m)), the members up to m^2, which
     # are those through flock k - 1 for odd k and through k for even k, number
-    # m(mu + 1) + _block_base(mu).  One root, isqrt(k), serves as mu and for
-    # flock k's extent.  It is isqrt(2m) except at odd k = s^2, where
-    # isqrt(2m) = isqrt(k - 1) = s - 1; there the closed form's step from mu
-    # to mu + 1, (12m + 6 - 6(mu+1)^2 + 6[mu odd]) / 12, is 0 at mu = s - 1,
-    # as 2m = s^2 - 1 and s - 1 is even, so isqrt(k) serves too; a wide k's
-    # is _bigint.sqrtrem's, tested as in _locate
+    # m(mu + 1) + B(mu), where 12 B(mu) = 5mu - 12 - 2mu^3 - 3mu^2 +
+    # 6 floor(mu/2) is the closed form's intercept on the block of m sharing
+    # mu.  One root, isqrt(k), serves as mu and for flock k's extent.  It is
+    # isqrt(2m) except at odd k = s^2, where isqrt(2m) = isqrt(k - 1) = s - 1;
+    # there the closed form's step from mu to mu + 1, (12m + 6 - 6(mu+1)^2 +
+    # 6[mu odd]) / 12, is 0 at mu = s - 1, as 2m = s^2 - 1 and s - 1 is even,
+    # so isqrt(k) serves too.  With k = mu^2 + rk, the root's remainder, and
+    # 2m = k - k%2, twelve times that count is k(4mu + 3) + rk(2mu + 3) + 8mu
+    # - 12 - 3(mu%2) - 6(k%2)(mu + 1), with no cube of mu; its divisibility by
+    # 12 is asserted as an internal consistency check.  A wide k's root is
+    # _bigint.sqrtrem's, tested as in _locate
     if k > (1 << 30) - 1 and k >> _bigint._ROOT_BITS:
-        mu = _bigint.sqrtrem(k)[0]
+        mu, rk = _bigint.sqrtrem(k)
     else:
         mu = isqrt(k)
-    m = k // 2
-    size = (mu - k % 2) // 2 + 1  # _flock_extent(k) + 1
-    kept = size - offset if offset < size else 0  # members of flock k from offset on
-    count = m * (mu + 1) + _block_base(mu) + kept
-    return count if k & 1 else count - size
-
-
-def _block_base(mu: int) -> int:
-    # the closed form's intercept on block mu, the m >= 1 with floor(sqrt(2m))
-    # = mu: the members up to m^2 number m(mu + 1) + _block_base(mu) there, and
-    # 12 _block_base(mu) = 6mu - 12 - mu(mu+1)(2mu+1) + 6*floor(mu/2); the
-    # divisibility by 12 is asserted as an internal consistency check
-    twelve = 6 * mu - 12 - mu * (mu + 1) * (2 * mu + 1) + 6 * (mu // 2)
+        rk = k - mu * mu
+    twelve = k * (4 * mu + 3) + rk * (2 * mu + 3) + 8 * mu - 12 - 3 * (mu & 1)
+    if k & 1:  # through flock k - 1, and flock k's members from offset on
+        twelve -= 6 * mu + 6
+        size = (mu + 1) // 2  # _flock_extent(k) + 1
+        count = twelve // 12 + (size - offset if offset < size else 0)
+    else:  # through flock k, less its members before offset
+        size = mu // 2 + 1
+        count = twelve // 12 - (offset if offset < size else size)
     if twelve % 12:
-        raise AssertionError(f"closed-form count not divisible by 12 at mu={mu}")
-    return twelve // 12
+        raise AssertionError(f"closed-form count not divisible by 12 at k={k}")
+    return count
+
+
+def _rank(mu: int, square: int, r: int) -> int:
+    # nth's J' = j - B(mu) + mu - M0(mu + 1) for 3j = mu^3 + r, square = mu^2
+    # and M0 = ceil(mu^2/2), block mu's first m, with B as in _count_located:
+    # twelve times it, less 12mu, is linear in r and mu^2, as the cube of mu
+    # cancels; its divisibility by 12 is asserted as an internal consistency
+    # check
+    twelve = 4 * r - 3 * square - 5 * mu + 12 - 6 * (mu // 2) - 6 * (mu & 1) * (mu + 1)
+    if twelve % 12:
+        raise AssertionError(f"closed-form rank not divisible by 12 at mu={mu}")
+    return twelve // 12 + mu
 
 
 def nth(j: int) -> AlmostSquareRecord:
     """The j-th almost-square in increasing order, with its rectangle.
 
     The closed form is inverted exactly.  Call the m with floor(sqrt(2m))
-    = mu block mu: it runs from ceil(mu^2/2) to ((mu+1)^2 - 1) // 2, and on
-    it the members up to m^2 number L_mu(m) = m(mu + 1) + _block_base(mu),
-    linear in m with slope mu + 1.  The members before block mu, those up
-    to the square of its last m less one, M = (mu^2 - 1) // 2, number
+    = mu block mu: it runs from M0 = ceil(mu^2/2) to ((mu+1)^2 - 1) // 2,
+    and on it the members up to m^2 number L_mu(m) = m(mu + 1) + B(mu),
+    linear in m with slope mu + 1, for the intercept 12 B(mu) = 5mu - 12
+    - 2mu^3 - 3mu^2 + 6 floor(mu/2).  The members before block mu, those
+    up to the square of its first m less one, M0 - 1 = (mu^2 - 1) // 2,
+    number
 
         before(mu) = (4mu^3 + 3mu^2 + 2mu - 21) / 12    for odd mu >= 3,
                      (4mu^3 + 3mu^2 - 4mu - 24) / 12    for even mu >= 2,
 
     about mu^3/3 + mu^2/4, with before(1) = 0.  The lines of blocks mu - 1
-    and mu meet at M, as _block_base(mu - 1) = _block_base(mu) + M, so
-    before(mu) = L_mu(M) for mu >= 2.  j's block is the mu with before(mu)
-    < j <= before(mu + 1), and with c = max(2, icbrt(3j)) it is c - 1 or c:
+    and mu meet at M0 - 1, so before(mu) = L_mu(M0 - 1) for mu >= 2.  j's
+    block is the mu with before(mu) < j <= before(mu + 1), and with c =
+    max(2, icbrt(3j)) it is c - 1 or c:
 
     * mu >= c - 1, as 3j <= 3 before(mu + 1) < (mu + 2)^3, so icbrt(3j)
       <= mu + 1, and c = 2 <= mu + 1 as well;
@@ -536,27 +528,35 @@ def nth(j: int) -> AlmostSquareRecord:
       3mu^2 >= 4mu + 24), so 3j > mu^3 and icbrt(3j) >= mu; blocks 1 and 2
       hold j = 1 and j = 2 to 10, where mu <= 2 <= c.
 
-    One exact comparison, j > L_c(M), tells the two apart.  Then the first
-    m whose count reaches j is ceil((j - _block_base(mu)) / (mu + 1)), one
-    exact division, which is in block mu because j > before(mu) = L_mu of
-    the block's first m less one (and L_1(0) = -1 < j).  At a wide j,
-    the cube root and this division are nth's cost, and both divide by
-    ``_bigint.divmod``, subquadratic before Python 3.12 too.  The division's
-    remainder r gives the offset down from m^2, the count there less j, as
-    mu - r: the member at that offset in flock 2m, whose extent is mu // 2,
-    or past it in flock 2m - 1, as the two flocks hold the mu + 1 members
-    in ((m-1)^2, m^2].  So nth takes one cube root, of 3j, and no square
-    root.
+    The first m whose count reaches j is ceil((j - B(mu)) / (mu + 1)), and
+    with J' = j - B(mu) + mu - M0(mu + 1) it is M0 + t for t, rem =
+    divmod(J', mu + 1).  J' is negative exactly when that m is below M0,
+    that is when j <= L_mu(M0 - 1) = before(mu), so J' at mu = c tells the
+    two blocks apart.  _bigint.cbrtrem gives c with r = 3j - c^3, and as
+    12j = 4c^3 + 4r, the cube cancels from 12 J': it is 4r - 3c^2 + 7c + 12
+    - 6 floor(c/2) - 6(c mod 2)(c + 1), linear in r and c^2.  At mu = c - 1
+    the same form takes mu^2 = c^2 - 2c + 1 and r' = 3j - (c - 1)^3 = r +
+    3c^2 - 3c + 1.  The division's remainder gives the offset down from
+    m^2, the count there less j, as mu - rem: the member at that offset in
+    flock 2m, whose extent is mu // 2, or past it in flock 2m - 1, as the
+    two flocks hold the mu + 1 members in ((m-1)^2, m^2].  So nth takes one
+    cube root, of 3j, one square, of c, and one division, of 0 <= J' <
+    (mu + 1)^2 by mu + 1; the root's divisions and this one are
+    ``_bigint.divmod``'s, subquadratic before Python 3.12 too.  No operand
+    is as wide as j, and no square root is taken.
     """
     if j < 1:
         raise ValueError("index must be >= 1")
-    c = max(2, _icbrt(3 * j))
-    last = (c * c - 1) // 2  # block c - 1's last m, where the two lines meet
-    mu, base = c, _block_base(c)
-    if j <= last * (c + 1) + base:  # j <= before(c): in block c - 1
-        mu, base = c - 1, base + last
-    m, r = _bigint.divmod(j - base + mu, mu + 1)
-    k, offset = 2 * m, mu - r  # m^2 is the (j + offset)-th member
+    # c = max(2, icbrt(3j)), where r = 3j - c^3 is negative at j <= 2
+    c, r = _bigint.cbrtrem(3 * j) if j > 2 else (2, 3 * j - 8)
+    mu, square = c, c * c
+    jp = _rank(mu, square, r)
+    if jp < 0:  # j <= before(c): in block c - 1
+        mu, square, r = c - 1, square - 2 * c + 1, r + 3 * square - 3 * c + 1
+        jp = _rank(mu, square, r)
+    t, rem = _bigint.divmod(jp, mu + 1)
+    m = (square + (mu & 1)) // 2 + t
+    k, offset = 2 * m, mu - rem  # m^2 is the (j + offset)-th member
     extent = mu // 2  # flock 2m's, as isqrt(2m) = mu
     if offset > extent:  # past flock 2m, so in flock 2m - 1
         k, offset = k - 1, offset - extent - 1

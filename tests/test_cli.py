@@ -789,6 +789,7 @@ _E30000 = "1" + "0" * 30_000  # 10^30000, the square of 10^15000: a member
     (["check", _E30000[:-1] + "1"], 2),  # 10^30000 + 1, past its flock's extent
     (["floor", _E30000[:-1] + "1"], 3),
     (["count", "7" * 30_000], 3),
+    (["nth", "7" * 30_000], 0),  # _bigint.cbrtrem, which takes no square root
 ])
 def test_roots_per_verb(monkeypatch, argv, roots):
     # every math.isqrt call, from core or from sqrtrem, is counted, so a wide
@@ -807,6 +808,25 @@ def test_roots_per_verb(monkeypatch, argv, roots):
     assert all(n.bit_length() <= _bigint._ROOT_BITS for n in calls), [
         n.bit_length() for n in calls
     ]
+
+
+def test_nth_divides_nothing_as_wide_as_j(monkeypatch):
+    # nth's cube root, its rank in its block and the rendering of its record
+    # all divide by _bigint.divmod; none divides an int wider than about 2/3
+    # of j, as the rank is about mu^2 for mu the cube root of 3j
+    j = "7" * 30_000
+    bits = _bigint.int_from_digits(j).bit_length()
+    widths = []
+    divide = _bigint.divmod
+
+    def spied(a, b):
+        widths.append(a.bit_length())
+        return divide(a, b)
+
+    monkeypatch.setattr(_bigint, "divmod", spied)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["nth", j]) == 0
+    assert widths and max(widths) <= 2 * bits // 3 + 64, (bits, sorted(widths)[-3:])
 
 
 @pytest.mark.parametrize("argv", [

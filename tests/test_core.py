@@ -12,8 +12,7 @@ from almost_squares.core import (
     FlockId,
     RatioValue,
     Rectangle,
-    _block_base,
-    _icbrt,
+    _count_located,
     _locate,
     count_at_square,
     count_le,
@@ -49,6 +48,13 @@ class TestIsqrt:
         assert r * r <= n < (r + 1) * (r + 1)
 
 
+def _icbrt(n):
+    # the floor cube root by _bigint.cbrtrem, whose remainder is checked too
+    c, r = _bigint.cbrtrem(n)
+    assert r == n - c**3, n
+    return c
+
+
 class TestIcbrt:
     def test_small(self):
         assert [_icbrt(n) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
@@ -68,14 +74,14 @@ class TestIcbrt:
             assert all(_icbrt(c**3 - 1) == c - 1 and _icbrt(c**3) == c for c in cs)
 
     def test_recursion_threshold(self):
-        # 2^60 is where the precision-doubling path takes over
+        # 2^60 is where the recursion on the top bits takes over
         assert _icbrt(2**60 - 1) == 2**20 - 1
         assert _icbrt(2**60) == 2**20
         assert _icbrt(2**60 + 1) == 2**20
 
     def test_cube_neighbours_across_the_threshold(self):
         # r^3 - 1, r^3 and r^3 + 1 for roots r on both sides of 2^20, where n
-        # crosses 2^60 and the Newton step on the shifted n takes over
+        # crosses 2^60 and the recursion on the top bits takes over
         rng = random.Random(17)
         roots = [*range((1 << 20) - 64, (1 << 20) + 64)]
         roots += [rng.randrange(2, 1 << 40) for _ in range(500)]
@@ -85,8 +91,8 @@ class TestIcbrt:
                 assert x**3 <= n < (x + 1) ** 3
 
     def test_wide_random_n(self):
-        # n of 10^3 to 10^5 digits, and the cubes about them: the step divides
-        # by _bigint.divmod, Burnikel-Ziegler on wide operands before 3.12
+        # n of 10^3 to 10^5 digits, and the cubes about them: each level
+        # divides by _bigint.divmod, Burnikel-Ziegler on wide operands before 3.12
         rng = random.Random(18)
         for digits in (1000, 3000, 10_000, 31_000, 100_000):
             n = rng.randrange(10 ** (digits - 1), 10**digits)
@@ -361,6 +367,66 @@ def _before(mu):
     return count_at_square((mu * mu - 1) // 2) if mu > 1 else 0
 
 
+def _block_base(mu):
+    # the closed form's intercept on block mu, the m >= 1 with isqrt(2m) = mu:
+    # the members up to m^2 number m(mu + 1) + _block_base(mu) there; core's
+    # forms, which take no cube of mu, are tested against it
+    twelve = 6 * mu - 12 - mu * (mu + 1) * (2 * mu + 1) + 6 * (mu // 2)
+    assert twelve % 12 == 0, mu
+    return twelve // 12
+
+
+def _nth_reference(j, mu):
+    # nth by the intercept, for j in block mu or below: step mu down while
+    # j <= before(mu), then divide in block mu
+    while mu > 1 and j <= (mu * mu - 1) // 2 * (mu + 1) + _block_base(mu):
+        mu -= 1
+    m, r = divmod(j - _block_base(mu) + mu, mu + 1)
+    k, offset = 2 * m, mu - r
+    if offset > mu // 2:
+        k, offset = k - 1, offset - mu // 2 - 1
+    return k // 2 - offset, (k + 1) // 2 + offset
+
+
+def _count_reference(k, offset):
+    # _count_located by the intercept, with a cube of mu and math.isqrt
+    mu = isqrt(k)
+    size = (mu - k % 2) // 2 + 1
+    count = k // 2 * (mu + 1) + _block_base(mu) + max(size - offset, 0)
+    return count if k & 1 else count - size
+
+
+class TestCountLocated:
+    """The count at a flock position, against the intercept's arithmetic."""
+
+    @staticmethod
+    def _positions(mus):
+        # k = mu^2 - 1, mu^2 and mu^2 + 2mu, the ends of isqrt(k) = mu, for
+        # odd and even mu, so for odd and even k, at the offsets 0, the
+        # extent and one past it
+        for mu in mus:
+            for k in (mu * mu - 1, mu * mu, mu * mu + 2 * mu):
+                extent = (isqrt(k) - k % 2) // 2
+                for offset in (0, extent, extent + 1):
+                    yield k, offset
+
+    def test_narrow(self):
+        for k, offset in self._positions(range(2, 600)):
+            assert _count_located(k, offset) == _count_reference(k, offset), (k, offset)
+
+    def test_wide(self):
+        # mu of about half _ROOT_BITS and more, so that k is rooted by
+        # _bigint.sqrtrem, whose remainder enters the count
+        rng = random.Random(21)
+        half = _bigint._ROOT_BITS // 2
+        mus = [rng.getrandbits(bits) | 1 << bits - 1
+               for bits in (half - 2, half + 1, half + 2, half + 64, 3 * half) for _ in range(6)]
+        mus += [mu | 1 for mu in mus] + [mu & ~1 for mu in mus]
+        assert any(k.bit_length() > _bigint._ROOT_BITS for k, _ in self._positions(mus))
+        for k, offset in self._positions(mus):
+            assert _count_located(k, offset) == _count_reference(k, offset), (k, offset)
+
+
 class TestNth:
     def test_59(self):
         rec = nth(59)
@@ -420,6 +486,21 @@ class TestNth:
                 rec = nth(j)
                 assert count_le(rec.value) == j
                 assert is_almost_square(rec.value) == rec.rect
+
+    def test_block_edges_against_the_intercept(self):
+        # j = before(mu) - 1, before(mu) and before(mu) + 1, the last two of
+        # block mu - 1 and the first of block mu, where J' changes sign, for
+        # every mu up to 500 and for mu of 10 to 1400 digits
+        rng = random.Random(22)
+        mus = [*range(2, 501)]
+        mus += [
+            rng.randrange(10 ** (d - 1), 10**d) for d in (10, 11, 100, 101, 1400) for _ in range(8)
+        ]
+        for mu in mus:
+            before = (mu * mu - 1) // 2 * (mu + 1) + _block_base(mu)
+            for j in (before - 1, before, before + 1):
+                if j >= 1:
+                    assert tuple(nth(j).rect) == _nth_reference(j, mu), (mu, j - before)
 
     def test_block_is_the_cube_root_or_one_below(self):
         # nth's one-sided bound: j's block mu is c or c - 1 for

@@ -19,13 +19,14 @@ from almost_squares._bigint import (
     _LEAF_DIGITS,
     _ROOT_BITS,
     _divmod_bz,
+    cbrtrem,
     cell,
     int_from_digits,
     record_cells,
     sqrtrem,
     to_decimal,
 )
-from almost_squares.core import _icbrt, nth
+from almost_squares.core import nth
 
 pytestmark = pytest.mark.usefixtures("no_int_digit_limit")
 
@@ -151,15 +152,18 @@ def test_conversions_leave_no_cyclic_garbage(monkeypatch):
 _ROOT_WIDTHS = [k * _ROOT_BITS + d for k in (1, 2, 4, 8) for d in (-1, 0, 1, 2)]
 
 
-def _at_root_widths(test):
-    for bits in _ROOT_WIDTHS:
-        test = example(bits, 0)(test)
-    return test
+def _at_widths(widths):
+    # one example (bits, seed 0) at each of these widths
+    def add(test):
+        for bits in widths:
+            test = example(bits, 0)(test)
+        return test
+    return add
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8 * _ROOT_BITS + 2), st.integers(0, 2**32))
-@_at_root_widths
+@_at_widths(_ROOT_WIDTHS)
 def test_sqrtrem_matches_isqrt(bits, seed):
     # a random n of this width and, for its root s, s^2 - 1, s^2 and s^2 + 2s,
     # the last with the largest remainder a root s can have
@@ -172,6 +176,42 @@ def test_sqrtrem_matches_isqrt(bits, seed):
 
 def test_sqrtrem_of_small_ints():
     assert [sqrtrem(n) for n in range(65)] == [(isqrt(n), n - isqrt(n) ** 2) for n in range(65)]
+
+
+# -- cube roots ----------------------------------------------------------------
+
+def _cbrt_levels(bits: int) -> int:
+    # the levels of cbrtrem's recursion above its float root for an int this wide
+    return 0 if bits <= 60 else 1 + _cbrt_levels(bits - 3 * (bits // 6 - 1))
+
+
+# the widths about 61 bits, where the recursion starts, and about the least
+# width of its second and third levels (112 and 214 bits)
+_CBRT_WIDTHS = [
+    next(w for w in range(1, 1000) if _cbrt_levels(w) == level) + d
+    for level in (1, 2, 3) for d in (-2, -1, 0, 1, 2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32))
+@_at_widths(_CBRT_WIDTHS)
+def test_cbrtrem_brackets(bits, seed):
+    # a random n of this width; for its root c, c^3 - 1, c^3 and c^3 + 3c^2 +
+    # 3c, the last with the largest remainder a root c can have; and, above
+    # 60 bits, n with its top bits n >> 3b replaced by the largest int with
+    # their root, whose remainder is maximal, so that the quotient is at its
+    # largest and the root one too large, which the correction mends
+    n = random.Random(seed).getrandbits(bits) | 1 << bits - 1
+    c = cbrtrem(n)[0]
+    ms = [n, c**3 - 1, c**3, c**3 + 3 * c * c + 3 * c]
+    if bits > 60:
+        b = bits // 6 - 1
+        y = cbrtrem(n >> 3 * b)[0]
+        ms.append(((y + 1) ** 3 - 1) << 3 * b | n & (1 << 3 * b) - 1)
+    for m in ms:
+        x, r = cbrtrem(m)
+        assert x**3 <= m < (x + 1) ** 3 and r == m - x**3, m.bit_length()
 
 
 # -- division ------------------------------------------------------------------
@@ -269,15 +309,15 @@ def test_divmod_dispatch(monkeypatch):
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="divmod is the builtin from 3.12 on")
 def test_every_caller_divides_wide_ints_with_a_non_negative_and_b_positive(monkeypatch):
-    # _icbrt's Newton step, nth's rank in its block, to_decimal's leaf splits
-    # by 10^k, a negative n's too, and sqrtrem's quotient by 2s each reach
-    # _divmod_bz
+    # cbrtrem's quotient by 3y^2, nth's rank in its block, to_decimal's leaf
+    # splits by 10^k, a negative n's too, and sqrtrem's quotient by 2s each
+    # reach _divmod_bz
     signs = []
     monkeypatch.setattr(
         _bigint, "_divmod_bz", lambda a, b: signs.append(a >= 0 < b) or divmod(a, b)
     )
     n = random.Random(3).getrandbits(40_000) | 1 << 40_000
-    for f, x in ((_icbrt, n), (nth, n), (to_decimal, n), (to_decimal, -n), (sqrtrem, n)):
+    for f, x in ((cbrtrem, n), (nth, n), (to_decimal, n), (to_decimal, -n), (sqrtrem, n)):
         signs.clear()
         f(x)
         assert signs and all(signs), f.__name__

@@ -5,12 +5,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almost_squares._bigint import cbrtrem
 from almost_squares.core import (
     AlmostSquareRecord,
     FlockId,
     RatioValue,
     _flock_extent,
-    _icbrt,
     _locate,
     count_at_square,
     count_le,
@@ -33,6 +33,13 @@ from almost_squares.oracle import brute_is_member, brute_semiperimeter
 def test_isqrt_brackets(n):
     r = isqrt(n)
     assert r * r <= n < (r + 1) * (r + 1)
+
+
+def _icbrt(n):
+    # the floor cube root by cbrtrem, whose remainder is checked too
+    c, r = cbrtrem(n)
+    assert r == n - c**3
+    return c
 
 
 @given(st.integers(min_value=0, max_value=10**60))

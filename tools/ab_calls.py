@@ -18,8 +18,9 @@ elsewhere (``git archive`` or ``git clone``):
 
 The default loop is ``is_almost_square(n)`` and ``count_le(n)`` for every
 n up to ``--limit`` (2*10^5), the calls ``oracle-verify`` makes per n.
-With ``--digits`` it is ``is_almost_square``, ``count_le`` and
-``floor_almost_square`` on 20 seeded random ints of that many digits.
+With ``--digits`` it is ``is_almost_square``, ``count_le``,
+``floor_almost_square`` and ``nth`` on 20 seeded random ints of that many
+digits, each both an n and an index j.
 """
 
 from __future__ import annotations
@@ -50,13 +51,15 @@ def load(src: Path, name: str):
 
 
 def point_loop(core, ns) -> float:
-    """Seconds to run the three point queries on each n of ns."""
+    """Seconds to run the four point queries on each n of ns."""
     member, count, floor = core.is_almost_square, core.count_le, core.floor_almost_square
+    nth = core.nth
     start = time.perf_counter()
     for n in ns:
         member(n)
         count(n)
         floor(n)
+        nth(n)
     return time.perf_counter() - start
 
 
@@ -87,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         rng = random.Random(1)
         ns = [int("".join(rng.choices("123456789", k=args.digits))) for _ in range(20)]
         loop, slices = point_loop, [ns[i:i + 1] for i in range(len(ns))]
-        label = f"3 point queries at {args.digits} digits"
+        label = f"4 point queries at {args.digits} digits"
     else:
         loop = oracle_loop
         slices = [range(lo, min(lo + _SLICE, args.limit + 1))
