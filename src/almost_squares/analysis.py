@@ -11,8 +11,13 @@ remainder, and CSV emission of the series behind all of it.
 Every real quantity here is a root of a rational: x^(1/4), sqrt(x),
 (64x^3)^(1/4) = 2*sqrt(2)*x^(3/4), and the fractional parts of
 (4x)^(1/4), (x/4)^(1/4) and sqrt(4x).  Each is taken in exact integer
-fixed point as floor(root * 2^P), and each float field is one correctly
-rounded int/int division of integer terms.  At a perfect power the
+fixed point as floor(root * 2^P).  Every float field but g and h is one
+correctly rounded int/int division of integer terms: the B terms, R,
+R_norm and z.  g and h are float expressions of such a division: a
+remainder row rounds each fractional part f to a float that way, then
+g_func and h_func evaluate their shapes on f in floats, where 1.0 - f
+cancels for f near 1, so g and h can be many ulps off (up to about
+8.4e7 ulps against a 400-digit reference).  At a perfect power the
 scaled root is an exact multiple of 2^P, so its fractional part is an
 exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
 from a fractional part that rounded to 0.999... just below the jump.
@@ -442,9 +447,11 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     max_rows, for every kind), those above max_rows and remainder plans
     with hi >= 2^4092 (about 6.5e1231), past which R may leave float
     range, are rejected with ValueError before any output is written.
-    Below that bound every remainder row is exact up to the float
-    rounding of its reals: x and A are ints, and R, R_norm, g and h come
-    from integer roots, each by one correctly rounded division.
+    Below that bound x and A are exact ints, and R and R_norm each come
+    from integer roots by one correctly rounded division.  g and h are
+    g_func and h_func evaluated in floats on a fractional part rounded
+    that way, so they are not correctly rounded: 1.0 - f cancels for f
+    near 1.
     """
     if plan.kind not in _PLAN_KINDS:
         raise ValueError(f"unknown plan kind {plan.kind!r}")

@@ -6,16 +6,16 @@ is a single ascending scan with exact cross-multiplied ratio comparisons
 of n with d(n)^2 <= n.  A divisor sieve writes d(n) for every n up to the
 limit at once, so the whole scan costs about O(limit log limit): 0.03 s
 at 2*10^5 and 1.4 s at 10^7 (58 MB peak RSS) with CPython 3.11 on a
-2-vCPU host.  Trial division downward from the integer square root,
-O(sqrt(n)) per n, is kept as brute_divisor_pair, and the tests pin the
-sieve against it.  All of it exists so the closed-form routines in core
-can be tested against something with no cleverness in it.
+2-vCPU host.  The tests keep trial division downward from the integer
+square root, O(sqrt(n)) per n, in tests/brute.py, outside the package,
+and pin the sieve against it.  All of it exists so the closed-form
+routines in core can be checked, by oracle-verify and by the tests,
+against something with no cleverness in it.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import namedtuple
 from math import factorial, isqrt
 
@@ -23,12 +23,8 @@ from .core import RatioValue, is_almost_square
 
 __all__ = [
     "DEFAULT_SCAN_CAP",
-    "DivisorPair",
     "RecordSet",
-    "brute_divisor_pair",
-    "brute_is_member",
     "brute_record_set",
-    "brute_semiperimeter",
     "factorial_membership_scan",
 ]
 
@@ -42,26 +38,8 @@ DEFAULT_SCAN_CAP = 200_000
 _MAX_SCAN_LIMIT = 10_000_000
 
 
-# d(n) and its cofactor: small is the largest divisor with small^2 <= n
-DivisorPair = namedtuple("DivisorPair", "small large")
-
 # all ratio record-breakers (ties included) up to limit, ascending
 RecordSet = namedtuple("RecordSet", "limit members ratios")
-
-
-def brute_divisor_pair(n: int) -> DivisorPair:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for d in range(isqrt(n), 0, -1):
-        if n % d == 0:
-            return DivisorPair(d, n // d)
-    raise AssertionError("unreachable: 1 divides every positive integer")
-
-
-def brute_semiperimeter(n: int) -> int:
-    """Least width + length over integer rectangles of area n."""
-    pair = brute_divisor_pair(n)
-    return pair.small + pair.large
 
 
 def brute_record_set(limit: int) -> RecordSet:
@@ -90,16 +68,6 @@ def brute_record_set(limit: int) -> RecordSet:
             ratios.append(RatioValue(n, s))
             best_num, best_den = n, s
     return RecordSet(limit, members, ratios)
-
-
-def brute_is_member(n: int, record_set: RecordSet) -> bool:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > record_set.limit:
-        raise ValueError(f"n={n} exceeds the record set limit {record_set.limit}")
-    members = record_set.members
-    i = bisect_left(members, n)
-    return i < len(members) and members[i] == n
 
 
 def factorial_membership_scan(n_max: int) -> list[int]:

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from almost_squares.oracle import brute_divisor_pair, brute_record_set
+from almost_squares.oracle import brute_record_set
+from brute import brute_divisor_pair
 
 ORACLE_LIMIT = 200_000
 

@@ -129,7 +129,7 @@ def test_criterion_5_pioneer_suite(record_set_full):
         # semiperimeter, find the flocks that grew past the previous flock
         # of their parity, take their openers; flocks 2 and 3 (the first
         # nonempty one of each parity) are the baseline
-        from almost_squares.oracle import brute_semiperimeter
+        from brute import brute_semiperimeter
 
         by_flock: dict[int, list[int]] = {}
         for v in record_set_full.members:

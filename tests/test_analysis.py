@@ -315,19 +315,6 @@ def test_cli_import_leaves_analysis_unloaded():
     assert _modules_after("import almost_squares.cli", names) == "[]\n"
 
 
-def test_package_exports():
-    # the package root re-exports core and oracle only; analysis is imported
-    # as almost_squares.analysis, and its names are not on the root
-    from almost_squares import oracle
-
-    assert almost_squares.__all__ == [*core.__all__, *oracle.__all__]
-    assert len(set(almost_squares.__all__)) == len(almost_squares.__all__)
-    for name in almost_squares.__all__:
-        getattr(almost_squares, name)
-    for name in analysis.__all__:
-        assert not hasattr(almost_squares, name), name
-
-
 class TestOscillationShapes:
     def test_g_zero_at_integers(self):
         for k in (-3, 0, 1, 7, 10**6):

@@ -13,14 +13,8 @@ from almost_squares.core import (
     seq_a,
     seq_b,
 )
-from almost_squares.oracle import (
-    DivisorPair,
-    brute_divisor_pair,
-    brute_is_member,
-    brute_record_set,
-    brute_semiperimeter,
-    factorial_membership_scan,
-)
+from almost_squares.oracle import brute_record_set, factorial_membership_scan
+from brute import DivisorPair, brute_divisor_pair, brute_is_member, brute_semiperimeter
 from reference_data import FACTORIAL_MEMBERS, FIRST_59
 
 

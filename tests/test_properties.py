@@ -26,7 +26,7 @@ from almost_squares.core import (
     tri_decompose,
     triangular,
 )
-from almost_squares.oracle import brute_is_member, brute_semiperimeter
+from brute import brute_is_member, brute_semiperimeter
 
 
 @given(st.integers(min_value=0, max_value=10**80))
