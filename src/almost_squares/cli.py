@@ -11,8 +11,8 @@ consistency failure, 141 when the reader closes stdout early (as
 ``| head`` does), with nothing on stderr.
 
 Every verb is one row of one table, _VERBS: its name, its help, its
-handler and its arguments with their add_argument keywords; --format and
---max-rows are each declared once and shared by the rows that take them.
+handler and its arguments with their add_argument keywords; --format is
+declared once and shared by the rows that take it.
 build_parser() builds the parser by one loop over the table and returns
 a new one on each call; main builds its parser on its first call and
 reuses it for every later call in the process.
@@ -58,6 +58,8 @@ from .oracle import DEFAULT_SCAN_CAP, brute_record_set
 
 __all__ = ["build_parser", "main", "run_main"]
 
+# the one row ceiling of every streaming verb: list, flock, pioneers, analyze
+# and trigrid refuse up front a request for more rows than this
 _LIST_ROW_CAP = 10_000_000
 
 # list and flock write their rows in chunks of at most about this many bytes,
@@ -225,8 +227,8 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_plan(max_rows: int, **fields: object) -> int:
-    """Refuse max_rows outside [0, _LIST_ROW_CAP], then stream the plan's CSV."""
+def _emit_plan(**fields: object) -> int:
+    """Stream the plan's CSV, refused up front above _LIST_ROW_CAP rows."""
     # analysis is imported here, not at module top.  An eager import made a
     # fresh `import almost_squares.cli` slower (29.4 -> 36.0 ms median over 40
     # alternating fresh interpreters, 2-vCPU host, Python 3.11), and
@@ -234,23 +236,18 @@ def _emit_plan(max_rows: int, **fields: object) -> int:
     # imported, which a name bound at cli's import time would bypass.
     from .analysis import SamplingPlan, emit_series
 
-    _require(max_rows >= 0, "--max-rows must be >= 0")
-    _require(
-        max_rows <= _LIST_ROW_CAP,
-        f"--max-rows {max_rows} is above the cap of {_LIST_ROW_CAP}",
-    )
-    emit_series(SamplingPlan(max_rows=max_rows, **fields), sys.stdout)
+    emit_series(SamplingPlan(max_rows=_LIST_ROW_CAP, **fields), sys.stdout)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    return _emit_plan(args.max_rows, kind=args.plan, lo=args.lo, hi=args.hi,
-                      step=args.step, at_members=not args.grid)
+    return _emit_plan(kind=args.plan, lo=args.lo, hi=args.hi, step=args.step,
+                      at_members=not args.grid)
 
 
 def cmd_trigrid(args: argparse.Namespace) -> int:
     _require(args.size >= 2, "size must be >= 2")
-    return _emit_plan(args.max_rows, kind="tri-grid", lo=1, hi=args.size)
+    return _emit_plan(kind="tri-grid", lo=1, hi=args.size)
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
@@ -293,7 +290,6 @@ def _int(**keywords: object) -> dict[str, object]:
 
 _FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text",
                         "help": "output format (default text)"})
-_MAX_ROWS = ("--max-rows", _int(default=1_000_000))
 
 # every verb, one row each, in the order of the help screen:
 # (verb, help, handler, ((argument, add_argument keywords), ...))
@@ -317,10 +313,9 @@ _VERBS = (
         ("--step", _int(default=1, help="grid step (default 1)")),
         ("--grid", {"action": "store_true",
                     "help": "sample a fixed-step grid instead of the member values"}),
-        _MAX_ROWS,
     )),
     ("trigrid", "stream the triangular-product membership table as CSV", cmd_trigrid,
-     (("size", _int(nargs="?", default=60)), _MAX_ROWS)),
+     (("size", _int(nargs="?", default=60)),)),
     ("oracle-verify", "compare fast membership and counts against the brute-force scan",
      cmd_oracle_verify, (("--limit", _int(default=DEFAULT_SCAN_CAP)),)),
 )

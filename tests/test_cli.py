@@ -279,16 +279,6 @@ class TestAnalyze:
         assert len(lines) == 60
         assert [int(line.split(",")[0]) for line in lines[1:]] == FIRST_59
 
-    def test_row_cap(self, capsys):
-        code, out, err = run(
-            capsys,
-            "analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "10000000",
-            "--max-rows", "10",
-        )
-        assert code == 2
-        assert out == ""
-        assert "rows" in err
-
     def test_beyond_float_range_refused(self, capsys):
         # rows hold x exactly, so 10^310 is answered; from 2^4092 on R may
         # leave float range, and the plan is refused before any output
@@ -316,30 +306,36 @@ class TestTrigrid:
         assert lines[0] == "m,n,is_member"
         assert len(lines) == 37
 
-    @pytest.mark.parametrize("argv", [
-        ("trigrid", str(10**20), "--max-rows", str(10**41)),
-        ("analyze", "--plan", "A-of-x", "--lo", "1", "--hi", str(10**40),
-         "--max-rows", str(10**41)),
-        ("trigrid", "6", "--max-rows", str(cli._LIST_ROW_CAP + 1)),
-    ])
-    def test_max_rows_above_row_cap_refused(self, capsys, argv):
-        t0 = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - t0 < 1.0
-        assert code == 2
-        assert out == ""
-        assert err.startswith("almost-squares: --max-rows ") and err.count("\n") == 1
-        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("analyze", "--plan", "A-of-x", "--lo", "10", "--hi", "5", "--max-rows", "-1"),
-        ("trigrid", "5", "--max-rows", "-1"),
-    ])
-    def test_negative_max_rows_refused(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "almost-squares: --max-rows must be >= 0\n"
+# the member one past the ceiling: [1, _PAST_CEILING] holds 10^7 + 1 members
+_PAST_CEILING = str(nth(10**7 + 1).value)
+_PLAN_REFUSAL = "almost-squares: plan would emit {} rows, above the cap of 10000000\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("list", "1", _PAST_CEILING),
+     "almost-squares: range holds 10000001 members; use 'count' or 'analyze' instead\n"),
+    (("flock", str(10**32)),
+     f"almost-squares: flock {10**32} holds 5000000000000001 members, "
+     "above the cap of 10000000\n"),
+    (("pioneers", "10000001"),
+     "almost-squares: 10000001 pioneers requested, above the cap of 10000000\n"),
+    (("analyze", "--plan", "R-normalized", "--lo", "1", "--hi", _PAST_CEILING),
+     _PLAN_REFUSAL.format(10**7 + 1)),
+    (("analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "10000001"),
+     _PLAN_REFUSAL.format(10**7 + 1)),
+    (("trigrid", "3163"), _PLAN_REFUSAL.format(3163**2)),
+    (("trigrid", str(10**20)), _PLAN_REFUSAL.format(10**40)),
+    (("analyze", "--plan", "A-of-x", "--lo", "1", "--hi", str(10**40)),
+     _PLAN_REFUSAL.format(10**40)),
+], ids=["list", "flock", "pioneers", "analyze-members", "analyze-grid", "trigrid",
+        "trigrid-1e20", "analyze-1e40"])
+def test_every_streaming_verb_refuses_one_row_past_the_ceiling(capsys, argv, err):
+    # list, flock, pioneers, analyze and trigrid share one 10^7-row ceiling,
+    # and each refuses a request above it before any output, in closed form
+    t0 = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", err)
+    assert time.perf_counter() - t0 < 1.0
 
 
 class TestOracleVerify:
@@ -964,7 +960,7 @@ _WIDE_MEMBERS = "9" * 6995 + "60399"
     ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "20000"],  # a grid with A off the walk
     ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "100000000", "--step", "20000"],  # count_le
     ["analyze", "--plan", "A-of-x", "--lo", _WIDE, "--hi", _WIDE[:-3] + "200"],
-    ["trigrid", "500", "--max-rows", "250000"],
+    ["trigrid", "500"],
 ], ids=["list", "list-wide", "flock", "pioneers", "analyze-walk", "analyze-grid-walk",
         "analyze-grid-count", "analyze-wide", "trigrid"])
 def test_every_streaming_verb_holds_under_a_quarter_of_its_output(argv):
@@ -1017,11 +1013,10 @@ def argvs(draw):
         lo = draw(INTS)
         plan = draw(st.sampled_from(["A-of-x", "R-of-x", "R-normalized"]))
         args = ["--plan", plan, "--lo", lo, "--hi", lo + draw(st.integers(-10, 300)),
-                "--step", draw(st.integers(-1, 50)),
-                "--max-rows", draw(st.integers(-1, 100))]
+                "--step", draw(st.integers(-1, 50))]
         args += draw(st.sampled_from([[], ["--grid"]]))
     elif verb == "trigrid":
-        args = [draw(st.integers(-5, 40)), "--max-rows", draw(st.integers(-2, 2000))]
+        args = [draw(st.integers(-5, 40))]
     else:
         args = ["--limit", draw(st.integers(-5, 2000))]
     argv = [verb, *map(str, args)]
@@ -1068,7 +1063,7 @@ PARSER_SEQUENCE = [
     ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "30", "--step", "7", "--grid"],
     ["analyze", "--plan", "R-of-x", "--lo", "1", "--hi", "30"],
     ["check", "--bogus", "182"],
-    ["trigrid", "5", "--max-rows", "30"],
+    ["trigrid", "5"],
     ["trigrid"],
     ["count", "1.5"],
     ["oracle-verify", "--limit", "50"],

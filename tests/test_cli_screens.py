@@ -31,9 +31,8 @@ PIONEERS_USAGE = "usage: almost-squares pioneers [-h] [--format {text,json,csv}]
 ANALYZE_USAGE = (
     "usage: almost-squares analyze [-h] --plan {A-of-x,R-of-x,R-normalized} --lo LO\n"
     "                              --hi HI [--step STEP] [--grid]\n"
-    "                              [--max-rows MAX_ROWS]\n"
 )
-TRIGRID_USAGE = "usage: almost-squares trigrid [-h] [--max-rows MAX_ROWS] [size]\n"
+TRIGRID_USAGE = "usage: almost-squares trigrid [-h] [size]\n"
 ORACLE_USAGE = "usage: almost-squares oracle-verify [-h] [--limit LIMIT]\n"
 ANALYZE = ("analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "2")
 
@@ -152,8 +151,7 @@ SCREENS = [
         "  --lo LO\n"
         "  --hi HI\n"
         "  --step STEP           grid step (default 1)\n"
-        "  --grid                sample a fixed-step grid instead of the member values\n"
-        "  --max-rows MAX_ROWS\n",
+        "  --grid                sample a fixed-step grid instead of the member values\n",
         "",
     ),
     (
@@ -165,8 +163,7 @@ SCREENS = [
         "  size\n"
         "\n"
         "options:\n"
-        "  -h, --help           show this help message and exit\n"
-        "  --max-rows MAX_ROWS\n",
+        "  -h, --help  show this help message and exit\n",
         "",
     ),
     (
@@ -262,8 +259,7 @@ SCREENS = [
         (*ANALYZE, "--max-rows", "z"),
         2,
         "",
-        ANALYZE_USAGE
-        + "almost-squares analyze: error: argument --max-rows: invalid int value: 'z'\n",
+        TOP_USAGE + "almost-squares: error: unrecognized arguments: --max-rows z\n",
     ),
     (
         ("analyze", "--plan", "A-of-x", "--lo", "1"),
@@ -283,8 +279,7 @@ SCREENS = [
         ("trigrid", "--max-rows"),
         2,
         "",
-        TRIGRID_USAGE
-        + "almost-squares trigrid: error: argument --max-rows: expected one argument\n",
+        TOP_USAGE + "almost-squares: error: unrecognized arguments: --max-rows\n",
     ),
     (
         ("oracle-verify", "--limit"),
@@ -335,12 +330,11 @@ PARSED = [
     (("flock", "16"), {"k": 16, "format": "text", "func": cli.cmd_flock}),
     (("pioneers", "4"), {"count": 4, "format": "text", "func": cli.cmd_pioneers}),
     (ANALYZE, {"plan": "A-of-x", "lo": 1, "hi": 2, "step": 1, "grid": False,
-               "max_rows": 1_000_000, "func": cli.cmd_analyze}),
-    (("analyze", "--grid", "--step", "3", "--max-rows", "7", *ANALYZE[1:]),
-     {"plan": "A-of-x", "lo": 1, "hi": 2, "step": 3, "grid": True, "max_rows": 7,
-      "func": cli.cmd_analyze}),
-    (("trigrid",), {"size": 60, "max_rows": 1_000_000, "func": cli.cmd_trigrid}),
-    (("trigrid", "9", "--max-rows", "5"), {"size": 9, "max_rows": 5, "func": cli.cmd_trigrid}),
+               "func": cli.cmd_analyze}),
+    (("analyze", "--grid", "--step", "3", *ANALYZE[1:]),
+     {"plan": "A-of-x", "lo": 1, "hi": 2, "step": 3, "grid": True, "func": cli.cmd_analyze}),
+    (("trigrid",), {"size": 60, "func": cli.cmd_trigrid}),
+    (("trigrid", "9"), {"size": 9, "func": cli.cmd_trigrid}),
     (("oracle-verify",), {"limit": 200_000, "func": cli.cmd_oracle_verify}),
 ]
 

@@ -92,7 +92,7 @@ def test_package_exports():
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
-    assert almost_squares.__version__ == project["version"] == "2.0.0"
+    assert almost_squares.__version__ == project["version"] == "3.0.0"
 
 
 def _paper_map() -> list[list[str]]:
