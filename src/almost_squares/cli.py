@@ -24,6 +24,13 @@ list and flock render each flock run of members as a whole: the run's
 semiperimeter and flock, both k, are rendered once into its row
 template, and its rows go out in chunks of at most about 64 KB, one
 write each.
+
+oracle-verify runs the brute-force scan once, then checks the fast
+membership and count at every n in contiguous slices of [1, limit]: one
+per usable CPU, each of at least _MIN_SLICE n, the first in this process
+and each other in a forked child that sends back its mismatch counts and
+first witnesses.  Every slice starts its brute count from the brute
+members, so the output bytes do not depend on how many slices there are.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import islice, starmap
@@ -69,6 +78,13 @@ _CHUNK_BYTES = 1 << 16
 
 # oracle-verify prints at most this many mismatching n after its summary
 _WITNESS_LINES = 5
+
+# oracle-verify sweeps [1, limit] in one forked process per usable CPU, but
+# gives each at least this many n.  A fork, pipe and reap round trip took
+# 1.49 ms median (p90 2.66 ms) from a 3.11.7 process with the package
+# loaded (2-vCPU host), and the sweep about 1.1 us per n, so a slice this
+# long keeps that overhead at or below about 15%
+_MIN_SLICE = 10_000
 
 _RECORD = ("value", "width", "length", "semiperimeter", "flock")
 _RECORD_TEXT = "{} = {} x {} (semiperimeter {}, flock {})\n"
@@ -199,7 +215,9 @@ def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     _require(args.lo >= 1, "lo must be >= 1")
     _require(args.hi >= args.lo, "lo must not exceed hi")
-    refusal = "range holds {} members; use 'count' or 'analyze' instead"
+    # analyze at the members writes a row per member too, so only a grid with a
+    # step answers a window this wide
+    refusal = "range holds {} members; use 'count', or 'analyze --grid' with a --step, instead"
     return _emit_members(args.format, args.lo, args.hi, refusal)
 
 
@@ -250,15 +268,41 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
     return _emit_plan(kind="tri-grid", lo=1, hi=args.size)
 
 
-def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    limit = args.limit
-    record_set = brute_record_set(limit)
-    members = record_set.members
-    running = 0  # the brute-force count so far, and the index of the next member
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slices(limit: int) -> list[tuple[int, int]]:
+    """[1, limit] as contiguous slices (lo, hi), one per process of the sweep.
+
+    As many as there are usable CPUs and whole _MIN_SLICE runs of n, at
+    least one.  One slice, and no fork, where os.fork is missing or the
+    process runs threads besides this one: a forked child holds only the
+    forking thread, so a lock another thread held stays held in it.
+    """
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(_usable_cpus(), limit // _MIN_SLICE))
+    bounds = [limit * i // workers for i in range(workers + 1)]
+    return [(bounds[i] + 1, bounds[i + 1]) for i in range(workers)]
+
+
+def _sweep(members: list[int], lo: int, hi: int) -> tuple[int, int, list[tuple]]:
+    """Check both fast calls against the brute members at every n in [lo, hi].
+
+    Returns the membership and count mismatches and the first
+    _WITNESS_LINES witnesses.  The brute count starts at the members below
+    lo, taken from the members themselves, so every slice of [1, limit]
+    gives the bytes that one sweep of it would.
+    """
+    running = bisect_left(members, lo)  # the brute count, and the next member's index
     membership_bad = 0
     count_bad = 0
     witnesses = []
-    for n in range(1, limit + 1):
+    for n in range(lo, hi + 1):
         brute_member = running < len(members) and members[running] == n
         # a branch, not running += brute_member: adding the bool took about
         # 25 ns more per n (Python 3.11, 2-vCPU host)
@@ -271,6 +315,84 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
             count_bad += fast_count != running
             if len(witnesses) < _WITNESS_LINES:
                 witnesses.append((n, fast_member, fast_count, brute_member, running))
+    return membership_bad, count_bad, witnesses
+
+
+def _fork_sweep(members: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Start _sweep(members, lo, hi) in a forked child: its pid and its pipe's read end.
+
+    The child inherits members copy-on-write and sends back, pickled,
+    (True, its result) or (False, the exception its sweep raised).  It
+    always leaves by os._exit, so it runs no atexit handler and flushes no
+    stdio buffer it inherited.
+    """
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                result = True, _sweep(members, lo, hi)
+            except BaseException as exc:  # the parent raises it in the sweep's place
+                result = False, exc
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+def _sweep_slices(members: list[int], slices: list[tuple[int, int]]) -> list[tuple]:
+    """_sweep over each slice, in slice order: the first here, each other in a child.
+
+    A child's exception is raised here as the one sweep would have raised
+    it: the first slice's in n order, this process's own first of all.
+    Every child is reaped before this returns or raises, and killed first
+    when it raises, on KeyboardInterrupt too.
+    """
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe), in slice order
+    try:
+        for lo, hi in slices[1:]:
+            children.append(_fork_sweep(members, lo, hi))
+        results = [_sweep(members, *slices[0])]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:  # killed, or its exception could not be pickled
+                raise ChildProcessError(f"oracle-verify's worker {pid} sent no result")
+            done, result = pickle.loads(data)
+            if not done:
+                raise result
+            results.append(result)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return results
+
+
+def cmd_oracle_verify(args: argparse.Namespace) -> int:
+    limit = args.limit
+    members = brute_record_set(limit).members
+    results = _sweep_slices(members, _slices(limit))
+    membership_bad = sum(result[0] for result in results)
+    count_bad = sum(result[1] for result in results)
+    witnesses = [w for result in results for w in result[2]][:_WITNESS_LINES]
     ok = limit - membership_bad
     print(f"membership: {ok}/{limit} ok, {membership_bad} mismatches")
     ok = limit - count_bad

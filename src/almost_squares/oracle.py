@@ -4,8 +4,8 @@ Everything here computes straight from the definitions.  The record set
 is a single ascending scan with exact cross-multiplied ratio comparisons
 (ties kept) over s(n) = d(n) + n/d(n), where d(n) is the largest divisor
 of n with d(n)^2 <= n.  A divisor sieve writes d(n) for every n up to the
-limit at once, so the whole scan costs about O(limit log limit): 0.03 s
-at 2*10^5 and 1.4 s at 10^7 (58 MB peak RSS) with CPython 3.11 on a
+limit at once, so the whole scan costs about O(limit log limit): 0.04 s
+at 2*10^5 and 3.2 s at 10^7 (58 MB peak RSS) with CPython 3.11 on a
 2-vCPU host.  The tests keep trial division downward from the integer
 square root, O(sqrt(n)) per n, in tests/brute.py, outside the package,
 and pin the sieve against it.  All of it exists so the closed-form
@@ -28,13 +28,16 @@ __all__ = [
     "factorial_membership_scan",
 ]
 
-# oracle-verify's default limit: about 0.2 s in all, most of it the fast
-# side (count_le and is_almost_square) being checked at every n
+# oracle-verify's default limit: most of its time is the fast side
+# (count_le and is_almost_square) being checked at every n, which it splits
+# over the usable CPUs; best of 9 in-process calls, 0.30 s with one sweep
+# and 0.20 s on two CPUs (3.11.7, 2-vCPU host)
 DEFAULT_SCAN_CAP = 200_000
 
-# the record scan takes about 1.4 s at 10^7 (169,281 members) and the
-# fast side about 1 us per n, so oracle-verify at this limit runs about
-# 10 s in about 60 MB; brute_record_set refuses anything above
+# at this limit (169,281 members) the record scan took about 3 s, once, and
+# the fast side 1.5-1.7 us per n: oracle-verify ran 10.8-11.1 s on two
+# usable CPUs, against 16.0-16.4 s for one sweep, in about 60 MB (3.11.7,
+# 2-vCPU host); brute_record_set refuses anything above
 _MAX_SCAN_LIMIT = 10_000_000
 
 

@@ -7,8 +7,10 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from math import isqrt
@@ -151,7 +153,7 @@ class TestListVerb:
         assert out == ""
         assert err == (
             f"almost-squares: range holds {rows} members; "
-            "use 'count' or 'analyze' instead\n"
+            "use 'count', or 'analyze --grid' with a --step, instead\n"
         )
 
     def test_memory_does_not_grow_with_the_window(self):
@@ -314,7 +316,8 @@ _PLAN_REFUSAL = "almost-squares: plan would emit {} rows, above the cap of 10000
 
 @pytest.mark.parametrize("argv, err", [
     (("list", "1", _PAST_CEILING),
-     "almost-squares: range holds 10000001 members; use 'count' or 'analyze' instead\n"),
+     "almost-squares: range holds 10000001 members; "
+     "use 'count', or 'analyze --grid' with a --step, instead\n"),
     (("flock", str(10**32)),
      f"almost-squares: flock {10**32} holds 5000000000000001 members, "
      "above the cap of 10000000\n"),
@@ -336,6 +339,31 @@ def test_every_streaming_verb_refuses_one_row_past_the_ceiling(capsys, argv, err
     t0 = time.perf_counter()
     assert run(capsys, *argv) == (2, "", err)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _verify(monkeypatch, workers, limit="30000"):
+    """main's bytes for oracle-verify --limit limit on `workers` CPUs, and its forks.
+
+    The default limit makes three slices of 10^4 n: [1, 10^4], [10^4 + 1,
+    2*10^4] and [2*10^4 + 1, 3*10^4].  Every call, failing ones too, must
+    leave no child process unreaped.
+    """
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: workers)
+        m.setattr(os, "fork", spy)
+        try:
+            outcome = _main_bytes(["oracle-verify", "--limit", limit])
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    return outcome, len(forks)
 
 
 class TestOracleVerify:
@@ -381,6 +409,122 @@ class TestOracleVerify:
             f"n={bad}: fast member=False count={want + 1}, "
             f"oracle member=False count={want}"
         ]
+
+    # the sweep in forked slices gives the bytes of one sweep, and leaves no
+    # child process behind
+    def test_same_bytes_for_every_worker_count(self, monkeypatch):
+        serial, forks = _verify(monkeypatch, 1)
+        assert serial == (0, "membership: 30000/30000 ok, 0 mismatches\n"
+                             "counts:     30000/30000 ok, 0 mismatches\n", "")
+        assert forks == 0
+        for workers in (2, 3):
+            assert _verify(monkeypatch, workers) == (serial, workers - 1)
+
+    def test_witnesses_across_slices_in_n_order(self, monkeypatch):
+        bad = {7, 12, 15000, 25001, 29000, 29999}  # two in each slice of three
+        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n in bad))
+        serial, _ = _verify(monkeypatch, 1)
+        code, out, err = serial
+        assert (code, err) == (1, "")
+        summary, counts, *witnesses = out.splitlines()
+        assert counts == "counts:     29994/30000 ok, 6 mismatches"
+        assert [w.split(":")[0] for w in witnesses] == [
+            "n=7", "n=12", "n=15000", "n=25001", "n=29000"
+        ]
+        for workers in (2, 3):
+            assert _verify(monkeypatch, workers) == (serial, workers - 1)
+
+    def test_assertion_in_a_child_slice_exits_1(self, monkeypatch):
+        located = core._count_located
+
+        def broken(k, offset):  # k > 283 only above n = 2*10^4, in a forked slice
+            if k > 283:
+                raise AssertionError(f"closed-form count not divisible by 12 at k={k}")
+            return located(k, offset)
+
+        monkeypatch.setattr(core, "_count_located", broken)
+        serial, _ = _verify(monkeypatch, 1)
+        assert serial == (
+            1, "", "almost-squares: internal check failed: "
+                   "closed-form count not divisible by 12 at k=284\n"
+        )
+        for workers in (2, 3):
+            assert _verify(monkeypatch, workers) == (serial, workers - 1)
+
+    def test_first_slice_in_n_order_raises(self, monkeypatch):
+        # a refusal in this process's slice wins over a failure in a child's
+        def broken(n):
+            if n == 500:
+                raise ValueError("refused at 500")
+            if n > 20000:
+                raise AssertionError("failed above 2*10^4")
+            return count_le(n)
+
+        monkeypatch.setattr(cli, "count_le", broken)
+        want = (2, "", "almost-squares: refused at 500\n")
+        for workers in (1, 3):
+            assert _verify(monkeypatch, workers) == (want, workers - 1)
+
+    def test_interrupt_in_this_slice_kills_the_children(self, monkeypatch):
+        def interrupted(n):
+            if n == 5000:
+                raise KeyboardInterrupt
+            if n == 25000:  # a worker that would hold the reap for a minute
+                time.sleep(60)
+            return count_le(n)
+
+        monkeypatch.setattr(cli, "count_le", interrupted)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _verify(monkeypatch, 3)
+        assert time.perf_counter() - t0 < 30
+
+    def test_killed_worker_is_an_error(self, monkeypatch):
+        def killed(n):
+            if n == 25000:  # in the last worker's slice: it dies with no result
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count_le(n)
+
+        monkeypatch.setattr(cli, "count_le", killed)
+        with pytest.raises(ChildProcessError, match="sent no result"):
+            _verify(monkeypatch, 3)
+
+    @pytest.mark.parametrize("limit", ["50", "10000", "19999"])
+    def test_no_fork_below_two_slices(self, monkeypatch, limit):
+        (code, _, _), forks = _verify(monkeypatch, 8, limit)
+        assert (code, forks) == (0, 0)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            (code, out, _), forks = _verify(monkeypatch, 3)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert (code, forks) == (0, 0)
+        assert out.startswith("membership: 30000/30000 ok, 0 mismatches\n")
+
+    def test_workers_flush_no_inherited_output(self):
+        # into a pipe stdout is block-buffered, so a line written before
+        # the fork is still in the buffer every worker inherits; it must
+        # reach the reader once, and the summary once
+        code = (
+            "import sys\n"
+            "from almost_squares import cli\n"
+            "cli._usable_cpus = lambda: 3\n"
+            "print('before')\n"
+            "sys.exit(cli.main(['oracle-verify', '--limit', '30000']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "before\nmembership: 30000/30000 ok, 0 mismatches\n"
+               "counts:     30000/30000 ok, 0 mismatches\n", ""
+        )
 
 
 def test_internal_check_failure_exits_1(monkeypatch):
