@@ -15,31 +15,31 @@ fixed point as floor(root * 2^P).  Every float field but g and h is one
 correctly rounded int/int division of integer terms: the B terms, R,
 R_norm and z.  g and h are float expressions of such a division: a
 remainder row rounds each fractional part f to a float that way, then
-g_func and h_func evaluate their shapes on f in floats, where 1.0 - f
-cancels for f near 1, so g and h can be many ulps off (up to about
-8.4e7 ulps against a 400-digit reference).  At a perfect power the
+the shapes of g_func and h_func are evaluated on f in floats, where
+1.0 - f cancels for f near 1, so g and h can be many ulps off (up to
+about 8.4e7 ulps against a 400-digit reference).  At a perfect power the
 scaled root is an exact multiple of 2^P, so its fractional part is an
 exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
 from a fractional part that rounded to 0.999... just below the jump.
 
 One rule yields every root.  _roots(num, den, bits) takes
-t = isqrt((num << 4*bits) // den) and u = isqrt(t), the floors of
-sqrt(y) * 2^(2*bits) and y^(1/4) * 2^bits for y = num/den, and each
-other root is read off them by a shift, or by an isqrt of a shift, as
-floor(floor(y) / 2^j) = floor(y / 2^j) and floor(sqrt(floor(y))) =
-floor(sqrt(y)) for y >= 0.
-A remainder row takes t, u at y = 4n: sqrt(4n) is t >> P, sqrt(n) is
-t >> P + 1, (4n)^(1/4) is u and n^(1/4) is isqrt(t >> 1); with the pair
-for 64n^3 it takes five roots.  A row's A takes none where it is read
+t = isqrt((num << 4*bits) // den), u = isqrt(t) and v = isqrt(num*t //
+den) or one more, the floors of sqrt(y) * 2^(2*bits), y^(1/4) * 2^bits
+and y^(3/4) * 2^bits for y = num/den, and each other root is read off
+them by a shift, or by an isqrt of a shift, as floor(floor(y) / 2^j) =
+floor(y / 2^j) and floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0.
+A remainder row takes t, u, v at y = 4n: sqrt(4n) is t >> P, sqrt(n) is
+t >> P + 1, (4n)^(1/4) is u, (64n^3)^(1/4) is v and n^(1/4) is
+isqrt(t >> 1): four roots.  A row's A takes none where it is read
 off the flock walk: at a member it is the count of members below the
 window plus the row's index, and on a grid whose window holds no more
 members than rows it is that count plus the members <= x.  A grid row
 adds count_le's three only where the members outnumber the rows.  A plan
 also takes a fixed few to locate its window's two ends, and the walk one
-per flock it enters.  b_value takes t, u at y = 4x with
+per flock it enters.  b_value takes t, u, v at y = 4x with
 P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
-(x/4)^(1/4), t >> P + 3 is sqrt(x), and with the pair for 64x^3 it
-takes four roots.
+(x/4)^(1/4), v >> 1 is (64x^3)^(1/4) and t >> P + 3 is sqrt(x): three
+roots.
 
 x and A are exact ints; only the other fields are floats, so each entry
 point answers every input whose floats fit, under one bound set by how
@@ -112,10 +112,23 @@ def _frac_bits(num: int) -> int:
     return num.bit_length() + 160
 
 
-def _roots(num: int, den: int, bits: int) -> tuple[int, int]:
-    """floor(sqrt(y) * 2^(2*bits)) and floor(y^(1/4) * 2^bits) for y = num/den, exactly."""
+def _roots(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """The floors t, u, v of sqrt(y)*2^(2b), y^(1/4)*2^b and y^(3/4)*2^b.
+
+    y = num/den and b = bits.  With T = sqrt(y)*2^(2b), v = floor(sqrt(y*T))
+    and v0 = isqrt(q) <= v, q = floor(y*t).  As y*T < q + y + 1 and q <
+    (v0 + 1)^2, y*T < (v0 + 2)^2 where y <= 2*v0 + 3, so v is v0 or
+    v0 + 1.  That holds for y < 1, and for y >= 1 with 2^(4b) >= y: then
+    t >= floor(y), so v0 >= floor(y) > y - 1.  v0 + 1 is tested, by its
+    fourth power, only if (v0 + 1)^2 < q + y + 1, as otherwise it exceeds
+    sqrt(y*T).
+    """
     t = isqrt((num << 4 * bits) // den)
-    return t, isqrt(t)
+    q = num * t // den
+    v = isqrt(q)
+    if ((v + 1) ** 2 - q) * den < num + den and (v + 1) ** 4 * den**3 <= num**3 << 4 * bits:
+        v += 1
+    return t, isqrt(t), v
 
 
 # --------------------------------------------------------------------------
@@ -150,15 +163,16 @@ def b_value(x: int | float) -> BTerms:
     p, q = x.as_integer_ratio()
     bits = _frac_bits(4 * p)
     one = 1 << bits
-    # the four roots of the module docstring; u is (4x)^(1/4) * 2^(P+1)
-    t, u = _roots(4 * p, q, bits + 1)
+    # the three roots of the module docstring; u is (4x)^(1/4) * 2^(P+1), and
+    # v >> 1 is (4x)^(3/4) * 2^P = (64x^3)^(1/4) * 2^P, floored
+    t, u, v = _roots(4 * p, q, bits + 1)
     gamma = (u >> 1) % one
     delta_root = u >> 2  # (x/4)^(1/4) = x^(1/4)/sqrt(2)
     delta = delta_root % one
     # b0 and b1 scaled by 12*2^(3P), with 2*sqrt(2)*x^(3/4) = (64x^3)^(1/4)
     # and 2*sqrt(2)*x^(1/4) = (64x)^(1/4) = u / 2^P
     b0 = (
-        4 * _roots(64 * p**3, q**3, bits)[1] + 6 * (t >> bits + 3) + 4 * u
+        4 * (v >> 1) + 6 * (t >> bits + 3) + 4 * u
     ) * one**2 + 12 * gamma * (one - gamma) * delta_root
     b1 = 2 * gamma**3 - 3 * gamma**2 * one - (5 * gamma + 6 * delta + 12 * one) * one**2
     scale = 12 * one**3
@@ -188,7 +202,11 @@ def g_func(t: float) -> float:
 
     Raises ValueError for t not finite.
     """
-    f = _frac(t)
+    return _g(_frac(t))
+
+
+# the shapes on a fractional part f in [0, 1), which a remainder row passes directly
+def _g(f: float) -> float:
     return f * (1.0 - f) / SQRT2
 
 
@@ -197,7 +215,10 @@ def h_func(t: float) -> float:
 
     Raises ValueError for t not finite, as g_func does.
     """
-    f = _frac(t)
+    return _h(_frac(t))
+
+
+def _h(f: float) -> float:
     return f / SQRT2 if f <= 0.5 else math.sqrt(1.0 - f) - (1.0 - f) / SQRT2
 
 
@@ -232,17 +253,17 @@ def remainder(n: int) -> AnalysisSample:
 
 def _remainder_fields(n: int, a: int) -> tuple[float, float, float, float]:
     # (r, r_normalized, g_val, h_val) at n >= 1 with a = count_le(n), from the
-    # five roots of the module docstring
+    # four roots of the module docstring
     bits = _frac_bits(4 * n)
     one = 1 << bits
-    t, u = _roots(4 * n, 1, bits)
-    # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3
-    r6 = 6 * a * one - 2 * _roots(64 * n**3, 1, bits)[1] - 3 * (t >> bits + 1)
+    t, u, v = _roots(4 * n, 1, bits)
+    # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3 = (4n)^(3/4)/3
+    r6 = 6 * a * one - 2 * v - 3 * (t >> bits + 1)
     return (
         r6 / (6 * one),
         r6 / (6 * isqrt(t >> 1)),
-        g_func((u % one) / one),
-        h_func(((t >> bits) % one) / one),
+        _g((u % one) / one),
+        _h(((t >> bits) % one) / one),
     )
 
 

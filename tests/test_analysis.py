@@ -23,6 +23,7 @@ from almost_squares.analysis import (
     SamplingPlan,
     _frac_bits,
     _remainder_fields,
+    _roots,
     b_value,
     emit_series,
     g_func,
@@ -794,7 +795,7 @@ _POWERS = st.tuples(
 
 
 class TestSharedRoots:
-    """The remainder row's five shared roots against the eight-root formula."""
+    """The remainder row's four shared roots against the eight-root formula."""
 
     def test_every_small_n(self):
         outcomes = set()
@@ -914,21 +915,60 @@ class TestSharedRoots:
         emit_series(plan, Out())
         return [b - a for a, b in zip(marks, marks[1:])]
 
-    def test_five_roots_per_member_row(self, monkeypatch):
+    def test_four_roots_per_member_row(self, monkeypatch):
         k = 2 * 10**15  # flock 2m with m = 10^15: offsets 40..0, all in one flock
         plan = SamplingPlan("R-of-x", _member(k, 40), _member(k, 0))
-        assert self._roots_per_row(monkeypatch, plan) == [5] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [4] * 41
 
-    def test_five_roots_per_sparse_grid_row(self, monkeypatch):
+    def test_four_roots_per_sparse_grid_row(self, monkeypatch):
         # one member in 41 rows, all in one flock: A is read off the walk
         v = _member(2 * 10**15 + 1, 1000)  # 2000 and 2002 from its neighbours
         plan = SamplingPlan("R-normalized", v - 140, v + 140, step=7, at_members=False)
-        assert self._roots_per_row(monkeypatch, plan) == [5] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [4] * 41
 
-    def test_five_plus_three_roots_per_grid_row(self, monkeypatch):
+    def test_four_plus_three_roots_per_grid_row(self, monkeypatch):
         # 889 members in 41 rows: each row takes count_le's three roots for A
         plan = SamplingPlan("R-normalized", 10**6, 10**6 + 40000, step=1000, at_members=False)
-        assert self._roots_per_row(monkeypatch, plan) == [5 + 3] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [4 + 3] * 41
+
+
+def _assert_roots(num, den, bits):
+    # _roots against nested isqrts, v against y^3's fourth root; returns whether
+    # v needed its one step past isqrt(floor(y * t))
+    t, u, v = _roots(num, den, bits)
+    want = _root(num, den, 2, 2 * bits), _root(num, den, 4, bits), _root(num**3, den**3, 4, bits)
+    assert (t, u, v) == want, (num, den, bits)
+    return v != math.isqrt(num * t // den)
+
+
+class TestRoots:
+    """_roots' three floors, v = floor(y^(3/4) * 2^b) from t by one isqrt and one step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 10**300), _POWERS, st.floats(1.0, 1e300)))
+    @example(20.25)
+    @example(4 * (10**75 - 1) ** 4 + 1)
+    def test_at_the_callers_bits(self, x):
+        # y = 4x, at the remainder row's P and at b_value's P + 1
+        p, q = x.as_integer_ratio()
+        _assert_roots(4 * p, q, _frac_bits(4 * p))
+        _assert_roots(4 * p, q, _frac_bits(4 * p) + 1)
+
+    def test_one_step_at_the_least_bits_the_bound_admits(self):
+        # the least b with 2^(4b) >= y and one more, where the step fires
+        # often, y < 1 too; at the callers' bits it fired for none of 48,000
+        # seeded n up to 10^1231
+        rng = random.Random(34)
+        ys = [(num, den) for den in (*range(1, 21), 10**9 + 7) for num in range(1, 400)]
+        ys += [(rng.randrange(1, 10**60), rng.randrange(1, 10**20)) for _ in range(1000)]
+        ys += [(k**4 + d, 1) for k in (2, 3, 10**6 + 3, 10**15) for d in (-1, 0, 1)]
+        fired = 0
+        for num, den in ys:
+            bits = 0
+            while den << 4 * bits < num:
+                bits += 1
+            fired += _assert_roots(num, den, bits) + _assert_roots(num, den, bits + 1)
+        assert fired > 0
 
 
 def _reference_line(x):
@@ -988,7 +1028,7 @@ class TestSeriesRange:
 
 def _five_root_b_value(x):
     # b_value as five separate _root calls, nine isqrts: the reference the
-    # four-root b_value must match bit for bit
+    # three-root b_value must match bit for bit
     p, q = x.as_integer_ratio()
     bits = _frac_bits(4 * p)
     one = 1 << bits
@@ -1013,7 +1053,7 @@ def _five_root_b_value(x):
 
 
 class TestBValueRoots:
-    """b_value's four shared roots against the five-root formula."""
+    """b_value's three shared roots against the five-root formula."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(1, 10**300), _POWERS, st.floats(1.0, 1e300)))
@@ -1024,7 +1064,7 @@ class TestBValueRoots:
     def test_matches_five_root_formula(self, x):
         assert repr(b_value(x)) == repr(_five_root_b_value(x))
 
-    def test_four_roots_per_call(self, monkeypatch):
+    def test_three_roots_per_call(self, monkeypatch):
         calls = []
 
         def counted(n):
@@ -1035,7 +1075,7 @@ class TestBValueRoots:
         for x in (1, 4, 20.25, 10**6 + 1, 4 * 10**80, 1e308):
             calls.clear()
             b_value(x)
-            assert len(calls) == 4, x
+            assert len(calls) == 3, x
 
 
 B = 10**310  # beyond float range

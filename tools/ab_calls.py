@@ -20,7 +20,13 @@ The default loop is ``is_almost_square(n)`` and ``count_le(n)`` for every
 n up to ``--limit`` (2*10^5), the calls ``oracle-verify`` makes per n.
 With ``--digits`` it is ``is_almost_square``, ``count_le``,
 ``floor_almost_square`` and ``nth`` on 20 seeded random ints of that many
-digits, each both an n and an index j.
+digits, each both an n and an index j.  With ``--series N`` it is
+``analysis.emit_series`` into a ``StringIO`` on N seeded windows of each
+shape the benchmark's series workload draws: 100 to 400 rows at the
+members from near 10^6, 10^8, 10^10 and 10^12, and on a grid with a step
+of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.
+
+    python tools/ab_calls.py PARENT/src src --series 4
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
+import math
 import random
 import statistics
 import sys
@@ -36,10 +44,15 @@ import time
 from pathlib import Path
 
 _SLICE = 2000  # the default loop's n per slice
+# the series workload's shapes: exponents of its member windows and grids,
+# and the rows per window, drawn log-uniformly
+_MEMBER_EXPONENTS = (6, 8, 10, 12)
+_GRID_EXPONENTS = (6, 20, 40, 70, 100)
+_SERIES_ROWS = (100, 400)
 
 
 def load(src: Path, name: str):
-    """The ``almost_squares.core`` under ``src``, imported as package ``name``."""
+    """The ``core`` and ``analysis`` modules under ``src``, imported as package ``name``."""
     init = src / "almost_squares" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
@@ -47,11 +60,41 @@ def load(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(name + ".core")
+    return importlib.import_module(name + ".core"), importlib.import_module(name + ".analysis")
 
 
-def point_loop(core, ns) -> float:
+def _rows(rng: random.Random) -> int:
+    return round(math.exp(rng.uniform(*map(math.log, _SERIES_ROWS))))
+
+
+def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
+    """SamplingPlan arguments for `windows` seeded windows of each series shape."""
+    plans = []
+    for _ in range(windows):
+        for e in _MEMBER_EXPONENTS:
+            # from the first member past a seeded x to the member `rows` - 1 places later
+            below = core.count_le(10**e + rng.randrange(10**e // 10))
+            first, last = core.nth(below + 1), core.nth(below + _rows(rng))
+            plans.append(("R-normalized", first.value, last.value))
+        for e in _GRID_EXPONENTS:
+            rows = _rows(rng)
+            lo, step = 10**e + rng.randrange(10**e // 10), rng.randint(1, 1000)
+            plans.append(("R-of-x", lo, lo + (rows - 1) * step, step, False))
+    return plans
+
+
+def series_loop(tree, plans) -> float:
+    """Seconds to write each planned series into a StringIO."""
+    emit, plan_of = tree[1].emit_series, tree[1].SamplingPlan
+    start = time.perf_counter()
+    for args in plans:
+        emit(plan_of(*args), io.StringIO())
+    return time.perf_counter() - start
+
+
+def point_loop(tree, ns) -> float:
     """Seconds to run the four point queries on each n of ns."""
+    core = tree[0]
     member, count, floor = core.is_almost_square, core.count_le, core.floor_almost_square
     nth = core.nth
     start = time.perf_counter()
@@ -63,9 +106,9 @@ def point_loop(core, ns) -> float:
     return time.perf_counter() - start
 
 
-def oracle_loop(core, ns) -> float:
+def oracle_loop(tree, ns) -> float:
     """Seconds to run oracle-verify's two calls on each n of ns."""
-    member, count = core.is_almost_square, core.count_le
+    member, count = tree[0].is_almost_square, tree[0].count_le
     start = time.perf_counter()
     for n in ns:
         member(n)
@@ -82,10 +125,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="the default loop's largest n (default 2*10^5)")
     parser.add_argument("--digits", type=int, default=0,
                         help="time the point queries on ints of this many digits instead")
+    parser.add_argument("--series", type=int, default=0, metavar="N",
+                        help="time emit_series on N windows of each series shape instead")
     args = parser.parse_args(argv)
-    if args.rounds < 4 or args.limit < 1 or args.digits < 0:
-        parser.error("--rounds must be at least 4, --limit at least 1 and --digits at least 0")
-    if args.digits:
+    if args.rounds < 4 or args.limit < 1 or args.digits < 0 or args.series < 0:
+        parser.error("--rounds must be at least 4, --limit at least 1, "
+                     "and --digits and --series at least 0")
+    trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
+    if args.series:
+        plans = series_plans(trees[0][0], args.series, random.Random(1))
+        loop, slices = series_loop, [plans[i:i + 1] for i in range(len(plans))]
+        label = f"emit_series on {len(plans)} series workload windows"
+    elif args.digits:
         sys.set_int_max_str_digits(0)
         rng = random.Random(1)
         ns = [int("".join(rng.choices("123456789", k=args.digits))) for _ in range(20)]
@@ -96,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         slices = [range(lo, min(lo + _SLICE, args.limit + 1))
                   for lo in range(1, args.limit + 1, _SLICE)]
         label = f"oracle-verify's calls for n <= {args.limit}"
-    trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
     times: tuple[list[float], list[float]] = ([], [])
     for i in range(-1, args.rounds):  # round -1 warms both trees up, untimed
         gc.collect()
