@@ -19,14 +19,13 @@ if rect is None:
     print(f"{BUDGET} itself is not an almost-square, so don't use all of it")
 
 best = floor_almost_square(BUDGET)
-ratio = best.value / best.semiperimeter
+ratio = best.area / best.semiperimeter
 print(
-    f"best choice: {best.rect.width} x {best.rect.length} = {best.value}, "
+    f"best choice: {best.width} x {best.length} = {best.area}, "
     f"fence semiperimeter {best.semiperimeter}, "
     f"{ratio:.3f} sq ft per fence-foot"
 )
 
-full = is_almost_square(BUDGET) or floor_almost_square(BUDGET).rect
 naive_s = min(d + BUDGET // d for d in range(1, BUDGET + 1) if BUDGET % d == 0)
 print(
     f"using the full {BUDGET} sq ft would need semiperimeter {naive_s} "
@@ -34,10 +33,10 @@ print(
 )
 
 print()
-print(f"it is the {count_le(best.value)}th almost-square; the sequence starts:")
+print(f"it is the {count_le(best.area)}th almost-square; the sequence starts:")
 from almost_squares import enumerate_range
 
-print(" ", [r.value for r in enumerate_range(1, 100)])
+print(" ", [r.area for r in enumerate_range(1, 100)])
 
 # the same machinery is instant at any scale
 big_budget = 8_675_309
@@ -45,5 +44,5 @@ big = floor_almost_square(big_budget)
 print()
 print(
     f"with {big_budget:,} sq ft the answer is a "
-    f"{big.rect.width:,} x {big.rect.length:,} supercoop ({big.value:,} sq ft)"
+    f"{big.width:,} x {big.length:,} supercoop ({big.area:,} sq ft)"
 )

@@ -13,7 +13,7 @@ from almost_squares import flock_members, pioneer, seq_a, seq_b, triangular
 print("the first dozen flocks:")
 for k in range(1, 13):
     members = flock_members(k)
-    shown = ", ".join(f"{r.rect.width}x{r.rect.length}={r.value}" for r in members)
+    shown = ", ".join(f"{r.width}x{r.length}={r.area}" for r in members)
     print(f"  flock {k:2d}: {shown if shown else '(empty)'}")
 
 print()
@@ -39,5 +39,5 @@ for j in (2, 4, 6):
     prev = members[-1]
     print(
         f"  {value}/{fid.k} = {value / fid.k:.6f}  equals  "
-        f"{prev.value}/{prev.semiperimeter} = {prev.value / prev.semiperimeter:.6f}"
+        f"{prev.area}/{prev.semiperimeter} = {prev.area / prev.semiperimeter:.6f}"
     )

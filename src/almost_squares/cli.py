@@ -182,8 +182,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_floor(args: argparse.Namespace) -> int:
-    rec = floor_almost_square(args.n)
-    _emit(args.format, _RECORD, [record_cells(*rec.rect)], _RECORD_TEXT)
+    _emit(args.format, _RECORD, [record_cells(*floor_almost_square(args.n))], _RECORD_TEXT)
     return 0
 
 
@@ -194,7 +193,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_nth(args: argparse.Namespace) -> int:
-    _emit(args.format, _RECORD, [record_cells(*nth(args.index).rect)], _RECORD_TEXT)
+    _emit(args.format, _RECORD, [record_cells(*nth(args.index))], _RECORD_TEXT)
     return 0
 
 

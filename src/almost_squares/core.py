@@ -47,18 +47,20 @@ cells are arithmetic on two ranges and need no object: the CLI's list
 and flock take their row cap and their rows from one call, the
 at-member remainder series its row cap, its values and, from the count
 below lo, each value's rank; and enumerate_range and flock_members (the
-window of a flock's interval) build their record lists from the runs.
+window of a flock's interval) build their member lists from the runs.
 
-A record is its optimal rectangle, as in the paper's n = k(k+h): an
-AlmostSquareRecord holds the rectangle alone, and its value (width *
-length), semiperimeter and flock (both width + length) and ratio are
-read off it, so no record can disagree with its own witness.
+A member is its optimal rectangle, as in the paper's n = k(k+h): every
+view that answers with members, is_almost_square, floor_almost_square,
+nth, enumerate_range and flock_members, returns the Rectangle, whose
+area (width * length) is the member and whose semiperimeter (width +
+length) is its flock's k; its flock and ratio are read off the same two
+ints.
 
-Rectangle, FlockId and AlmostSquareRecord are named tuples: they unpack,
-compare equal (with equal hashes) to the tuple of their fields, and offer
-_fields and _replace, which validates as the constructor does.  Records
-and rectangles refuse <, <=, > and >=, since tuple order would rank a
-3x6 rectangle (area 18) before a 4x4 one (area 16).
+Rectangle and FlockId are named tuples: they unpack, compare equal (with
+equal hashes) to the tuple of their fields, and offer _fields and
+_replace, which validates as the constructor does.  Rectangles refuse <,
+<=, > and >=, since tuple order would rank a 3x6 rectangle (area 18)
+before a 4x4 one (area 16).
 
 Everything in this module is exact integer arithmetic, so results are
 bit-exact for integers of any size and run in time polynomial in the
@@ -75,7 +77,6 @@ from math import gcd, isqrt
 from . import _bigint
 
 __all__ = [
-    "AlmostSquareRecord",
     "FlockId",
     "RatioValue",
     "Rectangle",
@@ -104,7 +105,8 @@ class Rectangle(namedtuple("Rectangle", "width length")):
 
     The width is the largest divisor of the area not exceeding its
     square root; the semiperimeter width + length is the least possible
-    over all integer-sided rectangles of the same area.
+    over all integer-sided rectangles of the same area, and is the k of
+    the flock that holds it.
     """
 
     __slots__ = ()
@@ -126,6 +128,14 @@ class Rectangle(namedtuple("Rectangle", "width length")):
     @property
     def semiperimeter(self) -> int:
         return self.width + self.length
+
+    @property
+    def flock(self) -> FlockId:
+        return FlockId(self.semiperimeter)
+
+    @property
+    def ratio(self) -> RatioValue:
+        return RatioValue(self.area, self.semiperimeter)
 
     def __str__(self) -> str:
         return f"{self.width}x{self.length}"
@@ -153,37 +163,6 @@ class FlockId(namedtuple("FlockId", "k")):
     def value_interval(self) -> tuple[int, int]:
         """Bounds (lo, hi] of the values this flock may contain."""
         return (self.k - 1) ** 2 // 4, self.k * self.k // 4
-
-
-class AlmostSquareRecord(namedtuple("AlmostSquareRecord", "rect")):
-    """One almost-square, held as its optimal rectangle.
-
-    The rectangle is the record's only field, so a record cannot
-    disagree with its own witness: the value is width * length, and the
-    semiperimeter, which is also the flock's k, is width + length.  Two
-    records are equal, with equal hashes, exactly when their rectangles
-    are, whichever query built them.  Records have no order: as tuples,
-    the 11th member, 18 = 3x6, would sort before the 10th, 16 = 4x4.
-    """
-
-    __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
-
-    @property
-    def value(self) -> int:
-        return self.rect.area
-
-    @property
-    def semiperimeter(self) -> int:
-        return self.rect.semiperimeter
-
-    @property
-    def flock(self) -> FlockId:
-        return FlockId(self.semiperimeter)
-
-    @property
-    def ratio(self) -> "RatioValue":
-        return RatioValue(self.value, self.semiperimeter)
 
 
 @total_ordering
@@ -388,14 +367,12 @@ def _walk(k: int, start: int, last: int, stop: int) -> Iterator[tuple[int, range
         yield _flock_run(k, start, stop)
 
 
-def _run_records(runs: Iterable[tuple[int, range, range]]) -> list[AlmostSquareRecord]:
-    """The records of the runs' members, in run order."""
-    return [
-        AlmostSquareRecord(Rectangle(w, l)) for _, ws, ls in runs for w, l in zip(ws, ls)
-    ]
+def _run_rects(runs: Iterable[tuple[int, range, range]]) -> list[Rectangle]:
+    """The rectangles of the runs' members, in run order."""
+    return [Rectangle(w, l) for _, ws, ls in runs for w, l in zip(ws, ls)]
 
 
-def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
+def flock_members(flock: FlockId | int) -> list[Rectangle]:
     """All members of a flock in increasing value order.
 
     Accepts a FlockId or a bare semiperimeter k >= 1.  The members are the
@@ -403,7 +380,7 @@ def flock_members(flock: FlockId | int) -> list[AlmostSquareRecord]:
     """
     fid = flock if isinstance(flock, FlockId) else FlockId(flock)
     lo, hi = fid.value_interval()
-    return _run_records(_flock_runs(lo + 1, hi)[2])
+    return _run_rects(_flock_runs(lo + 1, hi)[2])
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -415,9 +392,12 @@ def is_almost_square(n: int) -> Rectangle | None:
     for even k = 2m, a pronic number a(a+1) with a <= seq_a(m) for odd
     k = 2m-1.  Runs in time polynomial in the digit count of n and never
     factors n.
+
+    The extent test takes no root of k: o <= (isqrt(k) - k%2) // 2
+    exactly when 2o + k%2 <= isqrt(k), that is when (2o + k%2)^2 <= k.
     """
     k, offset, exact = _locate(n)
-    if exact and offset <= _flock_extent(k):
+    if exact and (2 * offset + (k & 1)) ** 2 <= k:
         return _rect(k, offset)
     return None
 
@@ -503,8 +483,8 @@ def _rank(mu: int, square: int, r: int) -> int:
     return twelve // 12 + mu
 
 
-def nth(j: int) -> AlmostSquareRecord:
-    """The j-th almost-square in increasing order, with its rectangle.
+def nth(j: int) -> Rectangle:
+    """The optimal rectangle of the j-th almost-square in increasing order.
 
     The closed form is inverted exactly.  Call the m with floor(sqrt(2m))
     = mu block mu: it runs from M0 = ceil(mu^2/2) to ((mu+1)^2 - 1) // 2,
@@ -560,19 +540,20 @@ def nth(j: int) -> AlmostSquareRecord:
     extent = mu // 2  # flock 2m's, as isqrt(2m) = mu
     if offset > extent:  # past flock 2m, so in flock 2m - 1
         k, offset = k - 1, offset - extent - 1
-    return AlmostSquareRecord(_rect(k, offset))
+    return _rect(k, offset)
 
 
-def floor_almost_square(n: int) -> AlmostSquareRecord:
-    """The largest almost-square not exceeding n.
+def floor_almost_square(n: int) -> Rectangle:
+    """The optimal rectangle of the largest almost-square not exceeding n.
 
     It is the member at n's located offset; when that offset is past the
-    flock's extent, it is the last member of flock k - 1, floor((k-1)^2/4).
+    flock's extent, as is_almost_square tests it, it is the last member of
+    flock k - 1, floor((k-1)^2/4).
     """
     k, offset, _ = _locate(n)
-    if offset > _flock_extent(k):
+    if (2 * offset + (k & 1)) ** 2 > k:
         k, offset = k - 1, 0
-    return AlmostSquareRecord(_rect(k, offset))
+    return _rect(k, offset)
 
 
 def pioneer(j: int) -> tuple[int, FlockId]:
@@ -588,10 +569,10 @@ def pioneer(j: int) -> tuple[int, FlockId]:
     return value, FlockId((j + 1) ** 2)
 
 
-def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
-    """All almost-squares in [lo, hi] in increasing order.
+def enumerate_range(lo: int, hi: int) -> list[Rectangle]:
+    """The optimal rectangles of all almost-squares in [lo, hi], in increasing order.
 
-    The records are built from the flock walk: one run of offsets per
+    The rectangles are built from the flock walk: one run of offsets per
     flock from lo's to hi's, with both ends found in closed form by
     locating lo and hi, so the work is in proportion to the members
     returned.
@@ -600,4 +581,4 @@ def enumerate_range(lo: int, hi: int) -> list[AlmostSquareRecord]:
         raise ValueError("lo must be >= 1")
     if hi < lo:
         raise ValueError("lo must not exceed hi")
-    return _run_records(_flock_runs(lo, hi)[2])
+    return _run_rects(_flock_runs(lo, hi)[2])

@@ -64,8 +64,8 @@ def test_criterion_1_paper_value_regressions(capsys):
 def test_criterion_2_list_regression():
     with criterion(2, "full list through 200"):
         recs = enumerate_range(1, 200)
-        assert [r.value for r in recs] == FIRST_59
-        assert [(r.rect.width, r.rect.length) for r in recs] == FIRST_59_DIMS
+        assert [r.area for r in recs] == FIRST_59
+        assert [(r.width, r.length) for r in recs] == FIRST_59_DIMS
 
 
 def test_criterion_3_oracle_equivalence(record_set_full):
@@ -123,7 +123,7 @@ def test_criterion_5_pioneer_suite(record_set_full):
             value, fid = pioneer(j)
             assert value == triangular(j + 1) * triangular(j + 2)
             assert fid.k == (j + 1) ** 2
-            assert flock_members(fid)[0].value == value
+            assert flock_members(fid)[0].area == value
 
         # cross-check against brute enumeration: group members by brute
         # semiperimeter, find the flocks that grew past the previous flock

@@ -402,11 +402,11 @@ class TestRemainder:
         lo_band = 5 / (6 * SQRT2) - 0.05
         hi_band = 19 / (12 * SQRT2) + 0.05
         for rec in enumerate_range(1, 10_000_000):
-            s = remainder(rec.value)
+            s = remainder(rec.area)
             resid = abs(s.r - (c + s.g_val - s.h_val) * s.x**0.25)
-            assert resid <= RESIDUAL_BOUND, rec.value
-            if rec.value >= 1_000_000:
-                assert lo_band <= s.r_normalized <= hi_band, rec.value
+            assert resid <= RESIDUAL_BOUND, rec.area
+            if rec.area >= 1_000_000:
+                assert lo_band <= s.r_normalized <= hi_band, rec.area
 
 
 class TestLimitProbe:

@@ -310,7 +310,7 @@ class TestTrigrid:
 
 
 # the member one past the ceiling: [1, _PAST_CEILING] holds 10^7 + 1 members
-_PAST_CEILING = str(nth(10**7 + 1).value)
+_PAST_CEILING = str(nth(10**7 + 1).area)
 _PLAN_REFUSAL = "almost-squares: plan would emit {} rows, above the cap of 10000000\n"
 
 
@@ -553,10 +553,10 @@ class TestBigIntegers:
 
     def test_round_trip(self, capsys):
         for rec in enumerate_range(999_000, 1_000_000):
-            _, out, _ = run(capsys, "count", str(rec.value))
+            _, out, _ = run(capsys, "count", str(rec.area))
             j = out.strip()
             _, out, _ = run(capsys, "nth", j)
-            assert int(out.split(" = ")[0]) == rec.value
+            assert int(out.split(" = ")[0]) == rec.area
 
 
 def _main_bytes(argv):
@@ -601,7 +601,7 @@ class TestWideDecimalIO:
         rng = random.Random(digits)
         n = rng.randrange(10 ** (digits - 1), 10**digits)
         if member:
-            n = floor_almost_square(n).value
+            n = floor_almost_square(n).area
         _assert_same_as_int_str_path(monkeypatch, [verb, prefix + str(n)])
 
     @pytest.mark.parametrize("verb, member", [
@@ -614,7 +614,7 @@ class TestWideDecimalIO:
         # value is multiplied out
         n = random.Random(7).randrange(10**29_999, 10**30_000)
         if member:
-            n = floor_almost_square(n).value
+            n = floor_almost_square(n).area
         widths = []
         to_decimal = _bigint.to_decimal
         monkeypatch.setattr(
@@ -647,7 +647,7 @@ class TestWideDecimalIO:
 
     @pytest.mark.parametrize("verb", ["check", "count"])
     def test_signed_or_padded_argument_writes_the_same_bytes(self, verb):
-        n = floor_almost_square(random.Random(13).randrange(10**9_999, 10**10_000)).value
+        n = floor_almost_square(random.Random(13).randrange(10**9_999, 10**10_000)).area
         for fmt in ("text", "json", "csv"):
             plain = _main_bytes([verb, str(n), "--format", fmt])
             assert plain[0] == 0
@@ -688,7 +688,7 @@ class TestWideDecimalIO:
     def test_underscored_argument_writes_the_same_bytes(self, verb, member):
         n = random.Random(19).randrange(10**9_999, 10**10_000)
         if member:
-            n = floor_almost_square(n).value
+            n = floor_almost_square(n).area
         digits = str(n)
         grouped = "_".join(digits[i:i + 3] for i in range(0, len(digits), 3))
         for fmt in ("text", "json", "csv"):
@@ -821,7 +821,7 @@ def _listed(argv, fmt):
 
 
 def _assert_rows(argv, recs):
-    expected = [(r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k)
+    expected = [(r.area, r.width, r.length, r.semiperimeter, r.flock.k)
                 for r in recs]
     for fmt in ("json", "csv"):
         assert _listed(argv, fmt) == expected, (argv, fmt)
@@ -870,7 +870,7 @@ def test_list_rows_match_enumerate_range(window):
         return
     recs = enumerate_range(lo, hi)
     # the members by the membership test alone, which does not walk flocks
-    assert [r.value for r in recs] == [
+    assert [r.area for r in recs] == [
         n for n in range(lo, hi + 1) if is_almost_square(n) is not None
     ]
     # the counts by count_le at the window's ends, which does not walk
@@ -915,19 +915,21 @@ _E30000 = "1" + "0" * 30_000  # 10^30000, the square of 10^15000: a member
 
 
 @pytest.mark.parametrize("argv, roots", [
-    (["check", "182"], 3),  # a member: _locate's two roots and its flock's extent
-    (["check", str(10**40)], 3),
+    # a member and a floor take _locate's two roots, and test the flock's
+    # extent by a square, (2o + k%2)^2 <= k, with no root of k
+    (["check", "182"], 2),
+    (["check", str(10**40)], 2),
     (["check", "190"], 2),  # a non-member needs no extent
     (["check", str(10**40 + 1)], 2),
-    (["floor", "190"], 3),
+    (["floor", "190"], 2),
     (["count", "12345"], 3),
     (["nth", "59"], 0),  # one cube root, of 3j, and no square root
     (["nth", str(10**40)], 0),
     # at 3*10^4 digits each root is one _bigint.sqrtrem, whose recursion
     # ends in one math.isqrt of at most _ROOT_BITS bits
-    (["check", _E30000], 3),
+    (["check", _E30000], 2),
     (["check", _E30000[:-1] + "1"], 2),  # 10^30000 + 1, past its flock's extent
-    (["floor", _E30000[:-1] + "1"], 3),
+    (["floor", _E30000[:-1] + "1"], 2),
     (["count", "7" * 30_000], 3),
     (["nth", "7" * 30_000], 0),  # _bigint.cbrtrem, which takes no square root
 ])
@@ -998,7 +1000,7 @@ def test_flock_rows_match_flock_members_at_1e10(k):
         assert main(["flock", str(k), "--format", "csv"]) == 0
     header = ",".join(cli._RECORD) + "\n"
     assert out.getvalue() == header + "".join(
-        f"{r.value},{r.rect.width},{r.rect.length},{r.semiperimeter},{r.flock.k}\n"
+        f"{r.area},{r.width},{r.length},{r.semiperimeter},{r.flock.k}\n"
         for r in flock_members(k)
     )
 
@@ -1048,7 +1050,7 @@ def test_rows_across_chunk_joins(monkeypatch, argv, lo, hi, big_digits, fmt):
     if big_digits is not None:  # below the values' width: the record_cells path
         monkeypatch.setattr(_bigint, "_BIG_DIGITS", big_digits)
         monkeypatch.setattr(cli, "record_cells", counted)
-    rows = [(r.value, r.rect.width, r.rect.length, r.semiperimeter, r.flock.k) for r in recs]
+    rows = [(r.area, r.width, r.length, r.semiperimeter, r.flock.k) for r in recs]
     if fmt == "json":
         members = [dict(zip(cli._RECORD, map(str, row))) for row in rows]
         want = json.dumps({"members": members}) + "\n"
@@ -1252,7 +1254,7 @@ def test_main_builds_one_parser(monkeypatch):
 
 
 def _record_cells(rec):
-    return {"value": rec.value, "width": rec.rect.width, "length": rec.rect.length,
+    return {"value": rec.area, "width": rec.width, "length": rec.length,
             "semiperimeter": rec.semiperimeter, "flock": rec.flock.k}
 
 
@@ -1269,7 +1271,7 @@ def _json_answer(verb, args):
     """
     if verb == "check":
         rec = floor_almost_square(args[0])
-        member = rec.value == args[0]
+        member = rec.area == args[0]
         return {"n": args[0], "member": member, **(_record_cells(rec) if member else {})}
     if verb == "floor":
         return _record_cells(floor_almost_square(args[0]))
@@ -1300,7 +1302,7 @@ def json_requests(draw):
     """A json verb and its int arguments: negative, members and non-members, and
     windows that are empty, hold one point or cross flocks."""
     verb = draw(st.sampled_from(["check", "floor", "count", "nth", "list", "flock", "pioneers"]))
-    n = draw(st.integers(-(10**40), 10**40) | st.integers(1, 10**40).map(lambda j: nth(j).value))
+    n = draw(st.integers(-(10**40), 10**40) | st.integers(1, 10**40).map(lambda j: nth(j).area))
     if verb == "list":
         return verb, [n, n + draw(st.integers(-5, 300))]
     if verb == "flock":

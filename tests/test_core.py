@@ -8,7 +8,6 @@ import pytest
 
 from almost_squares import _bigint
 from almost_squares.core import (
-    AlmostSquareRecord,
     FlockId,
     RatioValue,
     Rectangle,
@@ -188,7 +187,7 @@ class TestSeqB:
 class TestFlockMembers:
     def test_flock_27(self):
         recs = flock_members(27)
-        assert [(r.value, r.rect.width, r.rect.length) for r in recs] == [
+        assert [(r.area, r.width, r.length) for r in recs] == [
             (176, 11, 16),
             (180, 12, 15),
             (182, 13, 14),
@@ -196,7 +195,7 @@ class TestFlockMembers:
 
     def test_flock_16(self):
         recs = flock_members(16)
-        assert [(r.value, r.rect.width, r.rect.length) for r in recs] == [
+        assert [(r.area, r.width, r.length) for r in recs] == [
             (60, 6, 10),
             (63, 7, 9),
             (64, 8, 8),
@@ -204,8 +203,8 @@ class TestFlockMembers:
 
     def test_smallest_flocks(self):
         assert flock_members(1) == []
-        assert [(r.value, str(r.rect)) for r in flock_members(2)] == [(1, "1x1")]
-        assert [(r.value, str(r.rect)) for r in flock_members(3)] == [(2, "1x2")]
+        assert [(r.area, str(r)) for r in flock_members(2)] == [(1, "1x1")]
+        assert [(r.area, str(r)) for r in flock_members(3)] == [(2, "1x2")]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -220,10 +219,9 @@ class TestFlockMembers:
             members = flock_members(fid)
             assert len(members) == 1 + _flock_extent(k)
             for rec in members:
-                assert rec.semiperimeter == k == rec.rect.semiperimeter
-                assert rec.value == rec.rect.area
-                assert lo < rec.value <= hi
-            assert [r.value for r in members] == sorted(r.value for r in members)
+                assert rec.semiperimeter == k == rec.flock.k
+                assert lo < rec.area <= hi
+            assert [r.area for r in members] == sorted(r.area for r in members)
 
 
 class TestIsAlmostSquare:
@@ -430,18 +428,18 @@ class TestCountLocated:
 class TestNth:
     def test_59(self):
         rec = nth(59)
-        assert rec.value == 196
-        assert str(rec.rect) == "14x14"
+        assert rec.area == 196
+        assert str(rec) == "14x14"
 
     def test_first(self):
         rec = nth(1)
-        assert rec.value == 1
-        assert str(rec.rect) == "1x1"
+        assert rec.area == 1
+        assert str(rec) == "1x1"
 
     def test_56(self):
         rec = nth(56)
-        assert rec.value == 182
-        assert str(rec.rect) == "13x14"
+        assert rec.area == 182
+        assert str(rec) == "13x14"
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -450,19 +448,19 @@ class TestNth:
     def test_against_reference(self):
         for j, (v, dims) in enumerate(zip(FIRST_59, FIRST_59_DIMS), start=1):
             rec = nth(j)
-            assert rec.value == v
-            assert (rec.rect.width, rec.rect.length) == dims
+            assert rec.area == v
+            assert (rec.width, rec.length) == dims
 
     def test_round_trip(self):
         for j in list(range(1, 500)) + [10**4, 10**8, 10**12]:
             rec = nth(j)
-            assert count_le(rec.value) == j
-            assert is_almost_square(rec.value) == rec.rect
+            assert count_le(rec.area) == j
+            assert is_almost_square(rec.area) == rec
 
     def test_second(self):
         rec = nth(2)  # block 2, where icbrt(3j) = 1 is one below the block
-        assert rec.value == 2
-        assert str(rec.rect) == "1x2"
+        assert rec.area == 2
+        assert str(rec) == "1x2"
 
     def test_hundred_thousand_digit_index(self):
         # nth takes about 0.13 s on a 2-vCPU host with Python 3.11; with a
@@ -472,7 +470,7 @@ class TestNth:
         t0 = time.perf_counter()
         rec = nth(j)
         assert time.perf_counter() - t0 < 2.5
-        assert count_le(rec.value) == j
+        assert count_le(rec.area) == j
 
     def test_block_ends(self):
         # the first and last j of block mu, and the last j before it, on the
@@ -484,8 +482,8 @@ class TestNth:
             before, last = _before(mu), _before(mu + 1)
             for j in (before, before + 1, last):
                 rec = nth(j)
-                assert count_le(rec.value) == j
-                assert is_almost_square(rec.value) == rec.rect
+                assert count_le(rec.area) == j
+                assert is_almost_square(rec.area) == rec
 
     def test_block_edges_against_the_intercept(self):
         # j = before(mu) - 1, before(mu) and before(mu) + 1, the last two of
@@ -500,7 +498,7 @@ class TestNth:
             before = (mu * mu - 1) // 2 * (mu + 1) + _block_base(mu)
             for j in (before - 1, before, before + 1):
                 if j >= 1:
-                    assert tuple(nth(j).rect) == _nth_reference(j, mu), (mu, j - before)
+                    assert tuple(nth(j)) == _nth_reference(j, mu), (mu, j - before)
 
     def test_block_is_the_cube_root_or_one_below(self):
         # nth's one-sided bound: j's block mu is c or c - 1 for
@@ -525,29 +523,29 @@ class TestNth:
 
     def test_against_the_sieve(self, record_set_full):
         members = record_set_full.members
-        assert [nth(j).value for j in range(1, len(members) + 1)] == members
+        assert [nth(j).area for j in range(1, len(members) + 1)] == members
 
     def test_flock_field(self):
         for j in range(1, 300):
             rec = nth(j)
             lo, hi = rec.flock.value_interval()
-            assert lo < rec.value <= hi
+            assert lo < rec.area <= hi
             assert rec.flock.k == rec.semiperimeter
 
 
 class TestFloorAlmostSquare:
     def test_190(self):
         rec = floor_almost_square(190)
-        assert rec.value == 182
-        assert str(rec.rect) == "13x14"
+        assert rec.area == 182
+        assert str(rec) == "13x14"
 
     def test_supercoop(self):
         rec = floor_almost_square(8675309)
-        assert rec.value == 8675268
-        assert str(rec.rect) == "2919x2972"
+        assert rec.area == 8675268
+        assert str(rec) == "2919x2972"
 
     def test_member_input(self):
-        assert floor_almost_square(4).value == 4
+        assert floor_almost_square(4).area == 4
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -556,8 +554,8 @@ class TestFloorAlmostSquare:
     def test_no_member_skipped(self):
         for n in range(1, 300):
             rec = floor_almost_square(n)
-            assert rec.value <= n
-            assert count_le(n) == count_le(rec.value)
+            assert rec.area <= n
+            assert count_le(n) == count_le(rec.area)
 
 
 class TestPioneer:
@@ -586,7 +584,7 @@ class TestPioneer:
             assert value == triangular(j + 1) * triangular(j + 2)
             assert fid.k == (j + 1) ** 2
             members = flock_members(fid)
-            assert members[0].value == value
+            assert members[0].area == value
             # the flock is one longer than the previous one of its parity
             prev = flock_members(fid.k - 2)
             assert len(members) == len(prev) + 1
@@ -604,12 +602,12 @@ class TestPioneer:
 
 class TestEnumerateRange:
     def test_prefix(self):
-        assert [r.value for r in enumerate_range(1, 20)] == [
+        assert [r.area for r in enumerate_range(1, 20)] == [
             1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 18, 20,
         ]
 
     def test_tail(self):
-        assert [r.value for r in enumerate_range(170, 200)] == [
+        assert [r.area for r in enumerate_range(170, 200)] == [
             176, 180, 182, 192, 195, 196,
         ]
 
@@ -625,7 +623,7 @@ class TestEnumerateRange:
             recs = enumerate_range(lo, hi)
             expected = count_le(hi) - (count_le(lo - 1) if lo > 1 else 0)
             assert len(recs) == expected
-            values = [r.value for r in recs]
+            values = [r.area for r in recs]
             assert values == sorted(values)
 
     def test_sparse_window_work_tracks_output(self):
@@ -633,7 +631,7 @@ class TestEnumerateRange:
         t0 = time.perf_counter()
         recs = enumerate_range(10**30, 10**30 + 1000)
         assert time.perf_counter() - t0 < 1.0
-        assert [r.value for r in recs] == [10**30]
+        assert [r.area for r in recs] == [10**30]
 
 
 class TestRatioValue:
@@ -664,7 +662,7 @@ class TestRatioValue:
         for prev, cur in zip(recs, recs[1:]):
             assert prev.ratio <= cur.ratio
             if prev.ratio == cur.ratio:
-                ties.add(cur.value)
+                ties.add(cur.area)
         assert ties == even_pioneer_values
 
 
@@ -693,7 +691,7 @@ class TestDomainTypes:
                 FlockId(k=k)
 
     def test_record_ratio(self):
-        rec = AlmostSquareRecord(Rectangle(13, 14))
+        rec = Rectangle(13, 14)
         assert rec.ratio == RatioValue(182, 27)
         assert float(rec.ratio) == 182 / 27
         assert repr(rec.ratio) == "RatioValue(182, 27)"
@@ -703,25 +701,24 @@ class TestDomainTypes:
         assert rec.ratio != 182 / 27
         with pytest.raises(TypeError):
             rec.ratio < 7
-        assert (rec.value, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
+        assert (rec.area, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
 
     def test_record_is_its_rectangle(self):
-        assert AlmostSquareRecord._fields == ("rect",)
-        for name in ("value", "semiperimeter", "flock", "ratio"):
-            assert isinstance(getattr(AlmostSquareRecord, name), property)
+        # a member is its two sides; everything else is read off them
+        assert Rectangle._fields == ("width", "length")
+        for name in ("area", "semiperimeter", "flock", "ratio"):
+            assert isinstance(getattr(Rectangle, name), property)
 
     def test_records_and_rectangles_have_no_order_and_no_setters(self):
         # as plain tuples nth(11) = 18 = 3x6 would sort before nth(10) = 16 = 4x4
         rec10, rec11 = nth(10), nth(11)
-        assert (rec10.rect, rec11.rect) == (Rectangle(4, 4), Rectangle(3, 6))
+        assert (rec10, rec11) == (Rectangle(4, 4), Rectangle(3, 6))
         ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-        for a, b in ((rec11, rec10), (rec11.rect, rec10.rect)):
-            name = type(a).__name__
-            for sym, op in ops.items():
-                text = f"^'{sym}' not supported between instances of '{name}' and '{name}'$"
-                with pytest.raises(TypeError, match=text):
-                    op(a, b)
-        fields = ((rec10, "rect", rec11.rect), (rec10.rect, "width", 3), (FlockId(8), "k", 9))
+        for sym, op in ops.items():
+            text = f"^'{sym}' not supported between instances of 'Rectangle' and 'Rectangle'$"
+            with pytest.raises(TypeError, match=text):
+                op(rec11, rec10)
+        fields = ((rec10, "width", 3), (rec10, "length", 3), (FlockId(8), "k", 9))
         for obj, field, value in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, field, value)
@@ -733,17 +730,30 @@ class TestDomainTypes:
             FlockId(8)._replace(k=0)
 
     def test_record_equal_across_views(self):
-        # the same member built by nth, floor, a one-value window and its
-        # flock's list is one record, by == and by hash
+        # the same member from membership, floor, nth, a one-value window and
+        # its flock's list is one Rectangle, by == and by hash
         for j in range(1, 2001):
-            rec = nth(j)
-            v, k = rec.value, rec.semiperimeter
+            rect = nth(j)
+            v = rect.area
             views = [
+                is_almost_square(v),
                 floor_almost_square(v),
+                nth(count_le(v)),
                 enumerate_range(v, v)[0],
-                next(r for r in flock_members(k) if r.value == v),
-                AlmostSquareRecord(is_almost_square(v)),
+                next(r for r in flock_members(rect.semiperimeter) if r.area == v),
             ]
             for other in views:
-                assert other == rec and hash(other) == hash(rec)
+                assert type(other) is Rectangle
+                assert other == rect and hash(other) == hash(rect)
         assert nth(1) != nth(2)
+
+    def test_views_agree_at_thirty_thousand_digits(self):
+        # members of 3*10^4 digits, where every root is _bigint.sqrtrem's and
+        # nth's cube root _bigint.cbrtrem's; their flocks are too long to list
+        rng = random.Random(37)
+        for _ in range(3):
+            rect = floor_almost_square(rng.randrange(10**29_999, 10**30_000))
+            v = rect.area
+            views = [is_almost_square(v), nth(count_le(v)), enumerate_range(v, v)[0]]
+            for other in views:
+                assert type(other) is Rectangle and other == rect

@@ -106,6 +106,11 @@ class TestFactorialScan:
     def test_one(self):
         assert factorial_membership_scan(1) == [1]
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_rejects_below_one(self, n_max):
+        with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+            factorial_membership_scan(n_max)
+
 
 class TestFlockForms:
     def test_odd_flock_semiperimeters(self):
@@ -122,7 +127,7 @@ class TestFlockForms:
     def test_flock_assignment_matches_brute(self):
         for k in range(2, 901):
             for rec in flock_members(k):
-                assert brute_semiperimeter(rec.value) == k
+                assert brute_semiperimeter(rec.area) == k
 
 
 class TestFullRangeAgreement:
@@ -155,7 +160,7 @@ class TestFullRangeAgreement:
     def test_enumeration_and_counts_to_ten_million(self):
         limit = 10**7
         members = brute_record_set(limit).members
-        assert [r.value for r in enumerate_range(1, limit)] == members
+        assert [r.area for r in enumerate_range(1, limit)] == members
         for i, m in enumerate(members):
             assert count_le(m) == i + 1, m
             assert m == 1 or count_le(m - 1) == i, m

@@ -5,11 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almost_squares._bigint import cbrtrem
+from almost_squares._bigint import _ROOT_BITS, cbrtrem
 from almost_squares.core import (
-    AlmostSquareRecord,
     FlockId,
     RatioValue,
+    Rectangle,
     _flock_extent,
     _locate,
     count_at_square,
@@ -156,16 +156,16 @@ def test_count_matches_oracle(record_set_small, n):
 @given(st.integers(min_value=1, max_value=10**6))
 def test_rank_round_trip(j):
     rec = nth(j)
-    assert count_le(rec.value) == j
-    assert is_almost_square(rec.value) == rec.rect
+    assert count_le(rec.area) == j
+    assert is_almost_square(rec.area) == rec
 
 
 @given(st.integers(min_value=1, max_value=10**300))
 def test_rank_round_trip_full_size(j):
     # count_le takes no cube root, so it checks nth independently
     rec = nth(j)
-    assert count_le(rec.value) == j
-    assert is_almost_square(rec.value) == rec.rect
+    assert count_le(rec.area) == j
+    assert is_almost_square(rec.area) == rec
 
 
 @given(st.integers(min_value=1, max_value=5 * 10**299))
@@ -187,27 +187,45 @@ def test_count_le_at_odd_square_flock_ends(t):
     assert count_le(last) == through_previous_flock + size
 
 
-@given(st.integers(min_value=1, max_value=10**300))
+@given(st.integers(min_value=1, max_value=10**12) | st.integers(min_value=1, max_value=10**300))
 def test_record_equal_across_views_full_size(j):
-    # flocks this far out are too long to list, so the flock-side view is
-    # the record rebuilt from the membership rectangle
-    rec = nth(j)
-    v = rec.value
-    views = [
-        floor_almost_square(v),
-        enumerate_range(v, v)[0],
-        AlmostSquareRecord(is_almost_square(v)),
-    ]
+    # every view of member v returns the same Rectangle; v's flock is listed
+    # only while it is short, as flocks near 10^300 hold about 10^75 members
+    rect = nth(j)
+    v = rect.area
+    views = [is_almost_square(v), floor_almost_square(v), nth(count_le(v))]
+    views.append(enumerate_range(v, v)[0])
+    if _flock_extent(rect.semiperimeter) < 2000:
+        views += [r for r in flock_members(rect.semiperimeter) if r.area == v]
+        assert len(views) == 5
     for other in views:
-        assert other == rec and hash(other) == hash(rec)
+        assert type(other) is Rectangle
+        assert other == rect and hash(other) == hash(rect)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**40)
+    | st.integers(min_value=1 << _ROOT_BITS, max_value=1 << (_ROOT_BITS + 400)),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_extent_test_takes_no_root(base, d):
+    # membership and floor test an offset o against flock k's extent e_k =
+    # (isqrt(k) - k%2) // 2 as (2o + k%2)^2 <= k; checked at o = e_k - 1 to
+    # e_k + 2, at a drawn k and next to a square, where isqrt(k) steps, at
+    # narrow k and at k wider than _bigint._ROOT_BITS bits
+    s = isqrt(base)
+    for k in (base, max(1, s * s + d)):
+        extent = _flock_extent(k)
+        for o in range(max(0, extent - 1), extent + 3):
+            assert ((2 * o + (k & 1)) ** 2 <= k) == (o <= extent), (k, o)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_floor_is_tight(n):
     rec = floor_almost_square(n)
-    assert rec.value <= n
-    assert count_le(n) == count_le(rec.value)
-    assert is_almost_square(rec.value) == rec.rect
+    assert rec.area <= n
+    assert count_le(n) == count_le(rec.area)
+    assert is_almost_square(rec.area) == rec
 
 
 @given(st.integers(min_value=1, max_value=10**200))
@@ -232,14 +250,14 @@ def test_enumerate_range_matches_filtered_flocks(lo, width):
         for m in range(isqrt(lo - 1) + 1, isqrt(hi - 1) + 2)
         for k in (2 * m - 1, 2 * m)
         for rec in flock_members(k)
-        if lo <= rec.value <= hi
+        if lo <= rec.area <= hi
     ]
     assert enumerate_range(lo, hi) == expected
 
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_tri_decompose_round_trip(j):
-    value = nth(j).value
+    value = nth(j).area
     k, h = tri_decompose(value)
     assert value == k * (k + h)
     assert 0 <= h <= count_triangular_le(k)
@@ -252,7 +270,7 @@ def test_flock_members_agree_with_brute_semiperimeter(k):
     expected = 1 + (seq_a((k + 1) // 2) if k % 2 else seq_b(k // 2))
     assert len(members) == expected
     for rec in members:
-        assert brute_semiperimeter(rec.value) == k
+        assert brute_semiperimeter(rec.area) == k
 
 
 @given(st.integers(min_value=1, max_value=10**18))

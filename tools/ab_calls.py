@@ -75,7 +75,7 @@ def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
             # from the first member past a seeded x to the member `rows` - 1 places later
             below = core.count_le(10**e + rng.randrange(10**e // 10))
             first, last = core.nth(below + 1), core.nth(below + _rows(rng))
-            plans.append(("R-normalized", first.value, last.value))
+            plans.append(("R-normalized", first.area, last.area))
         for e in _GRID_EXPONENTS:
             rows = _rows(rng)
             lo, step = 10**e + rng.randrange(10**e // 10), rng.randint(1, 1000)
@@ -133,7 +133,9 @@ def main(argv: list[str] | None = None) -> int:
                      "and --digits and --series at least 0")
     trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
     if args.series:
-        plans = series_plans(trees[0][0], args.series, random.Random(1))
+        # the plans read members' areas, so they come from the second tree:
+        # a first tree older than 4.0.0 returns records with no area
+        plans = series_plans(trees[1][0], args.series, random.Random(1))
         loop, slices = series_loop, [plans[i:i + 1] for i in range(len(plans))]
         label = f"emit_series on {len(plans)} series workload windows"
     elif args.digits:
