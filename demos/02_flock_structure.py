@@ -8,7 +8,7 @@ that outgrows its predecessor of the same parity is opened by a
 triangular numbers.
 """
 
-from almost_squares import flock_members, pioneer, seq_a, seq_b, triangular
+from almost_squares import flock_members, pioneer, seq_a, seq_b
 
 print("the first dozen flocks:")
 for k in range(1, 13):
@@ -27,17 +27,17 @@ for m in (10, 100, 1000, 10**6):
 print()
 print("pioneers (first member of each suddenly-longer flock):")
 for j in range(1, 9):
-    value, fid = pioneer(j)
-    w, l = triangular(j + 1), triangular(j + 2)
-    print(f"  pioneer {j}: {w} x {l} = {value}, opening flock {fid.k} = {j + 1}^2")
+    w, l = pioneer(j)  # t(j+1) x t(j+2), whose semiperimeter is the flock it opens
+    print(f"  pioneer {j}: {w} x {l} = {w * l}, opening flock {w + l} = {j + 1}^2")
 
 print()
 print("even-numbered pioneers tie the ratio record instead of beating it:")
 for j in (2, 4, 6):
-    value, fid = pioneer(j)
-    members = flock_members(fid.k - 1) or flock_members(fid.k - 2)
+    rect = pioneer(j)
+    value, k = rect.area, rect.semiperimeter
+    members = flock_members(k - 1) or flock_members(k - 2)
     prev = members[-1]
     print(
-        f"  {value}/{fid.k} = {value / fid.k:.6f}  equals  "
+        f"  {value}/{k} = {value / k:.6f}  equals  "
         f"{prev.area}/{prev.semiperimeter} = {prev.area / prev.semiperimeter:.6f}"
     )

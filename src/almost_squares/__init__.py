@@ -14,6 +14,6 @@ from . import core, oracle
 from .core import *
 from .oracle import *
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [*core.__all__, *oracle.__all__]

@@ -69,7 +69,7 @@ from ._bigint import EXACT, cbrtrem, cell, wide
 # enumerate_range is not called here; the name stays imported because
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
 # getattr raises AttributeError on a missing name, failing every traced run
-from .core import _flock_runs, count_le, enumerate_range, is_almost_square
+from .core import _ROW_CAP, _flock_runs, count_le, enumerate_range, is_almost_square
 
 __all__ = [
     "AnalysisSample",
@@ -389,8 +389,8 @@ def tri_product_grid(m_max: int) -> list[list[bool]]:
 _PLAN_KINDS = ("A-of-x", "R-of-x", "R-normalized", "tri-grid")
 
 
-class SamplingPlan(namedtuple("SamplingPlan", "kind lo hi step at_members max_rows",
-                               defaults=(1, True, 1_000_000))):
+class SamplingPlan(namedtuple("SamplingPlan", "kind lo hi step at_members",
+                               defaults=(1, True))):
     """What to emit: which series, over which range, sampled how.
 
     A series samples either the members themselves, read off the flock
@@ -409,11 +409,9 @@ class SamplingPlan(namedtuple("SamplingPlan", "kind lo hi step at_members max_ro
     __slots__ = ()
 
 
-def _check_rows(expected: int, plan: SamplingPlan) -> None:
-    if expected > plan.max_rows:
-        raise ValueError(
-            f"plan would emit {expected} rows, above the cap of {plan.max_rows}"
-        )
+def _check_rows(expected: int) -> None:
+    if expected > _ROW_CAP:
+        raise ValueError(f"plan would emit {expected} rows, above the cap of {_ROW_CAP}")
 
 
 def _remainder_line(x: int, a: int) -> str:
@@ -454,20 +452,21 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     below in closed form, so the choice is made before the first sample,
     and no member list is built.  step applies only to the grid.  Each
     source states its row count once, before its first sample: that
-    count is checked against max_rows, equals the rows written, and is
-    returned.  A-of-x cells are rendered by the decimal-I/O rule of
-    _bigint, chosen once per plan from hi's width, the first x from lo
-    itself, so digits that parse_int kept are written back.  Past that
-    width each later x is the one before plus the step, one exact Decimal
-    add with the step converted once, so an x cell costs time linear in
-    its digits; the bytes are those of str().
+    count is checked against the row ceiling core._ROW_CAP, the CLI's
+    10,000,000, equals the rows written, and is returned.  A-of-x cells
+    are rendered by the decimal-I/O rule of _bigint, chosen once per plan
+    from hi's width, the first x from lo itself, so digits that parse_int
+    kept are written back.  Past that width each later x is the one
+    before plus the step, one exact Decimal add with the step converted
+    once, so an x cell costs time linear in its digits; the bytes are
+    those of str().
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
-    integers exact.  Infeasible plans (a step below 1 or a negative
-    max_rows, for every kind), those above max_rows and remainder plans
-    with hi >= 2^4092 (about 6.5e1231), past which R may leave float
-    range, are rejected with ValueError before any output is written.
+    integers exact.  Infeasible plans (a step below 1, for every kind),
+    those above the row ceiling and remainder plans with hi >= 2^4092
+    (about 6.5e1231), past which R may leave float range, are rejected
+    with ValueError before any output is written.
     Below that bound x and A are exact ints, and R and R_norm each come
     from integer roots by one correctly rounded division.  g and h are
     g_func and h_func evaluated in floats on a fractional part rounded
@@ -478,8 +477,6 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
     if plan.step < 1:
         raise ValueError("step must be >= 1")
-    if plan.max_rows < 0:
-        raise ValueError("max_rows must be >= 0")
     if plan.kind != "tri-grid" and plan.lo < 1 and plan.hi >= plan.lo:
         raise ValueError("lo must be >= 1")
     if plan.kind in ("R-of-x", "R-normalized"):
@@ -489,7 +486,7 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     if plan.kind == "tri-grid":
         span = range(max(plan.lo, 1), plan.hi + 1)
         rows = max(0, plan.hi - span.start + 1) ** 2  # len() overflows past 2**63
-        _check_rows(rows, plan)
+        _check_rows(rows)
         header = "m,n,is_member\n"
         # one string per table row: m before each of its cells ",n,0" or ",n,1",
         # picked from column n's pair by the cell's bool
@@ -500,7 +497,7 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
         )
     elif plan.kind == "A-of-x" or not plan.at_members:  # the grid
         rows = max(0, (plan.hi - plan.lo) // plan.step + 1)
-        _check_rows(rows, plan)
+        _check_rows(rows)
         xs = range(plan.lo, plan.hi + 1, plan.step)
         members, below, runs = _flock_runs(plan.lo, plan.lo + (rows - 1) * plan.step)
         if members > rows:  # A from count_le, three roots a row
@@ -511,7 +508,7 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
             )
     else:  # the flock walk, one sample per member
         rows, below, runs = _flock_runs(plan.lo, plan.hi)
-        _check_rows(rows, plan)
+        _check_rows(rows)
         xs = _members(runs)
         counts = count(below + 1)  # the i-th sample is the (below + i)-th member
     if plan.kind == "A-of-x":

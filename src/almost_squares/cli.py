@@ -52,8 +52,9 @@ from ._bigint import cell, parse_int, record_cells, wide
 # cli.flock_members by name, and its getattr raises AttributeError on a
 # missing name, which would fail every traced benchmark run.
 from .core import (
-    FlockId,
+    _ROW_CAP,
     _flock_runs,
+    _flock_window,
     count_le,
     enumerate_range,
     flock_members,
@@ -61,15 +62,10 @@ from .core import (
     is_almost_square,
     nth,
     pioneer,
-    triangular,
 )
 from .oracle import DEFAULT_SCAN_CAP, brute_record_set
 
 __all__ = ["build_parser", "main", "run_main"]
-
-# the one row ceiling of every streaming verb: list, flock, pioneers, analyze
-# and trigrid refuse up front a request for more rows than this
-_LIST_ROW_CAP = 10_000_000
 
 # list and flock write their rows in chunks of at most about this many bytes,
 # one write each; a fixed row count would hold about 15 MB per chunk of
@@ -206,7 +202,7 @@ def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
     one chunk, not the window.
     """
     count, _, runs = _flock_runs(lo, hi)
-    _require(count <= _LIST_ROW_CAP, refusal.format(count))
+    _require(count <= _ROW_CAP, refusal.format(count))
     _emit(fmt, _RECORD, partial(_run_chunks, runs), _MEMBER_TEXT, key="members")
     return 0
 
@@ -222,21 +218,20 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_flock(args: argparse.Namespace) -> int:
     _require(args.k >= 1, "flock index k must be >= 1")
-    lo, hi = FlockId(args.k).value_interval()
-    refusal = f"flock {args.k} holds {{}} members, above the cap of {_LIST_ROW_CAP}"
-    return _emit_members(args.format, lo + 1, hi, refusal)
+    refusal = f"flock {args.k} holds {{}} members, above the cap of {_ROW_CAP}"
+    return _emit_members(args.format, *_flock_window(args.k), refusal)
 
 
 def _pioneer_row(j: int) -> tuple[int, int, int, int, int]:
-    value, fid = pioneer(j)
-    return j, value, triangular(j + 1), triangular(j + 2), fid.k
+    rect = pioneer(j)
+    return j, rect.area, rect.width, rect.length, rect.semiperimeter
 
 
 def cmd_pioneers(args: argparse.Namespace) -> int:
     _require(args.count >= 1, "count must be >= 1")
     _require(
-        args.count <= _LIST_ROW_CAP,
-        f"{args.count} pioneers requested, above the cap of {_LIST_ROW_CAP}",
+        args.count <= _ROW_CAP,
+        f"{args.count} pioneers requested, above the cap of {_ROW_CAP}",
     )
     columns = ("index", "value", "width", "length", "flock")
     rows = map(_pioneer_row, range(1, args.count + 1))
@@ -245,7 +240,7 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
 
 
 def _emit_plan(**fields: object) -> int:
-    """Stream the plan's CSV, refused up front above _LIST_ROW_CAP rows."""
+    """Stream the plan's CSV, refused up front above _ROW_CAP rows."""
     # analysis is imported here, not at module top.  An eager import made a
     # fresh `import almost_squares.cli` slower (29.4 -> 36.0 ms median over 40
     # alternating fresh interpreters, 2-vCPU host, Python 3.11), and
@@ -253,7 +248,7 @@ def _emit_plan(**fields: object) -> int:
     # imported, which a name bound at cli's import time would bypass.
     from .analysis import SamplingPlan, emit_series
 
-    emit_series(SamplingPlan(max_rows=_LIST_ROW_CAP, **fields), sys.stdout)
+    emit_series(SamplingPlan(**fields), sys.stdout)
     return 0
 
 

@@ -51,16 +51,16 @@ window of a flock's interval) build their member lists from the runs.
 
 A member is its optimal rectangle, as in the paper's n = k(k+h): every
 view that answers with members, is_almost_square, floor_almost_square,
-nth, enumerate_range and flock_members, returns the Rectangle, whose
-area (width * length) is the member and whose semiperimeter (width +
-length) is its flock's k; its flock and ratio are read off the same two
-ints.
+nth, pioneer, enumerate_range and flock_members, returns the Rectangle,
+whose area (width * length) is the member and whose semiperimeter
+(width + length) is its flock's k; its ratio is read off the same two
+ints.  A flock is its int k alone.
 
-Rectangle and FlockId are named tuples: they unpack, compare equal (with
-equal hashes) to the tuple of their fields, and offer _fields and
-_replace, which validates as the constructor does.  Rectangles refuse <,
-<=, > and >=, since tuple order would rank a 3x6 rectangle (area 18)
-before a 4x4 one (area 16).
+Rectangle is a named tuple: it unpacks, compares equal (with an equal
+hash) to the tuple (width, length), and offers _fields and _replace,
+which validates as the constructor does.  Rectangles refuse <, <=, >
+and >=, since tuple order would rank a 3x6 rectangle (area 18) before a
+4x4 one (area 16).
 
 Everything in this module is exact integer arithmetic, so results are
 bit-exact for integers of any size and run in time polynomial in the
@@ -77,7 +77,6 @@ from math import gcd, isqrt
 from . import _bigint
 
 __all__ = [
-    "FlockId",
     "RatioValue",
     "Rectangle",
     "count_at_square",
@@ -94,6 +93,11 @@ __all__ = [
     "tri_decompose",
     "triangular",
 ]
+
+# the one row ceiling of every streaming verb and series: list, flock,
+# pioneers, analyze and trigrid, and analysis.emit_series for every plan,
+# refuse up front a request for more rows than this
+_ROW_CAP = 10_000_000
 
 
 # --------------------------------------------------------------------------
@@ -130,39 +134,11 @@ class Rectangle(namedtuple("Rectangle", "width length")):
         return self.width + self.length
 
     @property
-    def flock(self) -> FlockId:
-        return FlockId(self.semiperimeter)
-
-    @property
     def ratio(self) -> RatioValue:
         return RatioValue(self.area, self.semiperimeter)
 
     def __str__(self) -> str:
         return f"{self.width}x{self.length}"
-
-
-class FlockId(namedtuple("FlockId", "k")):
-    """A flock addressed by its common semiperimeter k.
-
-    The k-th flock holds the almost-squares whose optimal rectangle has
-    semiperimeter exactly k, all in (floor((k-1)^2/4), floor(k^2/4)]:
-    for odd k = 2m-1 that is ((m-1)^2, m(m-1)], for even k = 2m it is
-    (m(m-1), m^2].  Flock 1 is empty; flocks 2 and 3 hold the single
-    members 1 and 2.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, k: int) -> FlockId:
-        if k < 1:
-            raise ValueError("flock semiperimeter k must be >= 1")
-        return tuple.__new__(cls, (k,))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def value_interval(self) -> tuple[int, int]:
-        """Bounds (lo, hi] of the values this flock may contain."""
-        return (self.k - 1) ** 2 // 4, self.k * self.k // 4
 
 
 @total_ordering
@@ -372,15 +348,24 @@ def _run_rects(runs: Iterable[tuple[int, range, range]]) -> list[Rectangle]:
     return [Rectangle(w, l) for _, ws, ls in runs for w, l in zip(ws, ls)]
 
 
-def flock_members(flock: FlockId | int) -> list[Rectangle]:
-    """All members of a flock in increasing value order.
+def _flock_window(k: int) -> tuple[int, int]:
+    """The window [lo, hi] of the values flock k may hold.
 
-    Accepts a FlockId or a bare semiperimeter k >= 1.  The members are the
-    window of the flock's value interval, so flock 1 is an empty window.
+    It is the interval (floor((k-1)^2/4), floor(k^2/4)]: for odd k = 2m-1
+    that is ((m-1)^2, m(m-1)], for even k = 2m it is (m(m-1), m^2].
     """
-    fid = flock if isinstance(flock, FlockId) else FlockId(flock)
-    lo, hi = fid.value_interval()
-    return _run_rects(_flock_runs(lo + 1, hi)[2])
+    return (k - 1) ** 2 // 4 + 1, k * k // 4
+
+
+def flock_members(k: int) -> list[Rectangle]:
+    """All members of flock k, those of semiperimeter k, in increasing value order.
+
+    The members are the window of the flock's interval, so flock 1 is an
+    empty window; flocks 2 and 3 hold the single members 1 and 2.
+    """
+    if k < 1:
+        raise ValueError("flock semiperimeter k must be >= 1")
+    return _run_rects(_flock_runs(*_flock_window(k))[2])
 
 
 def is_almost_square(n: int) -> Rectangle | None:
@@ -556,17 +541,17 @@ def floor_almost_square(n: int) -> Rectangle:
     return _rect(k, offset)
 
 
-def pioneer(j: int) -> tuple[int, FlockId]:
-    """The j-th flock-lengthening almost-square and the flock it opens.
+def pioneer(j: int) -> Rectangle:
+    """The optimal rectangle of the j-th flock-lengthening almost-square.
 
     A pioneer starts the first flock that is longer than the preceding
-    flock of the same parity.  The j-th pioneer is the product of the
-    (j+1)-st and (j+2)-nd triangular numbers and opens flock (j+1)^2.
+    flock of the same parity.  The j-th pioneer is t(j+1) x t(j+2), the
+    (j+1)-st and (j+2)-nd triangular numbers, and as t(j+1) + t(j+2) =
+    (j+1)^2 its semiperimeter is the flock it opens, (j+1)^2.
     """
     if j < 1:
         raise ValueError("index j must be >= 1")
-    value = triangular(j + 1) * triangular(j + 2)
-    return value, FlockId((j + 1) ** 2)
+    return Rectangle(triangular(j + 1), triangular(j + 2))
 
 
 def enumerate_range(lo: int, hi: int) -> list[Rectangle]:

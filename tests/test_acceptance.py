@@ -120,10 +120,10 @@ def test_criterion_4_lemma_suite():
 def test_criterion_5_pioneer_suite(record_set_full):
     with criterion(5, "pioneers and record ties"):
         for j in range(1, 21):
-            value, fid = pioneer(j)
-            assert value == triangular(j + 1) * triangular(j + 2)
-            assert fid.k == (j + 1) ** 2
-            assert flock_members(fid)[0].area == value
+            rect = pioneer(j)
+            assert rect.area == triangular(j + 1) * triangular(j + 2)
+            assert rect.semiperimeter == (j + 1) ** 2
+            assert flock_members(rect.semiperimeter)[0] == rect
 
         # cross-check against brute enumeration: group members by brute
         # semiperimeter, find the flocks that grew past the previous flock
@@ -144,13 +144,13 @@ def test_criterion_5_pioneer_suite(record_set_full):
                 observed.append(by_flock[k][0])
                 lengths[parity] = len(by_flock[k])
         for j in range(1, 9):
-            assert pioneer(j)[0] == observed[j - 1]
+            assert pioneer(j).area == observed[j - 1]
 
         # ties in the running ratio record happen exactly at even pioneers
         even_pioneers = set()
         j = 2
-        while pioneer(j)[0] <= record_set_full.limit:
-            even_pioneers.add(pioneer(j)[0])
+        while pioneer(j).area <= record_set_full.limit:
+            even_pioneers.add(pioneer(j).area)
             j += 2
         ties = set()
         ratios = record_set_full.ratios

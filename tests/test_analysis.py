@@ -652,17 +652,27 @@ class TestEmitSeries:
     def test_cap_rejected_before_output(self):
         out = io.StringIO()
         with pytest.raises(ValueError):
-            emit_series(SamplingPlan("A-of-x", 1, 10**7, max_rows=100), out)
+            emit_series(SamplingPlan("A-of-x", 1, 10**7 + 1), out)
         assert out.getvalue() == ""
+
+    def test_plans_up_to_the_ceiling_run(self):
+        # the library's ceiling is the CLI's 10^7 rows: a 1001 x 1001 tri-grid,
+        # 1,002,001 rows, runs (into a writer that keeps nothing)
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        assert core._ROW_CAP == 10**7
+        assert emit_series(SamplingPlan("tri-grid", 1, 1001), Discard()) == 1001**2
 
     @pytest.mark.parametrize("plan", [
         SamplingPlan("tri-grid", 1, 10**6),
-        SamplingPlan("tri-grid", 0, 10**40, max_rows=0),
-        SamplingPlan("A-of-x", 1, 10**7),
-        SamplingPlan("A-of-x", 1, 10**40, step=10**30, max_rows=10),
-        SamplingPlan("R-of-x", 1, 10**7, at_members=False),
+        SamplingPlan("tri-grid", 0, 10**40),
+        SamplingPlan("A-of-x", 1, 10**7 + 1),
+        SamplingPlan("A-of-x", 1, 10**40, step=10**30),
+        SamplingPlan("R-of-x", 1, 10**7 + 1, at_members=False),
         SamplingPlan("R-normalized", 1, 10**13),
-        SamplingPlan("R-of-x", 10**40, 10**40 + 10**12, at_members=False, max_rows=10),
+        SamplingPlan("R-of-x", 10**40, 10**40 + 10**12, at_members=False),
     ], ids=["tri-grid", "tri-grid-wide", "A-of-x", "A-of-x-step", "R-grid", "R-members",
             "R-grid-sparse"])
     def test_cap_checked_before_the_first_sample(self, monkeypatch, plan):
@@ -701,8 +711,10 @@ class TestEmitSeries:
         assert rows == out.getvalue().count("\n") - 1
         # and it is the count the cap was checked against
         if rows:
-            with pytest.raises(ValueError, match=f"would emit {rows} rows, above"):
-                emit_series(plan._replace(max_rows=rows - 1), io.StringIO())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(analysis, "_ROW_CAP", rows - 1)
+                with pytest.raises(ValueError, match=f"would emit {rows} rows, above"):
+                    emit_series(plan, io.StringIO())
 
     def test_beyond_float_range_rejected_before_output(self):
         # a row holds x exactly, so the bound is on R: hi must be below 2^4092
@@ -855,7 +867,7 @@ class TestSharedRoots:
         assert _assert_a_column_is_count_le(lo, hi) >= 1
         if math.isqrt(k + 1) ** 2 == k + 1 and k > 2:
             j = math.isqrt(k + 1) - 1
-            assert pioneer(j)[0] == _member(k + 1, _flock_extent(k + 1))
+            assert pioneer(j).area == _member(k + 1, _flock_extent(k + 1))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(10**6, 2 * 10**15), st.integers(1, 20))
@@ -1082,12 +1094,13 @@ B = 10**310  # beyond float range
 F = 2**1024 - 2**970  # the least int that float() refuses
 H = 2**4092  # the least hi a remainder plan refuses
 
-# (plan, rows, sha256 of the output) or (plan, exception type, message) for
-# every plan kind: empty windows, lo <= 0, step 0, cap exactly at the row
-# count (at members from lo = 1, from a member lo past 1 and from a lo that
-# is no member) and a negative cap (refused for every kind and window), tri-grid
-# windows that start past 1 or below 2, a 1x1 window writing its one cell, and
-# remainder plans past float range, answered up to H - 1 and refused from H on.
+# (plan, rows, sha256 of the output) or (plan, exception type, message), with
+# a fourth item where the entry sets the row ceiling, for every plan kind:
+# empty windows, lo <= 0, step 0, the ceiling exactly at the row count and one
+# below it (at members from lo = 1, from a member lo past 1 and from a lo
+# that is no member), one row past the real ceiling, tri-grid windows that
+# start past 1 or below 2, a 1x1 window writing its one cell, and remainder
+# plans past float range, answered up to H - 1 and refused from H on.
 EMIT_MATRIX = [
     (SamplingPlan("A-of-x", 1, 50), 50,
      "f71066e51364de52115b7bf1ea44ae86bffba1ad15f12149b886f0851fbc34e8"),
@@ -1105,14 +1118,12 @@ EMIT_MATRIX = [
      "lo must be >= 1"),
     (SamplingPlan("A-of-x", 1, 10, step=0), ValueError,
      "step must be >= 1"),
-    (SamplingPlan("A-of-x", 1, 10, max_rows=10), 10,
-     "0abb259023721ee114c36d6499a9aaf4091b374702e3bdd6fb206a4c22ccd45e"),
-    (SamplingPlan("A-of-x", 1, 10, max_rows=9), ValueError,
-     "plan would emit 10 rows, above the cap of 9"),
-    (SamplingPlan("A-of-x", 1, 10, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
-    (SamplingPlan("A-of-x", 10, 5, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
+    (SamplingPlan("A-of-x", 1, 10), 10,
+     "0abb259023721ee114c36d6499a9aaf4091b374702e3bdd6fb206a4c22ccd45e", 10),
+    (SamplingPlan("A-of-x", 1, 10), ValueError,
+     "plan would emit 10 rows, above the cap of 9", 9),
+    (SamplingPlan("A-of-x", 1, 10**7 + 1), ValueError,
+     "plan would emit 10000001 rows, above the cap of 10000000"),
     (SamplingPlan("R-of-x", 1, 200), 59,
      "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
     (SamplingPlan("R-of-x", 100, 200, step=10, at_members=False), 11,
@@ -1125,8 +1136,6 @@ EMIT_MATRIX = [
      "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
     (SamplingPlan("R-of-x", -5, -10), 0,
      "a2cb2d96d9114b410fc269241e98ee1d55bb324441f76216f4671a206fd8e112"),
-    (SamplingPlan("R-of-x", 10, 5, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
     (SamplingPlan("R-of-x", 0, 10), ValueError,
      "lo must be >= 1"),
     (SamplingPlan("R-of-x", 1, 10, step=0, at_members=False), ValueError,
@@ -1141,20 +1150,18 @@ EMIT_MATRIX = [
      "4ab9ed22d62e0067d9706bea5f4d12be188ce98ad7e288388bad193561dcfe73"),
     (SamplingPlan("R-normalized", 1, 59, step=3, at_members=False), 20,
      "c7e6a6ca172fa90223b73575d246d28c08416525cfa212d8cfea29123c5dc111"),
-    (SamplingPlan("R-normalized", 1, 196, max_rows=59), 59,
-     "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717"),
-    (SamplingPlan("R-normalized", 1, 196, max_rows=58), ValueError,
-     "plan would emit 59 rows, above the cap of 58"),
-    (SamplingPlan("R-normalized", 182, 196, max_rows=4), 4,
-     "ecdffa7b6e8b5d81cade4bc93552c9e671cb6a114c3dfb972b552c468931a20a"),
-    (SamplingPlan("R-normalized", 182, 196, max_rows=3), ValueError,
-     "plan would emit 4 rows, above the cap of 3"),
-    (SamplingPlan("R-normalized", 183, 196, max_rows=3), 3,
-     "862dcac14f78a50e74637f58c1473e586a5b99cc211ce5514fb6166fc1ecf3d4"),
-    (SamplingPlan("R-normalized", 183, 196, max_rows=2), ValueError,
-     "plan would emit 3 rows, above the cap of 2"),
-    (SamplingPlan("R-normalized", 1, 196, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
+    (SamplingPlan("R-normalized", 1, 196), 59,
+     "951a3e3057a4009c78ce1ae314fd95a038b69c8ef59f5971720afee00ff8f717", 59),
+    (SamplingPlan("R-normalized", 1, 196), ValueError,
+     "plan would emit 59 rows, above the cap of 58", 58),
+    (SamplingPlan("R-normalized", 182, 196), 4,
+     "ecdffa7b6e8b5d81cade4bc93552c9e671cb6a114c3dfb972b552c468931a20a", 4),
+    (SamplingPlan("R-normalized", 182, 196), ValueError,
+     "plan would emit 4 rows, above the cap of 3", 3),
+    (SamplingPlan("R-normalized", 183, 196), 3,
+     "862dcac14f78a50e74637f58c1473e586a5b99cc211ce5514fb6166fc1ecf3d4", 3),
+    (SamplingPlan("R-normalized", 183, 196), ValueError,
+     "plan would emit 3 rows, above the cap of 2", 2),
     (SamplingPlan("R-normalized", B - 10, B), 4,
      "a6adff6da94bfc28eb1b3e53ba2b5e3503a1d6a43ee5a8de882e0fb6aa11437a"),
     # windows across F: the last member about 1.2e72 below F, then members past F
@@ -1180,14 +1187,10 @@ EMIT_MATRIX = [
      "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
     (SamplingPlan("tri-grid", -3, -1), 0,
      "cc83703100a23e0e1b55b1b1b1a82ffdf947790ddd4df284255412b1bb338100"),
-    (SamplingPlan("tri-grid", 1, 8, max_rows=64), 64,
-     "e9a940d39859f3b3362acbb0a0e1b1fd908daee99c6701e5e7a16833af88f08e"),
-    (SamplingPlan("tri-grid", 1, 8, max_rows=63), ValueError,
-     "plan would emit 64 rows, above the cap of 63"),
-    (SamplingPlan("tri-grid", 1, 1, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
-    (SamplingPlan("tri-grid", 5, 3, max_rows=-1), ValueError,
-     "max_rows must be >= 0"),
+    (SamplingPlan("tri-grid", 1, 8), 64,
+     "e9a940d39859f3b3362acbb0a0e1b1fd908daee99c6701e5e7a16833af88f08e", 64),
+    (SamplingPlan("tri-grid", 1, 8), ValueError,
+     "plan would emit 64 rows, above the cap of 63", 63),
     (SamplingPlan("tri-grid", 1, 8, step=0), ValueError,
      "step must be >= 1"),
     (SamplingPlan("B-of-x", 1, 10), ValueError,
@@ -1195,17 +1198,20 @@ EMIT_MATRIX = [
 ]
 
 
-def test_emit_series_matrix_is_pinned():
-    for plan, want, pinned in EMIT_MATRIX:
+def test_emit_series_matrix_is_pinned(monkeypatch):
+    for plan, want, pinned, *cap in EMIT_MATRIX:
         out = io.StringIO()
-        if isinstance(want, int):
-            assert emit_series(plan, out) == want, plan
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned, plan
-        else:
-            with pytest.raises(want) as info:
-                emit_series(plan, out)
-            assert str(info.value) == pinned, plan
-            assert out.getvalue() == "", plan
+        with monkeypatch.context() as patch:
+            if cap:  # an entry's fourth item is the row ceiling it probes
+                patch.setattr(analysis, "_ROW_CAP", *cap)
+            if isinstance(want, int):
+                assert emit_series(plan, out) == want, plan
+                assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned, plan
+            else:
+                with pytest.raises(want) as info:
+                    emit_series(plan, out)
+                assert str(info.value) == pinned, plan
+                assert out.getvalue() == "", plan
 
 
 class TestIncrementPrediction:

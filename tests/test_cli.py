@@ -30,7 +30,6 @@ from almost_squares.core import (
     floor_almost_square,
     is_almost_square,
     nth,
-    pioneer,
     triangular,
 )
 from reference_data import FIRST_59
@@ -141,13 +140,13 @@ class TestListVerb:
     # 182..196 holds 182, 192, 195 and 196; 183..196 starts past a member
     @pytest.mark.parametrize("lo, rows", [(182, 4), (183, 3)])
     def test_count_at_the_cap(self, capsys, monkeypatch, lo, rows):
-        monkeypatch.setattr(cli, "_LIST_ROW_CAP", rows)
+        monkeypatch.setattr(cli, "_ROW_CAP", rows)
         code, out, _ = run(capsys, "list", str(lo), "196")
         assert code == 0
         assert [int(line.split(" = ")[0]) for line in out.splitlines()] == (
             [182, 192, 195, 196][-rows:]
         )
-        monkeypatch.setattr(cli, "_LIST_ROW_CAP", rows - 1)
+        monkeypatch.setattr(cli, "_ROW_CAP", rows - 1)
         code, out, err = run(capsys, "list", str(lo), "196")
         assert code == 2
         assert out == ""
@@ -190,11 +189,11 @@ class TestFlockVerb:
         assert out == ""
 
     def test_count_at_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 3)
+        monkeypatch.setattr(cli, "_ROW_CAP", 3)
         code, out, _ = run(capsys, "flock", "28")
         assert code == 0
         assert out.splitlines() == ["192 = 12 x 16", "195 = 13 x 15", "196 = 14 x 14"]
-        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 2)
+        monkeypatch.setattr(cli, "_ROW_CAP", 2)
         code, out, err = run(capsys, "flock", "28")
         assert code == 2
         assert out == ""
@@ -220,7 +219,7 @@ class TestPioneers:
         assert lines[4] == "4,150,10,15,25"
 
     def test_count_above_cap_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_LIST_ROW_CAP", 5)
+        monkeypatch.setattr(cli, "_ROW_CAP", 5)
         code, out, _ = run(capsys, "pioneers", "5")
         assert code == 0
         assert len(out.splitlines()) == 5
@@ -821,7 +820,7 @@ def _listed(argv, fmt):
 
 
 def _assert_rows(argv, recs):
-    expected = [(r.area, r.width, r.length, r.semiperimeter, r.flock.k)
+    expected = [(r.area, r.width, r.length, r.semiperimeter, r.semiperimeter)
                 for r in recs]
     for fmt in ("json", "csv"):
         assert _listed(argv, fmt) == expected, (argv, fmt)
@@ -1000,7 +999,7 @@ def test_flock_rows_match_flock_members_at_1e10(k):
         assert main(["flock", str(k), "--format", "csv"]) == 0
     header = ",".join(cli._RECORD) + "\n"
     assert out.getvalue() == header + "".join(
-        f"{r.area},{r.width},{r.length},{r.semiperimeter},{r.flock.k}\n"
+        f"{r.area},{r.width},{r.length},{r.semiperimeter},{r.semiperimeter}\n"
         for r in flock_members(k)
     )
 
@@ -1050,7 +1049,7 @@ def test_rows_across_chunk_joins(monkeypatch, argv, lo, hi, big_digits, fmt):
     if big_digits is not None:  # below the values' width: the record_cells path
         monkeypatch.setattr(_bigint, "_BIG_DIGITS", big_digits)
         monkeypatch.setattr(cli, "record_cells", counted)
-    rows = [(r.area, r.width, r.length, r.semiperimeter, r.flock.k) for r in recs]
+    rows = [(r.area, r.width, r.length, r.semiperimeter, r.semiperimeter) for r in recs]
     if fmt == "json":
         members = [dict(zip(cli._RECORD, map(str, row))) for row in rows]
         want = json.dumps({"members": members}) + "\n"
@@ -1255,13 +1254,13 @@ def test_main_builds_one_parser(monkeypatch):
 
 def _record_cells(rec):
     return {"value": rec.area, "width": rec.width, "length": rec.length,
-            "semiperimeter": rec.semiperimeter, "flock": rec.flock.k}
+            "semiperimeter": rec.semiperimeter, "flock": rec.semiperimeter}
 
 
 def _pioneer_cells(j):
-    value, fid = pioneer(j)
-    return {"index": j, "value": value, "width": triangular(j + 1),
-            "length": triangular(j + 2), "flock": fid.k}
+    width, length = triangular(j + 1), triangular(j + 2)
+    return {"index": j, "value": width * length, "width": width, "length": length,
+            "flock": (j + 1) ** 2}
 
 
 def _json_answer(verb, args):

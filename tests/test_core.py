@@ -8,10 +8,10 @@ import pytest
 
 from almost_squares import _bigint
 from almost_squares.core import (
-    FlockId,
     RatioValue,
     Rectangle,
     _count_located,
+    _flock_window,
     _locate,
     count_at_square,
     count_le,
@@ -214,13 +214,12 @@ class TestFlockMembers:
         from almost_squares.core import _flock_extent
 
         for k in (2, 3, 16, 27, 100, 101, 9999):
-            fid = FlockId(k)
-            lo, hi = fid.value_interval()
-            members = flock_members(fid)
+            lo, hi = _flock_window(k)
+            members = flock_members(k)
             assert len(members) == 1 + _flock_extent(k)
             for rec in members:
-                assert rec.semiperimeter == k == rec.flock.k
-                assert lo < rec.area <= hi
+                assert rec.semiperimeter == k
+                assert lo <= rec.area <= hi
             assert [r.area for r in members] == sorted(r.area for r in members)
 
 
@@ -528,9 +527,8 @@ class TestNth:
     def test_flock_field(self):
         for j in range(1, 300):
             rec = nth(j)
-            lo, hi = rec.flock.value_interval()
-            assert lo < rec.area <= hi
-            assert rec.flock.k == rec.semiperimeter
+            lo, hi = _flock_window(rec.semiperimeter)
+            assert lo <= rec.area <= hi
 
 
 class TestFloorAlmostSquare:
@@ -560,19 +558,19 @@ class TestFloorAlmostSquare:
 
 class TestPioneer:
     def test_first(self):
-        value, fid = pioneer(1)
-        assert value == 3
-        assert fid.k == 4
+        rect = pioneer(1)
+        assert rect == Rectangle(1, 3)
+        assert (rect.area, rect.semiperimeter) == (3, 4)
 
     def test_third(self):
-        value, fid = pioneer(3)
-        assert value == 60
-        assert fid.k == 16
+        rect = pioneer(3)
+        assert rect == Rectangle(6, 10)
+        assert (rect.area, rect.semiperimeter) == (60, 16)
 
     def test_fourth(self):
-        value, fid = pioneer(4)
-        assert value == 150
-        assert fid.k == 25
+        rect = pioneer(4)
+        assert rect == Rectangle(10, 15)
+        assert (rect.area, rect.semiperimeter) == (150, 25)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -580,22 +578,23 @@ class TestPioneer:
 
     def test_structure_through_20(self):
         for j in range(1, 21):
-            value, fid = pioneer(j)
-            assert value == triangular(j + 1) * triangular(j + 2)
-            assert fid.k == (j + 1) ** 2
-            members = flock_members(fid)
-            assert members[0].area == value
+            rect = pioneer(j)
+            assert rect == Rectangle(triangular(j + 1), triangular(j + 2))
+            flock = rect.semiperimeter
+            assert flock == (j + 1) ** 2
+            members = flock_members(flock)
+            assert members[0] == rect
             # the flock is one longer than the previous one of its parity
-            prev = flock_members(fid.k - 2)
+            prev = flock_members(flock - 2)
             assert len(members) == len(prev) + 1
             # flock (j+1)^2 is k = 2m (even j+1) or 2m-1 (odd j+1), m = (k+1)//2
-            m = (fid.k + 1) // 2
+            m = (flock + 1) // 2
             if j % 2:
-                assert fid.k % 2 == 0
+                assert flock % 2 == 0
                 k = (j + 1) // 2
                 assert m == 2 * k * k
             else:
-                assert fid.k % 2 == 1
+                assert flock % 2 == 1
                 k = j // 2
                 assert m == 2 * k * k + 2 * k + 1
 
@@ -653,7 +652,7 @@ class TestRatioValue:
         even_pioneer_values = set()
         j = 2
         while True:
-            value, _ = pioneer(j)
+            value = pioneer(j).area
             if value > 20_000:
                 break
             even_pioneer_values.add(value)
@@ -673,22 +672,19 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Rectangle(0, 5)
 
-    def test_flock_id_consistency(self):
-        # a flock is its k alone; its interval follows from k
-        assert FlockId._fields == ("k",)
+    def test_flock_window(self):
+        # a flock is its k alone; its window of values follows from k
         cases = [
-            (1, (0, 0)),
-            (4, (2, 4)),
-            (5, (4, 6)),
-            (10**40, (25 * 10**78 - 5 * 10**39, 25 * 10**78)),
+            (1, (1, 0)),
+            (4, (3, 4)),
+            (5, (5, 6)),
+            (10**40, (25 * 10**78 - 5 * 10**39 + 1, 25 * 10**78)),
         ]
-        for k, interval in cases:
-            fid = FlockId(k=k)
-            assert FlockId(k) == fid and fid.k == k
-            assert fid.value_interval() == interval
+        for k, window in cases:
+            assert _flock_window(k) == window
         for k in (0, -3):
-            with pytest.raises(ValueError):
-                FlockId(k=k)
+            with pytest.raises(ValueError, match="^flock semiperimeter k must be >= 1$"):
+                flock_members(k)
 
     def test_record_ratio(self):
         rec = Rectangle(13, 14)
@@ -701,12 +697,12 @@ class TestDomainTypes:
         assert rec.ratio != 182 / 27
         with pytest.raises(TypeError):
             rec.ratio < 7
-        assert (rec.area, rec.semiperimeter, rec.flock) == (182, 27, FlockId(27))
+        assert (rec.area, rec.semiperimeter) == (182, 27)
 
     def test_record_is_its_rectangle(self):
         # a member is its two sides; everything else is read off them
         assert Rectangle._fields == ("width", "length")
-        for name in ("area", "semiperimeter", "flock", "ratio"):
+        for name in ("area", "semiperimeter", "ratio"):
             assert isinstance(getattr(Rectangle, name), property)
 
     def test_records_and_rectangles_have_no_order_and_no_setters(self):
@@ -718,16 +714,13 @@ class TestDomainTypes:
             text = f"^'{sym}' not supported between instances of 'Rectangle' and 'Rectangle'$"
             with pytest.raises(TypeError, match=text):
                 op(rec11, rec10)
-        fields = ((rec10, "width", 3), (rec10, "length", 3), (FlockId(8), "k", 9))
-        for obj, field, value in fields:
+        for field in ("width", "length"):
             with pytest.raises(AttributeError):
-                setattr(obj, field, value)
+                setattr(rec10, field, 3)
         # _replace builds through the validating constructor
         assert Rectangle(4, 4)._replace(length=5) == Rectangle(4, 5)
         with pytest.raises(ValueError):
             Rectangle(4, 4)._replace(width=5)
-        with pytest.raises(ValueError):
-            FlockId(8)._replace(k=0)
 
     def test_record_equal_across_views(self):
         # the same member from membership, floor, nth, a one-value window and

@@ -2,15 +2,15 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almost_squares._bigint import _ROOT_BITS, cbrtrem
 from almost_squares.core import (
-    FlockId,
     RatioValue,
     Rectangle,
     _flock_extent,
+    _flock_window,
     _locate,
     count_at_square,
     count_le,
@@ -21,6 +21,7 @@ from almost_squares.core import (
     is_almost_square,
     isqrt,
     nth,
+    pioneer,
     seq_a,
     seq_b,
     tri_decompose,
@@ -100,8 +101,8 @@ def _check_locate(n):
         return k * k // 4 - offset * (offset + k % 2)
 
     k, offset, exact = _locate(n)
-    lo, hi = FlockId(k).value_interval()
-    assert lo < n <= hi
+    lo, hi = _flock_window(k)
+    assert lo <= n <= hi
     assert offset >= 0 and member(offset) <= n
     assert offset == 0 or member(offset - 1) > n
     assert exact == (member(offset) == n)
@@ -201,6 +202,30 @@ def test_record_equal_across_views_full_size(j):
     for other in views:
         assert type(other) is Rectangle
         assert other == rect and hash(other) == hash(rect)
+
+
+@given(
+    st.integers(min_value=1, max_value=500)
+    | st.integers(min_value=1, max_value=10**320)
+    | st.integers(min_value=1 << 1001, max_value=10**320)
+)
+@example(1)
+@example(1 << 1001)  # an area of 4003 bits, wider than _ROOT_BITS
+@example(10**320)
+def test_pioneer_equal_across_views(j):
+    # the j-th pioneer is the Rectangle every member view returns for its
+    # area, and its semiperimeter is the flock it opens; from j = 2^1001 on,
+    # about j^4 / 4 passes _bigint._ROOT_BITS and _locate roots by halves
+    rect = pioneer(j)
+    a = rect.area
+    assert (j < 1 << 1001) or a.bit_length() > _ROOT_BITS
+    assert rect.semiperimeter == (j + 1) ** 2
+    views = [is_almost_square(a), floor_almost_square(a), nth(count_le(a))]
+    if j <= 500:
+        views.append(flock_members((j + 1) ** 2)[0])
+    for other in views:
+        assert type(other) is Rectangle
+        assert other == rect
 
 
 @given(

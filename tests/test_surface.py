@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(almost_squares.__file__).parent
 
 CORE = [
-    "FlockId",
     "RatioValue",
     "Rectangle",
     "count_at_square",
@@ -91,7 +90,7 @@ def test_package_exports():
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
-    assert almost_squares.__version__ == project["version"] == "4.0.0"
+    assert almost_squares.__version__ == project["version"] == "5.0.0"
 
 
 def _paper_map() -> list[list[str]]:

@@ -24,14 +24,21 @@ digits, each both an n and an index j.  With ``--series N`` it is
 ``analysis.emit_series`` into a ``StringIO`` on N seeded windows of each
 shape the benchmark's series workload draws: 100 to 400 rows at the
 members from near 10^6, 10^8, 10^10 and 10^12, and on a grid with a step
-of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.
+of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.  With
+``--verbs N`` it is ``cli.main``, stdout into a ``StringIO``, on N seeded
+argvs of each of ``pioneers J``, J from 10^3 to 10^5, and ``flock k``, k
+from 10^4 to 10^10, in each output format.  Before it times anything it
+runs every argv in both trees, and on the first whose exit code, stdout
+or stderr differs it names that argv and exits 1.
 
     python tools/ab_calls.py PARENT/src src --series 4
+    python tools/ab_calls.py PARENT/src src --verbs 4
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
@@ -49,10 +56,13 @@ _SLICE = 2000  # the default loop's n per slice
 _MEMBER_EXPONENTS = (6, 8, 10, 12)
 _GRID_EXPONENTS = (6, 20, 40, 70, 100)
 _SERIES_ROWS = (100, 400)
+# the verbs loop's ranges, also drawn log-uniformly: pioneers J and flock k
+_PIONEERS = (10**3, 10**5)
+_FLOCKS = (10**4, 10**10)
 
 
 def load(src: Path, name: str):
-    """The ``core`` and ``analysis`` modules under ``src``, imported as package ``name``."""
+    """The ``core``, ``analysis`` and ``cli`` modules under ``src``, imported as package ``name``."""
     init = src / "almost_squares" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
@@ -60,11 +70,12 @@ def load(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(name + ".core"), importlib.import_module(name + ".analysis")
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("core", "analysis", "cli"))
 
 
-def _rows(rng: random.Random) -> int:
-    return round(math.exp(rng.uniform(*map(math.log, _SERIES_ROWS))))
+def _draw(rng: random.Random, bounds: tuple[int, int]) -> int:
+    return round(math.exp(rng.uniform(*map(math.log, bounds))))
 
 
 def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
@@ -74,10 +85,10 @@ def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
         for e in _MEMBER_EXPONENTS:
             # from the first member past a seeded x to the member `rows` - 1 places later
             below = core.count_le(10**e + rng.randrange(10**e // 10))
-            first, last = core.nth(below + 1), core.nth(below + _rows(rng))
+            first, last = core.nth(below + 1), core.nth(below + _draw(rng, _SERIES_ROWS))
             plans.append(("R-normalized", first.area, last.area))
         for e in _GRID_EXPONENTS:
-            rows = _rows(rng)
+            rows = _draw(rng, _SERIES_ROWS)
             lo, step = 10**e + rng.randrange(10**e // 10), rng.randint(1, 1000)
             plans.append(("R-of-x", lo, lo + (rows - 1) * step, step, False))
     return plans
@@ -89,6 +100,34 @@ def series_loop(tree, plans) -> float:
     start = time.perf_counter()
     for args in plans:
         emit(plan_of(*args), io.StringIO())
+    return time.perf_counter() - start
+
+
+def verb_argvs(count: int, rng: random.Random) -> list[list[str]]:
+    """`count` seeded pioneers and flock argvs in each output format."""
+    return [
+        [*argv, "--format", fmt]
+        for fmt in ("text", "json", "csv")
+        for _ in range(count)
+        for argv in (("pioneers", str(_draw(rng, _PIONEERS))), ("flock", str(_draw(rng, _FLOCKS))))
+    ]
+
+
+def main_answer(tree, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the tree's ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = tree[2].main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def verbs_loop(tree, argvs) -> float:
+    """Seconds to run the tree's cli.main on each argv, stdout into a StringIO."""
+    main = tree[2].main
+    start = time.perf_counter()
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
     return time.perf_counter() - start
 
 
@@ -127,12 +166,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="time the point queries on ints of this many digits instead")
     parser.add_argument("--series", type=int, default=0, metavar="N",
                         help="time emit_series on N windows of each series shape instead")
+    parser.add_argument("--verbs", type=int, default=0, metavar="N",
+                        help="time cli.main on N pioneers and N flock argvs per format instead")
     args = parser.parse_args(argv)
-    if args.rounds < 4 or args.limit < 1 or args.digits < 0 or args.series < 0:
+    if args.rounds < 4 or args.limit < 1 or min(args.digits, args.series, args.verbs) < 0:
         parser.error("--rounds must be at least 4, --limit at least 1, "
-                     "and --digits and --series at least 0")
+                     "and --digits, --series and --verbs at least 0")
     trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
-    if args.series:
+    if args.verbs:
+        argvs = verb_argvs(args.verbs, random.Random(1))
+        for argv in argvs:
+            if main_answer(trees[0], argv) != main_answer(trees[1], argv):
+                print(f"the trees differ on `{' '.join(argv)}`: exit code, stdout or stderr")
+                return 1
+        loop, slices = verbs_loop, [argvs[i:i + 1] for i in range(len(argvs))]
+        label = f"cli.main on {len(argvs)} pioneers and flock argvs"
+    elif args.series:
         # the plans read members' areas, so they come from the second tree:
         # a first tree older than 4.0.0 returns records with no area
         plans = series_plans(trees[1][0], args.series, random.Random(1))
@@ -162,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = statistics.quantiles(ratios, n=4)
     print(f"{label}, {args.rounds} rounds, alternating order")
+    if args.verbs:  # every argv was run in both trees before the rounds
+        print("  equal exit codes, stdout and stderr in both trees on every argv")
     print(f"  a {args.a}: median {statistics.median(times[0]) * 1e3:.2f} ms")
     print(f"  b {args.b}: median {statistics.median(times[1]) * 1e3:.2f} ms")
     print(f"  b / a per round: median {med:.4f}, quartiles {q1:.4f} to {q3:.4f}")
