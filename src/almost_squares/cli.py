@@ -22,8 +22,9 @@ decimal-I/O rule of ``_bigint``.
 
 list and flock render each flock run of members as a whole: the run's
 semiperimeter and flock, both k, are rendered once into its row
-template, and its rows go out in chunks of at most about 64 KB, one
-write each.
+template.  Runs of flocks below k = 2^16 take their width and length
+cells from a small table of strs and share chunks of at most 128 rows;
+larger ones go out in chunks of at most about 64 KB, one write each.
 
 oracle-verify runs the brute-force scan once, then checks the fast
 membership and count at every n in contiguous slices of [1, limit]: one
@@ -71,6 +72,11 @@ __all__ = ["build_parser", "main", "run_main"]
 # one write each; a fixed row count would hold about 15 MB per chunk of
 # 1024 rows of 5000-digit members
 _CHUNK_BYTES = 1 << 16
+# runs of flocks k < _TABLE_K, of at most 128 members each, share chunks of
+# at most _CHUNK_ROWS rows and take cells from a table of at most 514 strs;
+# both bounds are constants, so memory does not grow with the window
+_TABLE_K = 1 << 16
+_CHUNK_ROWS = 128
 
 # oracle-verify prints at most this many mismatching n after its summary
 _WITNESS_LINES = 5
@@ -97,14 +103,36 @@ def _run_chunks(runs: Iterable[tuple[int, range, range]], template: str) -> Iter
 
     A run's semiperimeter and flock, both k, are rendered once and folded
     into the run's row template, so each row formats its value, width and
-    length alone.  A chunk holds at most _CHUNK_BYTES // (2 * bits of k +
-    len(template)) of a run's rows, at least one: a row's digits are at
-    most six times k's, which is under 2 bits of k, so no chunk but a
-    single row passes _CHUNK_BYTES.  A run whose values pass
-    _bigint._BIG_DIGITS renders through record_cells.
+    length alone.  Runs of flocks below _TABLE_K share chunks of at most
+    _CHUNK_ROWS rows and take their width and length cells, each of which
+    recurs in about sqrt(k) flocks, from a table over twice the span of
+    the run that filled it, refilled when a run leaves it.  Past _TABLE_K
+    a chunk holds at most _CHUNK_BYTES // (2 * bits of k + len(template))
+    of a run's rows, at least one: a row's digits are at most six times
+    k's, which is under 2 bits of k, so no chunk but a single row passes
+    _CHUNK_BYTES.  A run whose values pass _bigint._BIG_DIGITS renders
+    through record_cells.
     """
     a, b, c, tail = template.format(*["\0"] * 5).split("\0", 3)
+    rows = []
+    table, base, top = [], 0, 0  # table[i] is str(base + i), for base + i < top
     for k, widths, lengths in runs:
+        if rows and (k >= _TABLE_K or len(rows) + len(widths) > _CHUNK_ROWS):
+            yield "".join(rows)
+            rows = []
+        if k < _TABLE_K:
+            w0, l0 = widths.start, lengths.start  # the least width and the greatest length
+            if w0 <= base or l0 >= top:
+                base = w0 - 1  # below the least length too, so no slice ends at -1
+                top = base + 2 * (l0 + 1 - base)
+                table = list(map(str, range(base, top)))
+            d = tail.replace("\0", str(k))
+            rows += [
+                f"{a}{w * l}{b}{sw}{c}{sl}{d}"
+                for w, l, sw, sl in zip(widths, lengths, table[w0 - base:widths.stop - base],
+                                        table[l0 - base:lengths.stop - base:-1])
+            ]
+            continue
         bits = k.bit_length()
         size = _CHUNK_BYTES // (2 * bits + len(template)) or 1
         pairs = zip(widths, lengths)
@@ -116,6 +144,8 @@ def _run_chunks(runs: Iterable[tuple[int, range, range]], template: str) -> Iter
         d = tail.replace("\0", str(k))
         for _ in range(0, len(widths), size):
             yield "".join([f"{a}{w * l}{b}{w}{c}{l}{d}" for w, l in islice(pairs, size)])
+    if rows:
+        yield "".join(rows)
 
 
 def _emit(
@@ -197,9 +227,9 @@ def _emit_members(fmt: str, lo: int, hi: int, refusal: str) -> int:
     """Write the members in [lo, hi], refused up front with ``refusal`` above the cap.
 
     The count and the rows come from one flock walk; ``refusal`` takes the
-    count as its one field.  Each flock run's rows go out in chunks of at
-    most about _CHUNK_BYTES, one write each (_run_chunks), so memory holds
-    one chunk, not the window.
+    count as its one field.  The rows go out in chunks of at most
+    _CHUNK_ROWS rows or about _CHUNK_BYTES, one write each (_run_chunks),
+    so memory holds one chunk and a table of cells, not the window.
     """
     count, _, runs = _flock_runs(lo, hi)
     _require(count <= _ROW_CAP, refusal.format(count))

@@ -176,6 +176,23 @@ class TestListVerb:
                 assert code == 0
             assert peaks[1] <= 2 * peaks[0], (fmt, peaks)
 
+    def test_memory_does_not_grow_with_a_dense_window(self):
+        # the windows benchmark's dense shape, about 12,400 and 68,900 rows
+        # from 1: runs of small flocks share chunks of at most cli._CHUNK_ROWS
+        # rows and take cells from a table sized by the flock, not the window
+        for fmt in ("text", "json", "csv"):
+            peaks = []
+            for hi in (300_000, 3_000_000):
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(_Writes(keep=False)):
+                        code = main(["list", "1", str(hi), "--format", fmt])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+            assert peaks[1] <= 2 * peaks[0], (fmt, peaks)
+
 
 class TestFlockVerb:
     def test_members(self, capsys):
@@ -1021,6 +1038,17 @@ class _Writes:
             self.write(text)
 
 
+def _member_bytes(recs, fmt):
+    """The bytes list and flock write for the members recs in fmt, one row at a time."""
+    rows = [(r.area, r.width, r.length, r.semiperimeter, r.semiperimeter) for r in recs]
+    if fmt == "json":
+        members = [dict(zip(cli._RECORD, map(str, row))) for row in rows]
+        return json.dumps({"members": members}) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in [cli._RECORD, *rows])
+    return "".join(f"{v} = {w} x {l}\n" for v, w, l, _, _ in rows)
+
+
 _K = 25_000_000  # an even flock of 2501 members, more than a chunk of rows in any format
 _END = _K * _K // 4  # its end; its members are _END - o*o for o <= 2500
 _END_NEXT = (_K + 1) ** 2 // 4  # flock _K + 1's end; its members are _END_NEXT - o*(o + 1)
@@ -1049,23 +1077,63 @@ def test_rows_across_chunk_joins(monkeypatch, argv, lo, hi, big_digits, fmt):
     if big_digits is not None:  # below the values' width: the record_cells path
         monkeypatch.setattr(_bigint, "_BIG_DIGITS", big_digits)
         monkeypatch.setattr(cli, "record_cells", counted)
-    rows = [(r.area, r.width, r.length, r.semiperimeter, r.semiperimeter) for r in recs]
-    if fmt == "json":
-        members = [dict(zip(cli._RECORD, map(str, row))) for row in rows]
-        want = json.dumps({"members": members}) + "\n"
-    elif fmt == "csv":
-        want = "".join(",".join(map(str, row)) + "\n" for row in [cli._RECORD, *rows])
-    else:
-        want = "".join(f"{v} = {w} x {l}\n" for v, w, l, _, _ in rows)
     sink = _Writes()
     with contextlib.redirect_stdout(sink):
         assert main([*argv, "--format", fmt]) == 0
     # compared as a flag, as pytest's diff of two long strings takes minutes
-    same = "".join(sink.writes) == want
+    same = "".join(sink.writes) == _member_bytes(recs, fmt)
     assert same, (argv, fmt)
     assert len(rendered) == (len(recs) if big_digits else 0)
     if recs:  # the head with the first chunk, at least one more, and the tail
         assert len(recs) > 1000 and len(sink.writes) >= 3, len(sink.writes)
+
+
+_TABLE_K = cli._TABLE_K  # the first flock past list's table of cells
+
+
+def _end(k):
+    return k * k // 4  # flock k's greatest member
+
+
+def _assert_dense(argv, recs):
+    # runs of flocks below _TABLE_K share chunks and take their width and
+    # length cells from a table: the ints of each format, then its bytes
+    _assert_rows(argv, recs)
+    for fmt in ("text", "json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        same = out.getvalue() == _member_bytes(recs, fmt)  # a flag, as for long strings above
+        assert same, (argv, fmt)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 6),  # flocks 2 to 5; the squares 1 and 4 end a length slice at the table's base
+    (4, 4),
+    # the member closing flock 35, then flock 36, whose cells fit below the
+    # table's top but start below its base
+    (_end(35), _end(36)),
+    (1, 100_000),  # about 630 flocks, refilling the table as the cells slide
+    (777, 98_765),  # starts and stops between two members of a flock
+    # the square closing flock _TABLE_K - 2 alone, then flock _TABLE_K - 1,
+    # which refills the table, and flocks _TABLE_K and _TABLE_K + 1 past it
+    (_end(_TABLE_K - 2), _end(_TABLE_K + 1)),
+    # from offset 59 of flock _TABLE_K - 1 to offset 8 of flock _TABLE_K
+    (_end(_TABLE_K - 1) - 60 * 61 + 1, _end(_TABLE_K) - 7 * 7 - 1),
+])
+def test_dense_list_rows_match_enumerate_range(lo, hi):
+    _assert_dense(["list", str(lo), str(hi)], enumerate_range(lo, hi))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 1000), st.integers(0, 10**5))
+def test_dense_list_windows_from_a_low_start(lo, width):
+    _assert_dense(["list", str(lo), str(lo + width)], enumerate_range(lo, lo + width))
+
+
+@pytest.mark.parametrize("k", [_TABLE_K - 1, _TABLE_K])  # 128 and 129 members
+def test_flock_rows_at_the_table_bound(k):
+    _assert_dense(["flock", str(k)], flock_members(k))
 
 
 @pytest.mark.usefixtures("no_int_digit_limit")

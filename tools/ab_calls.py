@@ -27,12 +27,16 @@ members from near 10^6, 10^8, 10^10 and 10^12, and on a grid with a step
 of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.  With
 ``--verbs N`` it is ``cli.main``, stdout into a ``StringIO``, on N seeded
 argvs of each of ``pioneers J``, J from 10^3 to 10^5, and ``flock k``, k
-from 10^4 to 10^10, in each output format.  Before it times anything it
-runs every argv in both trees, and on the first whose exit code, stdout
-or stderr differs it names that argv and exits 1.
+from 10^4 to 10^10, in each output format.  With ``--windows N`` it is
+``cli.main`` on N seeded ``list`` windows, in csv, of each shape the
+benchmark's windows workload draws: dense, from lo in [1, 1000] and 3*10^5
+to 3*10^6 wide, and sparse, 1000 wide from 10^12 to 10^20.  Before either
+times anything it runs every argv in both trees, and on the first whose
+exit code, stdout or stderr differs it names that argv and exits 1.
 
     python tools/ab_calls.py PARENT/src src --series 4
     python tools/ab_calls.py PARENT/src src --verbs 4
+    python tools/ab_calls.py PARENT/src src --windows 4
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ _SERIES_ROWS = (100, 400)
 # the verbs loop's ranges, also drawn log-uniformly: pioneers J and flock k
 _PIONEERS = (10**3, 10**5)
 _FLOCKS = (10**4, 10**10)
+# the windows loop's dense widths and sparse starts, drawn log-uniformly
+_DENSE_WIDTHS = (3 * 10**5, 3 * 10**6)
+_SPARSE_STARTS = (10**12, 10**20)
 
 
 def load(src: Path, name: str):
@@ -111,6 +118,18 @@ def verb_argvs(count: int, rng: random.Random) -> list[list[str]]:
         for _ in range(count)
         for argv in (("pioneers", str(_draw(rng, _PIONEERS))), ("flock", str(_draw(rng, _FLOCKS))))
     ]
+
+
+def window_argvs(count: int, rng: random.Random) -> list[list[str]]:
+    """`count` seeded dense and sparse list argvs, in csv."""
+    argvs = []
+    for _ in range(count):
+        lo = rng.randint(1, 1000)
+        dense = lo, lo + _draw(rng, _DENSE_WIDTHS) - 1
+        lo = _draw(rng, _SPARSE_STARTS)
+        for window in (dense, (lo, lo + 999)):
+            argvs.append(["list", *map(str, window), "--format", "csv"])
+    return argvs
 
 
 def main_answer(tree, argv: list[str]) -> tuple[int, str, str]:
@@ -168,19 +187,26 @@ def main(argv: list[str] | None = None) -> int:
                         help="time emit_series on N windows of each series shape instead")
     parser.add_argument("--verbs", type=int, default=0, metavar="N",
                         help="time cli.main on N pioneers and N flock argvs per format instead")
+    parser.add_argument("--windows", type=int, default=0, metavar="N",
+                        help="time cli.main on N dense and N sparse list windows instead")
     args = parser.parse_args(argv)
-    if args.rounds < 4 or args.limit < 1 or min(args.digits, args.series, args.verbs) < 0:
+    counts = args.digits, args.series, args.verbs, args.windows
+    if args.rounds < 4 or args.limit < 1 or min(counts) < 0:
         parser.error("--rounds must be at least 4, --limit at least 1, "
-                     "and --digits, --series and --verbs at least 0")
+                     "and --digits, --series, --verbs and --windows at least 0")
     trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
-    if args.verbs:
-        argvs = verb_argvs(args.verbs, random.Random(1))
+    if args.verbs or args.windows:
+        if args.verbs:
+            argvs = verb_argvs(args.verbs, random.Random(1))
+            label = f"cli.main on {len(argvs)} pioneers and flock argvs"
+        else:
+            argvs = window_argvs(args.windows, random.Random(1))
+            label = f"cli.main on {len(argvs)} dense and sparse list windows"
         for argv in argvs:
             if main_answer(trees[0], argv) != main_answer(trees[1], argv):
                 print(f"the trees differ on `{' '.join(argv)}`: exit code, stdout or stderr")
                 return 1
         loop, slices = verbs_loop, [argvs[i:i + 1] for i in range(len(argvs))]
-        label = f"cli.main on {len(argvs)} pioneers and flock argvs"
     elif args.series:
         # the plans read members' areas, so they come from the second tree:
         # a first tree older than 4.0.0 returns records with no area
@@ -211,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = statistics.quantiles(ratios, n=4)
     print(f"{label}, {args.rounds} rounds, alternating order")
-    if args.verbs:  # every argv was run in both trees before the rounds
+    if args.verbs or args.windows:  # every argv was run in both trees before the rounds
         print("  equal exit codes, stdout and stderr in both trees on every argv")
     print(f"  a {args.a}: median {statistics.median(times[0]) * 1e3:.2f} ms")
     print(f"  b {args.b}: median {statistics.median(times[1]) * 1e3:.2f} ms")
