@@ -7,15 +7,21 @@ and JSON output renders every integer as a decimal string so consumers
 never overflow a machine word.
 
 Exit codes: 0 success, 2 argument parse or validation error, 1 internal
-consistency failure, 141 when the reader closes stdout early (as
+consistency failure or a failed write to stdout (as to a full disk, with
+one line on stderr), 141 when the reader closes stdout early (as
 ``| head`` does), with nothing on stderr.
 
 Every verb is one row of one table, _VERBS: its name, its help, its
 handler and its arguments with their add_argument keywords; --format is
-declared once and shared by the rows that take it.
-build_parser() builds the parser by one loop over the table and returns
-a new one on each call; main builds its parser on its first call and
-reuses it for every later call in the process.
+declared once and shared by the rows that take it.  main parses argv by
+that table first (_table_parse): a verb, then its positionals and its
+option strings, each option given once and its value, where it takes
+one, as the next token, converted by the row's type and within its
+choices.  Every other argv, help and refusals included, goes to
+argparse, which is imported only then.  build_parser() builds the
+argparse parser by one loop over the table and returns a new one on
+each call; main builds its parser on the first call that needs it and
+reuses it for every later one in the process.
 
 Wide int arguments and answers are parsed and rendered by the one
 decimal-I/O rule of ``_bigint``.
@@ -36,7 +42,6 @@ members, so the output bytes do not depend on how many slices there are.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import threading
@@ -44,6 +49,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import islice, starmap
+from types import SimpleNamespace
 
 from ._bigint import cell, parse_int, record_cells, wide
 
@@ -65,6 +71,13 @@ from .core import (
     pioneer,
 )
 from .oracle import DEFAULT_SCAN_CAP, brute_record_set
+
+# a name type checkers read as true: argparse is imported by build_parser
+# alone, and typing's own TYPE_CHECKING would add typing's import, about
+# 3 ms, to every fresh process
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["build_parser", "main", "run_main"]
 
@@ -468,6 +481,8 @@ _VERBS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="almost-squares",
         description=(
@@ -492,9 +507,108 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
+# the add_argument keywords _table_parse reads, of a positional and of an
+# option; of nargs it reads "?" alone, and of action "store_true" alone
+_POSITIONAL_KEYWORDS = {"type", "help", "default", "choices", "nargs"}
+_OPTION_KEYWORDS = {"type", "help", "default", "choices", "required", "action"}
+
+
+def _table_row(verb: str, func: Callable, arguments: tuple) -> tuple | None:
+    """A verb's row as _table_parse reads it, or None if a keyword is not one it reads.
+
+    The row is (positionals, the count of them required, options,
+    required option dests, defaults).  A positional is (dest, type,
+    choices), an option string maps to (dest, type, choices) with type
+    None for a flag, and defaults holds command, func and every dest's
+    value when absent.  A row with an optional positional and any other
+    argument is argparse's alone: argparse may take that positional empty
+    before another positional's token, as ``a b? --x v 2`` leaves 2 over.
+    """
+    positionals, least, options, required = [], 0, {}, set()
+    defaults = {"command": verb, "func": func}
+    for name, keywords in arguments:
+        is_option = name[0] == "-"
+        flag = keywords.get("action") == "store_true"
+        if (keywords.keys() - (_OPTION_KEYWORDS if is_option else _POSITIONAL_KEYWORDS)
+                or keywords.get("nargs", "?") != "?"
+                or keywords.get("action", "store_true") != "store_true"):
+            return None
+        convert = None if flag else keywords.get("type", str)
+        dest = name.lstrip("-").replace("-", "_") if is_option else name
+        default = keywords.get("default", False if flag else None)
+        defaults[dest] = convert(default) if isinstance(default, str) else default
+        argument = dest, convert, keywords.get("choices")
+        if is_option:
+            options[name] = argument
+            if keywords.get("required"):
+                required.add(dest)
+        else:
+            positionals.append(argument)
+            least += "nargs" not in keywords
+    if least < len(positionals) and len(arguments) > 1:
+        return None
+    return positionals, least, options, required, defaults
+
+
+# every row the table parse reads, by verb, built once from _VERBS
+_TABLE = {verb: row for verb, _, func, arguments in _VERBS
+          if (row := _table_row(verb, func, arguments))}
+
+
+def _value(token: str, convert: Callable, choices: Iterable | None) -> object:
+    value = convert(token)
+    if choices is not None and value not in choices:
+        raise ValueError(token)  # argparse refuses it, with its own message
+    return value
+
+
+def _table_parse(argv: list[str]) -> SimpleNamespace | None:
+    """argv's fields as argparse would parse them, or None to leave argv to argparse.
+
+    It answers when argv[0] is a verb of _TABLE and every later token is a
+    positional of its row, or one of its option strings given once with a
+    value that does not start with "-"; each value is converted by its
+    type and is one of its choices where it has them.  Help, "--",
+    "--opt=value", abbreviations, negative numbers and every argv argparse
+    refuses are None, so every screen and refusal stays argparse's.
+    """
+    row = _TABLE.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    positionals, least, options, required, defaults = row
+    fields, given = {}, []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token not in options:
+                if token[:1] == "-":
+                    return None
+                given.append(token)
+                continue
+            dest, convert, choices = options[token]
+            if dest in fields:
+                return None
+            if convert is None:  # a flag
+                fields[dest] = True
+                continue
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+            fields[dest] = _value(value, convert, choices)
+        if required - fields.keys() or not least <= len(given) <= len(positionals):
+            return None
+        for (dest, convert, choices), token in zip(positionals, given):
+            fields[dest] = _value(token, convert, choices)
+    except (TypeError, ValueError):
+        return None
+    return SimpleNamespace(**(defaults | fields))
+
+
 def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)  # answers legitimately run to thousands of digits
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_parse(argv) or _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -507,7 +621,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_main() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as stop:  # argparse's help screens and refusals
+            code = stop.code
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early, as `| head` does.  Point fd 1 at
@@ -515,4 +632,10 @@ def run_main() -> None:
         # and exit as a process that SIGPIPE ended would (128 + 13)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except OSError as exc:
+        # a failed write, as to a full disk: one line, not a traceback, and
+        # fd 1 at devnull for the same reason as above
+        print(f"almost-squares: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     sys.exit(code)

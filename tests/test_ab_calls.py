@@ -20,8 +20,9 @@ SRC = str(ROOT / "src")
         (["--series", "1"], "emit_series on 9 series workload windows"),
         (["--verbs", "1"], "cli.main on 6 pioneers and flock argvs"),
         (["--windows", "1"], "cli.main on 2 dense and sparse list windows"),
+        (["--points", "1"], "cli.main on 13 point and sparse list argvs"),
     ],
-    ids=["oracle", "digits", "series", "verbs", "windows"],
+    ids=["oracle", "digits", "series", "verbs", "windows", "points"],
 )
 def test_each_loop_prints_its_ratio(extra, label):
     done = subprocess.run(
@@ -67,4 +68,15 @@ def test_windows_loop_refuses_trees_that_differ(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout == (
         "the trees differ on `list 138 1112701 --format csv`: exit code, stdout or stderr\n"
+    )
+
+
+def test_points_loop_refuses_trees_that_differ(tmp_path):
+    # one byte of check's text answer for a non-member: the check fails on
+    # the first argv, before any round
+    text = 'text = "{0} is not an almost-square\\n"'
+    done = _differing_run(tmp_path, text, text.replace("not", "NOT"), "--points")
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout == (
+        "the trees differ on `check 74607 --format text`: exit code, stdout or stderr\n"
     )

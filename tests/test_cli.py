@@ -33,6 +33,7 @@ from almost_squares.core import (
     triangular,
 )
 from reference_data import FIRST_59
+from test_cli_screens import CHECK_USAGE, PARSED
 
 
 def run(capsys, *argv):
@@ -1007,6 +1008,21 @@ def test_closed_pipe_exits_quietly(argv):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this OS")
+@pytest.mark.parametrize("argv", [["check", "182"], ["list", "1", "3000000"], ["-h"]],
+                         ids=["point", "streaming", "help"])
+def test_failed_write_exits_1_with_one_line(argv):
+    # /dev/full refuses every write with ENOSPC.  Without PYTHONUNBUFFERED,
+    # stdout is block-buffered as in a shell, so the help screen's write
+    # fails at the flush and not inside argparse, which would drop the error
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "almost_squares", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "almost-squares: No space left on device\n")
+
+
 @pytest.mark.parametrize("k", [10**10 - 1, 10**10])
 def test_flock_rows_match_flock_members_at_1e10(k):
     # an odd and an even flock of about 50,000 members each, values past
@@ -1318,6 +1334,141 @@ def test_main_builds_one_parser(monkeypatch):
         assert built.count("almost-squares") == 3
     finally:
         cli._parser.cache_clear()  # the next main builds a plain parser
+
+
+# --------------------------------------------------------------------------
+# the table parse: argparse's fields, or None to leave the argv to argparse
+# --------------------------------------------------------------------------
+
+# tokens that argparse reads as help, an end of options, an abbreviation, an
+# attached value or a negative number, and positionals that int() may or may
+# not take
+TRICKY_TOKENS = ["-h", "--help", "--", "--format=csv", "--form", "--lo=5", "-5", "-", "",
+                 " 7 ", "+5", "1_000", "\u0663"]
+
+
+@st.composite
+def edited_argvs(draw):
+    """An argvs() argv with tricky tokens inserted, tokens deleted or options edited.
+
+    An option may be repeated, or left without its value; deleting an
+    option or a positional leaves a required argument missing.
+    """
+    argv = draw(argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.integers(0, len(argv)))
+        options = [i for i, token in enumerate(argv) if token.startswith("--")]
+        edit = draw(st.sampled_from(["insert", "delete", "repeat", "drop a value"]))
+        if edit == "insert":
+            argv.insert(where, draw(st.sampled_from(TRICKY_TOKENS)))
+        elif edit == "delete" and where < len(argv):
+            del argv[where]
+        elif options:
+            i = draw(st.sampled_from(options))
+            if edit == "repeat":
+                argv[where:where] = argv[i:i + 2]  # the option and its value, if any
+            else:
+                del argv[i + 1:i + 2]
+    return argv
+
+
+def _argparse_fields(argv):
+    """vars() of a new parser's namespace for argv, or None for a screen or a refusal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_argvs())
+@example(["list", "1", "--format", "csv", "9"])
+@example(["analyze", "--grid", "--hi", "2", "--plan", "R-of-x", "--lo", "1"])
+@example(["trigrid"])
+@example(["check", "182", "--format", "json", "--format", "csv"])
+@example(["check", "--format"])
+@example(["oracle-verify", "--limit"])
+@example(["check", "1", "--format", "xml"])
+@example(["analyze", "--lo", "1", "--hi", "2"])
+@example(["trigrid", "-5"])
+def test_table_parse_answers_as_argparse(argv):
+    parsed = cli._table_parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == _argparse_fields(argv), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(edited_argvs())
+def test_main_answers_alike_without_the_table_parse(argv):
+    with_table = _outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_table_parse", lambda argv: None)  # argparse parses every argv
+        assert _outcome(argv) == with_table, argv
+
+
+def _no_parser():
+    raise RuntimeError("argparse was asked to parse a well-formed argv")
+
+
+# one argv of each shape the benchmark's workloads run, all well-formed
+BENCHMARK_SHAPES = [
+    ["check", "182", "--format", "json"],
+    ["count", "999999999999999999", "--format", "csv"],
+    ["floor", "123456789012345678", "--format", "text"],
+    ["nth", "98765432109876543", "--format", "json"],
+    ["list", "1000000000000", "1000000000999", "--format", "csv"],
+    ["list", "17", "300016", "--format", "csv"],
+    ["analyze", "--plan", "R-of-x", "--grid", "--lo", "10000000", "--hi", "10000900",
+     "--step", "100"],
+    ["analyze", "--plan", "R-normalized", "--lo", "1000000", "--hi", "1002000"],
+    ["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "400"],
+    ["trigrid", "40"],
+    ["oracle-verify", "--limit", "5000"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_SHAPES, ids=[argv[0] for argv in BENCHMARK_SHAPES])
+def test_benchmark_argvs_skip_argparse(monkeypatch, argv):
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    code, out, err = _outcome(argv)
+    assert (code, err) == (0, ""), argv
+    assert out
+
+
+@pytest.mark.parametrize("argv, fields", PARSED, ids=[" ".join(p[0]) for p in PARSED])
+def test_table_parse_answers_every_pinned_namespace(monkeypatch, argv, fields):
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    assert vars(cli._table_parse(list(argv))) == {"command": argv[0], **fields}
+
+
+# a fresh interpreter, without site, as pytest itself imports argparse
+NO_ARGPARSE = (
+    "import sys; from almost_squares.cli import main; "
+    "main(['check', '182']); main(['list', '10', '20', '--format', 'csv']); "
+    "assert 'argparse' not in sys.modules, 'argparse was imported'"
+)
+
+
+def test_well_formed_calls_never_import_argparse():
+    refusal = (
+        "\ntry:\n    main(['check', 'x'])\nexcept SystemExit as stop:\n"
+        "    assert 'argparse' in sys.modules and stop.code == 2\n"
+        "else:\n    raise AssertionError('check x was not refused')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COLUMNS="80")
+    done = subprocess.run([sys.executable, "-S", "-c", NO_ARGPARSE + refusal],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "182 is an almost-square: 13 x 14 (semiperimeter 27, flock 27)\n"
+        "value,width,length,semiperimeter,flock\n"
+        "12,3,4,7,7\n15,3,5,8,8\n16,4,4,8,8\n18,3,6,9,9\n20,4,5,9,9\n"
+    )
+    assert done.stderr == (
+        CHECK_USAGE + "almost-squares check: error: argument n: invalid int value: 'x'\n"
+    )
 
 
 def _record_cells(rec):

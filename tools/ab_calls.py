@@ -30,13 +30,18 @@ argvs of each of ``pioneers J``, J from 10^3 to 10^5, and ``flock k``, k
 from 10^4 to 10^10, in each output format.  With ``--windows N`` it is
 ``cli.main`` on N seeded ``list`` windows, in csv, of each shape the
 benchmark's windows workload draws: dense, from lo in [1, 1000] and 3*10^5
-to 3*10^6 wide, and sparse, 1000 wide from 10^12 to 10^20.  Before either
-times anything it runs every argv in both trees, and on the first whose
-exit code, stdout or stderr differs it names that argv and exits 1.
+to 3*10^6 wide, and sparse, 1000 wide from 10^12 to 10^20.  With
+``--points N`` it is ``cli.main`` on N seeded argvs of each of ``check``,
+``count``, ``floor`` and ``nth`` on an int of 1 to 18 digits, in each
+output format, and on N sparse ``list`` windows, in csv: the calls whose
+cost is mostly the CLI's own, as argument parsing.  Before any of the
+three times anything it runs every argv in both trees, and on the first
+whose exit code, stdout or stderr differs it names that argv and exits 1.
 
     python tools/ab_calls.py PARENT/src src --series 4
     python tools/ab_calls.py PARENT/src src --verbs 4
     python tools/ab_calls.py PARENT/src src --windows 4
+    python tools/ab_calls.py PARENT/src src --points 20
 """
 
 from __future__ import annotations
@@ -132,6 +137,20 @@ def window_argvs(count: int, rng: random.Random) -> list[list[str]]:
     return argvs
 
 
+def point_argvs(count: int, rng: random.Random) -> list[list[str]]:
+    """`count` seeded argvs of each point verb in each format, and `count` sparse windows."""
+    argvs = [
+        [verb, str(rng.randint(1, 10 ** rng.randint(1, 18) - 1)), "--format", fmt]
+        for fmt in ("text", "json", "csv")
+        for _ in range(count)
+        for verb in ("check", "count", "floor", "nth")
+    ]
+    for _ in range(count):
+        lo = _draw(rng, _SPARSE_STARTS)
+        argvs.append(["list", str(lo), str(lo + 999), "--format", "csv"])
+    return argvs
+
+
 def main_answer(tree, argv: list[str]) -> tuple[int, str, str]:
     """The exit code, stdout and stderr of the tree's ``cli.main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -189,16 +208,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="time cli.main on N pioneers and N flock argvs per format instead")
     parser.add_argument("--windows", type=int, default=0, metavar="N",
                         help="time cli.main on N dense and N sparse list windows instead")
+    parser.add_argument("--points", type=int, default=0, metavar="N",
+                        help="time cli.main on N argvs per point verb and format "
+                             "and N sparse list windows instead")
     args = parser.parse_args(argv)
-    counts = args.digits, args.series, args.verbs, args.windows
+    counts = args.digits, args.series, args.verbs, args.windows, args.points
     if args.rounds < 4 or args.limit < 1 or min(counts) < 0:
-        parser.error("--rounds must be at least 4, --limit at least 1, "
-                     "and --digits, --series, --verbs and --windows at least 0")
+        parser.error("--rounds must be at least 4, --limit at least 1, and --digits, "
+                     "--series, --verbs, --windows and --points at least 0")
     trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
-    if args.verbs or args.windows:
+    calls = args.verbs or args.windows or args.points  # a loop of cli.main calls
+    if calls:
         if args.verbs:
             argvs = verb_argvs(args.verbs, random.Random(1))
             label = f"cli.main on {len(argvs)} pioneers and flock argvs"
+        elif args.points:
+            argvs = point_argvs(args.points, random.Random(1))
+            label = f"cli.main on {len(argvs)} point and sparse list argvs"
         else:
             argvs = window_argvs(args.windows, random.Random(1))
             label = f"cli.main on {len(argvs)} dense and sparse list windows"
@@ -237,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = statistics.quantiles(ratios, n=4)
     print(f"{label}, {args.rounds} rounds, alternating order")
-    if args.verbs or args.windows:  # every argv was run in both trees before the rounds
+    if calls:  # every argv was run in both trees before the rounds
         print("  equal exit codes, stdout and stderr in both trees on every argv")
     print(f"  a {args.a}: median {statistics.median(times[0]) * 1e3:.2f} ms")
     print(f"  b {args.b}: median {statistics.median(times[1]) * 1e3:.2f} ms")
