@@ -32,12 +32,14 @@ template.  Runs of flocks below k = 2^16 take their width and length
 cells from a small table of strs and share chunks of at most 128 rows;
 larger ones go out in chunks of at most about 64 KB, one write each.
 
-oracle-verify runs the brute-force scan once, then checks the fast
-membership and count at every n in contiguous slices of [1, limit]: one
-per usable CPU, each of at least _MIN_SLICE n, the first in this process
-and each other in a forked child that sends back its mismatch counts and
-first witnesses.  Every slice starts its brute count from the brute
-members, so the output bytes do not depend on how many slices there are.
+oracle-verify checks the fast membership and count against the brute
+records at every n in contiguous slices of [1, limit]: one per usable
+CPU, each of at least _MIN_SLICE n, the first in this process and each
+other in a forked child.  Each sieves and scans its own slice and sends
+back its members, mismatch counts and first witnesses.  A child anchors
+its count at its first n, and a slice whose anchor the earlier slices'
+members contradict is swept again here, so the output bytes do not
+depend on how many slices there are.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import islice, starmap
+from math import isqrt
 from types import SimpleNamespace
 
 from ._bigint import cell, parse_int, record_cells, wide
@@ -70,7 +72,10 @@ from .core import (
     nth,
     pioneer,
 )
-from .oracle import DEFAULT_SCAN_CAP, brute_record_set
+# oracle-verify sieves and scans each slice itself, so nothing here calls
+# brute_record_set either; it stays imported because perfbench/tracing.py
+# replaces cli.brute_record_set by name, as above
+from .oracle import DEFAULT_SCAN_CAP, _check_limit, _divisors, brute_record_set
 
 # a name type checkers read as true: argparse is imported by build_parser
 # alone, and typing's own TYPE_CHECKING would add typing's import, about
@@ -327,41 +332,57 @@ def _slices(limit: int) -> list[tuple[int, int]]:
     return [(bounds[i] + 1, bounds[i + 1]) for i in range(workers)]
 
 
-def _sweep(members: list[int], lo: int, hi: int) -> tuple[int, int, list[tuple]]:
-    """Check both fast calls against the brute members at every n in [lo, hi].
+def _sweep(lo: int, hi: int, below: int | None = None) -> tuple:
+    """Check both fast calls against the brute records at every n in [lo, hi].
 
-    Returns the membership and count mismatches and the first
-    _WITNESS_LINES witnesses.  The brute count starts at the members below
-    lo, taken from the members themselves, so every slice of [1, limit]
-    gives the bytes that one sweep of it would.
+    Sieves d(n) on [m^2, hi], m = isqrt(lo - 1), and scans [m^2, lo) for
+    the record before lo, which the oracle's lead-in rule shows is the
+    record of one scan from 1; then one loop makes the brute record test
+    and both fast calls at each n.  below is the brute count of members
+    under lo.  None anchors it at lo's fast count less lo's brute flag,
+    read from the first n's own calls, so a fast call raises at the n and
+    in the order of one sweep.  Returns that anchor, the members in
+    [lo, hi], the membership and count mismatches and the first
+    _WITNESS_LINES witnesses.
     """
-    running = bisect_left(members, lo)  # the brute count, and the next member's index
-    membership_bad = 0
-    count_bad = 0
+    m = isqrt(lo - 1)
+    start = max(m * m, 1)
+    small = _divisors(start, hi)
+    best_num, best_den = 0, 1
+    for n, d in zip(range(start, lo), small):
+        s = d + n // d
+        if n * best_den >= best_num * s:
+            best_num, best_den = n, s
+    running = below  # the brute count up to n
+    membership_bad = count_bad = 0
     witnesses = []
-    for n in range(lo, hi + 1):
-        brute_member = running < len(members) and members[running] == n
+    for n, d in enumerate(islice(small, lo - start, None), lo):
+        s = d + n // d
+        brute_member = n * best_den >= best_num * s
+        if brute_member:
+            best_num, best_den = n, s
+        fast_member = is_almost_square(n) is not None
+        fast_count = count_le(n)
+        if running is None:
+            running = below = fast_count - brute_member
         # a branch, not running += brute_member: adding the bool took about
         # 25 ns more per n (Python 3.11, 2-vCPU host)
         if brute_member:
             running += 1
-        fast_member = is_almost_square(n) is not None
-        fast_count = count_le(n)
         if fast_member != brute_member or fast_count != running:
             membership_bad += fast_member != brute_member
             count_bad += fast_count != running
             if len(witnesses) < _WITNESS_LINES:
                 witnesses.append((n, fast_member, fast_count, brute_member, running))
-    return membership_bad, count_bad, witnesses
+    return below, running - below, membership_bad, count_bad, witnesses
 
 
-def _fork_sweep(members: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """Start _sweep(members, lo, hi) in a forked child: its pid and its pipe's read end.
+def _fork_sweep(lo: int, hi: int) -> tuple[int, int]:
+    """Start _sweep(lo, hi) in a forked child: its pid and its pipe's read end.
 
-    The child inherits members copy-on-write and sends back, pickled,
-    (True, its result) or (False, the exception its sweep raised).  It
-    always leaves by os._exit, so it runs no atexit handler and flushes no
-    stdio buffer it inherited.
+    The child sends back, pickled, (True, its result) or (False, the
+    exception its sweep raised).  It always leaves by os._exit, so it runs
+    no atexit handler and flushes no stdio buffer it inherited.
     """
     import pickle
 
@@ -376,7 +397,7 @@ def _fork_sweep(members: list[int], lo: int, hi: int) -> tuple[int, int]:
         try:
             os.close(read)
             try:
-                result = True, _sweep(members, lo, hi)
+                result = True, _sweep(lo, hi)
             except BaseException as exc:  # the parent raises it in the sweep's place
                 result = False, exc
             with open(write, "wb") as pipe:
@@ -387,13 +408,16 @@ def _fork_sweep(members: list[int], lo: int, hi: int) -> tuple[int, int]:
     return pid, read
 
 
-def _sweep_slices(members: list[int], slices: list[tuple[int, int]]) -> list[tuple]:
+def _sweep_slices(slices: list[tuple[int, int]]) -> list[tuple]:
     """_sweep over each slice, in slice order: the first here, each other in a child.
 
     A child's exception is raised here as the one sweep would have raised
     it: the first slice's in n order, this process's own first of all.
     Every child is reaped before this returns or raises, and killed first
-    when it raises, on KeyboardInterrupt too.
+    when it raises, on KeyboardInterrupt too.  A child's anchor is then
+    held against the members of the slices before it, and a slice whose
+    anchor differs, as where count_le is wrong at its first n, is swept
+    again here from the true count.
     """
     import pickle
     import signal
@@ -401,8 +425,8 @@ def _sweep_slices(members: list[int], slices: list[tuple[int, int]]) -> list[tup
     children = []  # (pid, read end of its pipe), in slice order
     try:
         for lo, hi in slices[1:]:
-            children.append(_fork_sweep(members, lo, hi))
-        results = [_sweep(members, *slices[0])]
+            children.append(_fork_sweep(lo, hi))
+        results = [_sweep(*slices[0], 0)]
         for pid, read in children:
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -420,16 +444,21 @@ def _sweep_slices(members: list[int], slices: list[tuple[int, int]]) -> list[tup
         for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
+    below = 0
+    for i, (lo, hi) in enumerate(slices):
+        if results[i][0] != below:
+            results[i] = _sweep(lo, hi, below)
+        below += results[i][1]
     return results
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
-    members = brute_record_set(limit).members
-    results = _sweep_slices(members, _slices(limit))
-    membership_bad = sum(result[0] for result in results)
-    count_bad = sum(result[1] for result in results)
-    witnesses = [w for result in results for w in result[2]][:_WITNESS_LINES]
+    _check_limit(limit)
+    results = _sweep_slices(_slices(limit))
+    membership_bad = sum(result[2] for result in results)
+    count_bad = sum(result[3] for result in results)
+    witnesses = [w for result in results for w in result[4]][:_WITNESS_LINES]
     ok = limit - membership_bad
     print(f"membership: {ok}/{limit} ok, {membership_bad} mismatches")
     ok = limit - count_bad
@@ -483,7 +512,14 @@ _VERBS = (
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse's own swallows the OSError of a failed write, so a help
+        # screen into a full disk would exit 0; add_subparsers takes this class
+        def _print_message(self, message: str, file: object = None) -> None:
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="almost-squares",
         description=(
             "Queries about almost-squares: the integers whose optimal "

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from math import isqrt
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from almost_squares import _bigint, analysis, cli, core
+from almost_squares import _bigint, analysis, cli, core, oracle
 from almost_squares.cli import main
 from almost_squares.core import (
     _flock_runs,
@@ -543,6 +544,123 @@ class TestOracleVerify:
                "counts:     30000/30000 ok, 0 mismatches\n", ""
         )
 
+    # each forked slice anchors its count at its own first n; the parent holds
+    # the anchors against the members before each slice and sweeps a slice
+    # again where they differ.  The three slices start at 1, 10001 and 20001
+    @pytest.mark.parametrize("shift, counts", [
+        (lambda n: n == 10001, "29999/30000 ok, 1 mismatches"),
+        (lambda n: n in (20001, 20002), "29998/30000 ok, 2 mismatches"),
+        (lambda n: n > 15000, "15000/30000 ok, 15000 mismatches"),
+        (lambda n: 2 * (n > 10000), "10000/30000 ok, 20000 mismatches"),
+    ], ids=["first-n", "first-two-n", "offset-above-15000", "offset-2-above-10000"])
+    def test_count_faults_at_slice_starts(self, monkeypatch, shift, counts):
+        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + shift(n))
+        serial, _ = _verify(monkeypatch, 1)
+        assert serial[0] == 1 and serial[1].splitlines()[1] == "counts:     " + counts
+        for workers in (2, 3):
+            assert _verify(monkeypatch, workers) == (serial, workers - 1)
+
+    def test_membership_fault_at_a_slice_start(self, monkeypatch):
+        # the anchor takes lo's brute flag, not its fast one
+        flipped = {10001, 20001}
+        monkeypatch.setattr(cli, "is_almost_square", lambda n: (
+            is_almost_square(n) if n not in flipped else
+            None if is_almost_square(n) else "a member"))
+        serial, _ = _verify(monkeypatch, 1)
+        assert serial[1].startswith("membership: 29998/30000 ok, 2 mismatches\n")
+        for workers in (2, 3):
+            assert _verify(monkeypatch, workers) == (serial, workers - 1)
+
+    def test_both_fast_calls_raising_at_a_slice_start(self, monkeypatch):
+        # membership is called first at each n, as in one sweep
+        def member(n):
+            if n == 20001:
+                raise ValueError("membership refused at 20001")
+            return is_almost_square(n)
+
+        def count(n):
+            if n == 20001:
+                raise AssertionError("count failed at 20001")
+            return count_le(n)
+
+        monkeypatch.setattr(cli, "is_almost_square", member)
+        monkeypatch.setattr(cli, "count_le", count)
+        want = (2, "", "almost-squares: membership refused at 20001\n")
+        for workers in (1, 2, 3):
+            assert _verify(monkeypatch, workers) == (want, workers - 1)
+
+    def test_parent_sweeps_again_only_a_misanchored_slice(self, monkeypatch):
+        # the second of two slices starts at a member, where an anchor that
+        # left out lo's brute flag would be one too high
+        lo = floor_almost_square(15000).area
+        limit = str(2 * (lo - 1))
+        sweeps = []
+        sweep = cli._sweep
+
+        def spy(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, "_sweep", spy)
+        (code, _, _), forks = _verify(monkeypatch, 2, limit)
+        assert (code, forks, sweeps) == (0, 1, [(1, lo - 1, 0)])
+        sweeps.clear()
+        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n == lo))
+        (code, out, _), forks = _verify(monkeypatch, 2, limit)
+        assert (code, forks) == (1, 1)
+        assert sweeps == [(1, lo - 1, 0), (lo, 2 * (lo - 1), count_le(lo - 1))]
+        assert out.splitlines()[2].startswith(f"n={lo}: ")
+
+    def test_parent_never_runs_the_whole_range_scan(self, monkeypatch, record_set_full):
+        # each process sieves and scans its own slice: the parent holds
+        # [1, 10^5], not the whole range's sieve and member list
+        limit, members = record_set_full.limit, record_set_full.members
+        whole = 2 * (limit + 1) + sys.getsizeof(members) + sum(map(sys.getsizeof, members))
+        calls = []
+
+        def spy(scan_limit):
+            calls.append(scan_limit)
+            raise AssertionError("brute_record_set called")
+
+        monkeypatch.setattr(oracle, "brute_record_set", spy)
+        monkeypatch.setattr(cli, "brute_record_set", spy)
+        tracemalloc.start()
+        try:
+            outcome = _verify(monkeypatch, 2, str(limit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == ((0, "membership: 200000/200000 ok, 0 mismatches\n"
+                               "counts:     200000/200000 ok, 0 mismatches\n", ""), 1)
+        assert calls == []
+        assert peak < whole
+
+
+def _window_starts():
+    """Seeded window starts in [1, 2*10^5], with 1, 2 and each of m^2,
+    m^2 + 1, m(m + 1) and m(m + 1) + 1 for some m."""
+    rng = random.Random(41)
+    starts = [1, 2]
+    for m in (2, 3, 7, 100, 141, 316, 446):
+        starts += [m * m, m * m + 1, m * (m + 1), m * (m + 1) + 1]
+    return starts + [rng.randint(3, 199_000) for _ in range(12)]
+
+
+@pytest.mark.parametrize("lo", _window_starts())
+def test_window_scan_keeps_the_records_of_one_scan(monkeypatch, record_set_full, lo):
+    # a slice's scan starts at m^2, m = isqrt(lo - 1), and must flag the
+    # members brute_record_set finds from 1: here the fast calls answer from
+    # those members, so any disagreement is the window scan's
+    members = record_set_full.members
+    member_set = set(members)
+    monkeypatch.setattr(cli, "is_almost_square", lambda n: n if n in member_set else None)
+    monkeypatch.setattr(cli, "count_le", lambda n: bisect_right(members, n))
+    hi = min(lo + random.Random(lo).randint(0, 3000), record_set_full.limit)
+    below = bisect_left(members, lo)
+    want = (below, bisect_right(members, hi) - below, 0, 0, [])
+    assert cli._sweep(lo, hi, below) == want
+    assert cli._sweep(lo, hi) == want
+
 
 def test_internal_check_failure_exits_1(monkeypatch):
     # main turns an AssertionError from a verb into exit 1 and one stderr line
@@ -1017,6 +1135,18 @@ def test_failed_write_exits_1_with_one_line(argv):
     # fails at the flush and not inside argparse, which would drop the error
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "almost_squares", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "almost-squares: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this OS")
+@pytest.mark.parametrize("argv", [["-h"], ["check", "-h"]], ids=["help", "verb-help"])
+def test_unbuffered_help_into_a_full_disk_exits_1(argv):
+    # with PYTHONUNBUFFERED the help screen's write fails inside argparse,
+    # whose own _print_message would swallow the error and exit 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="1")
     with open("/dev/full", "wb") as full:
         done = subprocess.run([sys.executable, "-m", "almost_squares", *argv], stdout=full,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)

@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle, plus the slow-path identities it anchors."""
 
+import random
 from math import isqrt
 
 import pytest
@@ -13,7 +14,7 @@ from almost_squares.core import (
     seq_a,
     seq_b,
 )
-from almost_squares.oracle import brute_record_set, factorial_membership_scan
+from almost_squares.oracle import _divisors, brute_record_set, factorial_membership_scan
 from brute import DivisorPair, brute_divisor_pair, brute_is_member, brute_semiperimeter
 from reference_data import FACTORIAL_MEMBERS, FIRST_59
 
@@ -156,6 +157,15 @@ class TestFullRangeAgreement:
                 best_num, best_den = n, s
         assert members == record_set_full.members
         assert ratios == [(r.numerator, r.denominator) for r in record_set_full.ratios]
+
+    def test_window_sieve_matches_trial_division(self, small_divisor_table):
+        # windows from 1, at squares and one past, and seeded elsewhere
+        rng = random.Random(41)
+        starts = [1, 2, 3, 4, 5, 10_000, 10_001, 199_809, 199_810]
+        starts += [rng.randint(1, 199_000) for _ in range(20)]
+        for a in starts:
+            b = min(a + rng.randint(0, 1000), len(small_divisor_table) - 1)
+            assert list(_divisors(a, b)) == small_divisor_table[a:b + 1], a
 
     def test_enumeration_and_counts_to_ten_million(self):
         limit = 10**7
