@@ -22,24 +22,28 @@ scaled root is an exact multiple of 2^P, so its fractional part is an
 exact 0: gamma(4) really is 0 and b_value(4).b really is 4.0, not 3.5
 from a fractional part that rounded to 0.999... just below the jump.
 
-One rule yields every root.  _roots(num, den, bits) takes
-t = isqrt((num << 4*bits) // den), u = isqrt(t) and v = isqrt(num*t //
-den) or one more, the floors of sqrt(y) * 2^(2*bits), y^(1/4) * 2^bits
-and y^(3/4) * 2^bits for y = num/den, and each other root is read off
-them by a shift, or by an isqrt of a shift, as floor(floor(y) / 2^j) =
-floor(y / 2^j) and floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0.
-A remainder row takes t, u, v at y = 4n: sqrt(4n) is t >> P, sqrt(n) is
-t >> P + 1, (4n)^(1/4) is u, (64n^3)^(1/4) is v and n^(1/4) is
-isqrt(t >> 1): four roots.  A row's A takes none where it is read
-off the flock walk: at a member it is the count of members below the
-window plus the row's index, and on a grid whose window holds no more
-members than rows it is that count plus the members <= x.  A grid row
-adds count_le's three only where the members outnumber the rows.  A plan
-also takes a fixed few to locate its window's two ends, and the walk one
-per flock it enters.  b_value takes t, u, v at y = 4x with
-P + 1 bits: u is (64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and
-(x/4)^(1/4), v >> 1 is (64x^3)^(1/4) and t >> P + 3 is sqrt(x): three
-roots.
+One rule yields every root, from two isqrts.  _roots(num, shift, bits)
+takes t = isqrt((num << 4*bits) >> shift) and u = isqrt(t), the floors
+of sqrt(y) * 2^(2*bits) and y^(1/4) * 2^bits for y = num / 2^shift, and
+v, the floor of y^(3/4) * 2^bits, with no third root: one Newton step
+toward isqrt(num*t >> shift) from the seed (t*u >> 2*bits) + 1 lands on
+that root or one above it at the callers' bits, and v is that root or one
+more (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.5).
+Each other root is read off them by a shift, as floor(floor(y) / 2^j) =
+floor(y / 2^j) and floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0, or
+by a multiply.  A remainder row takes t, u, v at y = 4n: sqrt(4n) is t
+>> P, sqrt(n) is t >> P + 1, (4n)^(1/4) is u, (64n^3)^(1/4) is v and
+n^(1/4) is isqrt(t >> 1), which _isqrt_half reads off u as u / sqrt(2)
+by one multiply with a constant and at most one step up: two roots.  A
+row's A takes none where it is read off the flock walk: at a member it
+is the count of members below the window plus the row's index, and on a
+grid whose window holds no more members than rows it is that count plus
+the members <= x.  A grid row adds count_le's three only where the
+members outnumber the rows.  A plan also takes a fixed few to locate its
+window's two ends, and the walk one per flock it enters.  b_value takes
+t, u, v at y = 4x with P + 1 bits, its float's ratio p / 2^shift: u is
+(64x)^(1/4), u >> 1 and u >> 2 are (4x)^(1/4) and (x/4)^(1/4), v >> 1
+is (64x^3)^(1/4) and t >> P + 3 is sqrt(x): two roots.
 
 x and A are exact ints; only the other fields are floats, so each entry
 point answers every input whose floats fit, under one bound set by how
@@ -60,7 +64,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from itertools import accumulate, chain, count, repeat
-from math import isqrt
+from math import isqrt, sqrt
 from operator import mul
 
 from ._bigint import EXACT, cbrtrem, cell, wide
@@ -69,7 +73,7 @@ from ._bigint import EXACT, cbrtrem, cell, wide
 # enumerate_range is not called here; the name stays imported because
 # perfbench/tracing.py replaces analysis.enumerate_range by name, and its
 # getattr raises AttributeError on a missing name, failing every traced run
-from .core import _ROW_CAP, _flock_runs, count_le, enumerate_range, is_almost_square
+from .core import _ROW_CAP, _flock_runs, _joined, count_le, enumerate_range, is_almost_square
 
 __all__ = [
     "AnalysisSample",
@@ -97,6 +101,11 @@ _R_HI = 1 << 4092
 # (2*sqrt(2)/3) * x^(3/4), at most about 0.943 * 2^1023 = 8.5e307 there
 _B_HI = 1 << 1364
 
+# floor(2^6000 / sqrt(2)), C of _isqrt_half at S = 6000 bits, whose shift
+# right by 6000 - S is C at S; below 2^4092 a row's S is at most 5280
+_HALF_ROOT_BITS = 6000
+_HALF_ROOT = isqrt(1 << 2 * _HALF_ROOT_BITS - 1)
+
 
 def _require_r_range(name: str, x: int) -> None:
     if x >= _R_HI:
@@ -112,23 +121,43 @@ def _frac_bits(num: int) -> int:
     return num.bit_length() + 160
 
 
-def _roots(num: int, den: int, bits: int) -> tuple[int, int, int]:
-    """The floors t, u, v of sqrt(y)*2^(2b), y^(1/4)*2^b and y^(3/4)*2^b.
+def _roots(num: int, shift: int, bits: int) -> tuple[int, int, int]:
+    """The floors t, u, v of sqrt(y)*2^(2b), y^(1/4)*2^b and y^(3/4)*2^b, by two isqrts.
 
-    y = num/den and b = bits.  With T = sqrt(y)*2^(2b), v = floor(sqrt(y*T))
-    and v0 = isqrt(q) <= v, q = floor(y*t).  As y*T < q + y + 1 and q <
-    (v0 + 1)^2, y*T < (v0 + 2)^2 where y <= 2*v0 + 3, so v is v0 or
-    v0 + 1.  That holds for y < 1, and for y >= 1 with 2^(4b) >= y: then
-    t >= floor(y), so v0 >= floor(y) > y - 1.  v0 + 1 is tested, by its
-    fourth power, only if (v0 + 1)^2 < q + y + 1, as otherwise it exceeds
-    sqrt(y*T).
+    y = num / 2^shift and b = bits.  t = isqrt(floor(y * 2^(4b))) and u =
+    isqrt(t).  With T = sqrt(y)*2^(2b) and V = y^(3/4)*2^b, v = floor(V) =
+    floor(sqrt(y*T)), and v0 = isqrt(q) <= v, q = floor(y*t).
+
+    v0 by one Newton step.  From any g >= 1, v1 = floor((g + floor(q/g)) / 2)
+    is at least v0, as g + q/g >= 2*sqrt(q), and at most sqrt(q) +
+    (g - sqrt(q))^2 / (2g).  The seed g = floor(t*u / 2^(2b)) + 1 lies
+    within sqrt(y) + 1 of sqrt(q): t*u <= T*U = V*2^(2b) < (t + 1)(u + 1)
+    with U = y^(1/4)*2^b, so V - sqrt(y) - 1 < g <= V + 1, and V^2 - y - 1
+    < q <= V^2.  At the callers' bits 2^b >= 2^160 * y >= 2^162, so (sqrt(y)
+    + 1)^2 <= 4y is far below 2g, and v1 is v0 or v0 + 1; the loop steps it
+    down to v0 (for any bits it steps down to v0, only more often).
+
+    v is v0 or v0 + 1.  As y*T < q + y + 1 and q < (v0 + 1)^2, y*T <
+    (v0 + 2)^2 where y <= 2*v0 + 3.  That holds for y < 1, and for y >= 1
+    with 2^(4b) >= y: then t >= floor(y), so v0 >= floor(y) > y - 1.
+    v0 + 1 is tested, by its fourth power, only if (v0 + 1)^2 < q + y + 1,
+    as otherwise it exceeds sqrt(y*T).
     """
-    t = isqrt((num << 4 * bits) // den)
-    q = num * t // den
-    v = isqrt(q)
-    if ((v + 1) ** 2 - q) * den < num + den and (v + 1) ** 4 * den**3 <= num**3 << 4 * bits:
+    t = isqrt(num << 4 * bits >> shift)
+    u = isqrt(t)
+    q = num * t >> shift
+    g = (t * u >> 2 * bits) + 1
+    v = (g + q // g) >> 1
+    r = q - v * v  # below 0 while v is above v0
+    while r < 0:
+        v -= 1
+        r += 2 * v + 1
+    # (v + 1)^2 - q is 2v + 1 - r
+    if (2 * v + 1 - r << shift) < num + (1 << shift) and (
+        (v + 1) ** 4 << 3 * shift <= num**3 << 4 * bits
+    ):
         v += 1
-    return t, isqrt(t), v
+    return t, u, v
 
 
 # --------------------------------------------------------------------------
@@ -163,9 +192,9 @@ def b_value(x: int | float) -> BTerms:
     p, q = x.as_integer_ratio()
     bits = _frac_bits(4 * p)
     one = 1 << bits
-    # the three roots of the module docstring; u is (4x)^(1/4) * 2^(P+1), and
+    # t, u, v of the module docstring, from two roots; u is (4x)^(1/4) * 2^(P+1), and
     # v >> 1 is (4x)^(3/4) * 2^P = (64x^3)^(1/4) * 2^P, floored
-    t, u, v = _roots(4 * p, q, bits + 1)
+    t, u, v = _roots(4 * p, q.bit_length() - 1, bits + 1)  # q is a power of two
     gamma = (u >> 1) % one
     delta_root = u >> 2  # (x/4)^(1/4) = x^(1/4)/sqrt(2)
     delta = delta_root % one
@@ -251,19 +280,41 @@ def remainder(n: int) -> AnalysisSample:
     return AnalysisSample(n, a, *_remainder_fields(n, a))
 
 
+def _isqrt_half(t: int, u: int) -> int:
+    """isqrt(t >> 1), read off u = isqrt(t) < 2^5998 with no root.
+
+    isqrt(t >> 1) is W = floor(sqrt(t) / sqrt(2)).  w0 = floor(u*C / 2^S),
+    with S = bits(u) + 2 and C = floor(2^S / sqrt(2)), is at most u /
+    sqrt(2) <= sqrt(t) / sqrt(2), so w0 <= W.  As C > 2^S / sqrt(2) - 1
+    and u < 2^(S-2), u / sqrt(2) < w0 + 1 + 1/4, so sqrt(t) / sqrt(2) <
+    (u + 1) / sqrt(2) < w0 + 1.96 and W <= w0 + 1: one square test steps
+    w0 to W.
+    """
+    s = u.bit_length() + 2
+    w = u * (_HALF_ROOT >> _HALF_ROOT_BITS - s) >> s
+    return w + 1 if (w + 1) ** 2 <= t >> 1 else w
+
+
 def _remainder_fields(n: int, a: int) -> tuple[float, float, float, float]:
-    # (r, r_normalized, g_val, h_val) at n >= 1 with a = count_le(n), from the
-    # four roots of the module docstring
-    bits = _frac_bits(4 * n)
+    """(r, r_normalized, g_val, h_val) at n >= 1 with a = count_le(n), from two roots.
+
+    _roots gives t, u, v at y = 4n and P = _frac_bits(4n), and n^(1/4) *
+    2^P, floored, is isqrt(t >> 1), which _isqrt_half reads off u.
+    _frac_bits, _g and _h are inlined.
+    """
+    bits = (4 * n).bit_length() + 160
     one = 1 << bits
-    t, u, v = _roots(4 * n, 1, bits)
+    t, u, v = _roots(4 * n, 0, bits)
     # 6*R*2^P, from (2*sqrt(2)/3)*n^(3/4) = (64n^3)^(1/4)/3 = (4n)^(3/4)/3
     r6 = 6 * a * one - 2 * v - 3 * (t >> bits + 1)
+    fraction = one - 1  # the low P bits, the fractional part of a root
+    f = (u & fraction) / one
+    e = (t >> bits & fraction) / one
     return (
         r6 / (6 * one),
-        r6 / (6 * isqrt(t >> 1)),
-        _g((u % one) / one),
-        _h(((t >> bits) % one) / one),
+        r6 / (6 * _isqrt_half(t, u)),
+        f * (1.0 - f) / SQRT2,
+        e / SQRT2 if e <= 0.5 else sqrt(1.0 - e) - (1.0 - e) / SQRT2,
     )
 
 
@@ -415,7 +466,7 @@ def _check_rows(expected: int) -> None:
 
 
 def _remainder_line(x: int, a: int) -> str:
-    return "{},{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(x, a, *_remainder_fields(x, a))
+    return "%d,%d,%.17g,%.17g,%.17g,%.17g\n" % (x, a, *_remainder_fields(x, a))
 
 
 def _members(runs: Iterable[tuple[int, range, range]]) -> Iterator[int]:
@@ -447,7 +498,7 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     at_members=False, the grid range(lo, hi + 1, step) with A read off
     the walk, below plus the members <= x merged lazily against the
     grid, while the window [lo, last x] holds no more members than grid
-    rows, or with A from count_le, three roots a row, where the members
+    rows, or with A from count_le, three roots a row more, where the members
     outnumber the rows.  _flock_runs gives the window's member count and
     below in closed form, so the choice is made before the first sample,
     and no member list is built.  step applies only to the grid.  Each
@@ -460,6 +511,15 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     before plus the step, one exact Decimal add with the step converted
     once, so an x cell costs time linear in its digits; the bytes are
     those of str().
+
+    A remainder row takes its x, R, R_norm, g and h from two roots of 4n
+    (_roots and _isqrt_half): the Newton step that gives (64n^3)^(1/4)
+    lands on isqrt of its argument or one above it, and n^(1/4) read off
+    (4n)^(1/4) is at most one above its first estimate, as their
+    docstrings prove.  Rows go out joined into chunks of at most about
+    core._JOIN_BYTES (2 KB), one write each: the chunk's row count is set
+    once per plan from a bound on a row's bytes, and where that bound
+    passes 2 KB, as for wide rows, each row goes out alone.
 
     Output is deterministic for a fixed plan: header line, then one row
     per sample, LF line endings, reals at 17 significant digits,
@@ -482,7 +542,9 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
     if plan.kind in ("R-of-x", "R-normalized"):
         _require_r_range("hi", plan.hi)
 
-    # each source checks its row count before the first sample is drawn
+    # each source checks its row count before the first sample is drawn.  No
+    # int written is wider than hi, so no cell passes `digits` digits
+    digits = plan.hi.bit_length() * 31 // 100 + 1
     if plan.kind == "tri-grid":
         span = range(max(plan.lo, 1), plan.hi + 1)
         rows = max(0, plan.hi - span.start + 1) ** 2  # len() overflows past 2**63
@@ -491,6 +553,7 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
         # one string per table row: m before each of its cells ",n,0" or ",n,1",
         # picked from column n's pair by the cell's bool
         cells = [(f",{n},0\n", f",{n},1\n") for n in span]
+        row_bytes = max(len(span), 1) * (2 * digits + 4)  # a line is a table row
         lines = (
             m + m.join(map(tuple.__getitem__, cells, row))
             for m, row in zip(map(str, span), _tri_table(span))
@@ -518,9 +581,10 @@ def emit_series(plan: SamplingPlan, out: io.TextIOBase) -> int:
             xs = map(str, accumulate(repeat(step, rows - 1), EXACT.add, initial=first))
             counts = map(cell, counts)
         header, lines = "x,A\n", (f"{x},{a}\n" for x, a in zip(xs, counts))
+        row_bytes = 2 * digits + 2
     elif plan.kind != "tri-grid":
         header, lines = "x,A,R,R_norm,g,h\n", map(_remainder_line, xs, counts)
-    out.write(header)
-    out.writelines(lines)
+        row_bytes = 2 * digits + 102  # and four floats of at most 24 bytes
+    out.writelines(_joined(chain((header,), lines), row_bytes))
     return rows
 

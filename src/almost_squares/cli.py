@@ -31,6 +31,8 @@ semiperimeter and flock, both k, are rendered once into its row
 template.  Runs of flocks below k = 2^16 take their width and length
 cells from a small table of strs and share chunks of at most 128 rows;
 larger ones go out in chunks of at most about 64 KB, one write each.
+pioneers joins its rows into chunks of about 2 KB (core._joined), one
+write each, as analyze and trigrid do through analysis.emit_series.
 
 oracle-verify checks the fast membership and count against the brute
 records at every n in contiguous slices of [1, limit]: one per usable
@@ -64,6 +66,7 @@ from .core import (
     _ROW_CAP,
     _flock_runs,
     _flock_window,
+    _joined,
     count_le,
     enumerate_range,
     flock_members,
@@ -275,6 +278,14 @@ def _pioneer_row(j: int) -> tuple[int, int, int, int, int]:
     return j, rect.area, rect.width, rect.length, rect.semiperimeter
 
 
+def _pioneer_chunks(count: int, template: str) -> Iterator[str]:
+    # pioneers 1..count filled into template, joined into chunks; no cell is
+    # wider than the last pioneer's value
+    cells = len(str(pioneer(count).area))
+    rows = map(_pioneer_row, range(1, count + 1))
+    return _joined(starmap(template.format, rows), len(template) + 5 * cells)
+
+
 def cmd_pioneers(args: argparse.Namespace) -> int:
     _require(args.count >= 1, "count must be >= 1")
     _require(
@@ -282,7 +293,7 @@ def cmd_pioneers(args: argparse.Namespace) -> int:
         f"{args.count} pioneers requested, above the cap of {_ROW_CAP}",
     )
     columns = ("index", "value", "width", "length", "flock")
-    rows = map(_pioneer_row, range(1, args.count + 1))
+    rows = partial(_pioneer_chunks, args.count)
     _emit(args.format, columns, rows, "{}: {} = {} x {} (flock {})\n", key="pioneers")
     return 0
 

@@ -72,6 +72,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
+from itertools import islice
 from math import gcd, isqrt
 
 from . import _bigint
@@ -98,6 +99,24 @@ __all__ = [
 # pioneers, analyze and trigrid, and analysis.emit_series for every plan,
 # refuse up front a request for more rows than this
 _ROW_CAP = 10_000_000
+
+# pioneers and every series join their rows into chunks of at most about
+# this many bytes, one write each: unbuffered, as under PYTHONUNBUFFERED=1,
+# a write per row is a syscall per row.  A chunk's rows are held as strs
+# beside their join, several times its bytes for short rows, so a chunk
+# this small keeps the peak of a 5000-row A-of-x grid of 16-byte rows under
+# a quarter of its output
+_JOIN_BYTES = 2048
+
+
+def _joined(lines: Iterable[str], row_bytes: int) -> Iterator[str]:
+    """lines joined _JOIN_BYTES // row_bytes at a time, at least one.
+
+    Where no line is longer than row_bytes, no chunk of more than one line
+    passes _JOIN_BYTES.  No line may be empty.
+    """
+    lines, rows = iter(lines), _JOIN_BYTES // row_bytes or 1
+    return iter(lambda: "".join(islice(lines, rows)), "")
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ when its ratio n/s(n) ties or beats every smaller n's, with s(n) = d(n)
 + n/d(n) and d(n) the largest divisor of n with d(n)^2 <= n.  The record
 set is a single ascending scan with exact cross-multiplied ratio
 comparisons (ties kept), over d(n) from a divisor sieve, about
-O(limit log limit): 0.03 s at 2*10^5 and 1.7 s at 10^7 (59 MB peak RSS)
+O(limit log limit): 0.03 s at 2*10^5 and 1.6 s at 10^7 (54 MB peak RSS)
 with CPython 3.11 on a 2-vCPU host.
 
 The lead-in rule: a scan need not start at 1.  s(n) >= 2*sqrt(n), so
@@ -45,7 +45,8 @@ DEFAULT_SCAN_CAP = 200_000
 
 # at this limit (169,281 members) oracle-verify ran 6.7-7.5 s on two usable
 # CPUs, against 14.5 s for one sweep; each process sieves its own slice, so
-# the parent peaked at 30 MB RSS on two (3.11.7, 2-vCPU host);
+# the parent peaked at 25 MB RSS on two and 35 MB in one (3.11.7, 2-vCPU
+# host);
 # brute_record_set refuses anything above
 _MAX_SCAN_LIMIT = 10_000_000
 
@@ -62,18 +63,32 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"limit {limit} is above the oracle scan cap of {_MAX_SCAN_LIMIT}")
 
 
+# _divisors writes at most this many multiples of one j from one temporary
+# array, 64 KB of typecode "H", so its peak stays near the sieve's own
+_FILL = 1 << 15
+
+
 def _divisors(a: int, b: int) -> array:
     """d(n) for every n in [a, b], at index n - a, for 1 <= a <= b.
 
     Each j from 2 to isqrt(b), in ascending order, overwrites its
     multiples from max(j^2, a) on, so the last j written at n is the
     largest divisor with j^2 <= n, that is d(n).  Typecode "H" (16 bits)
-    holds every such j while b < 2^32.
+    holds every such j while b < 2^32.  A j with more than _FILL multiples
+    writes whole runs of _FILL from one array of j's, then the rest, so at
+    most two such arrays, 128 KB, live beside the sieve.
     """
-    small = array("H", [1]) * (b - a + 1)
+    size = b - a + 1
+    small = array("H", [1]) * size
     for j in range(2, isqrt(b) + 1):
-        first = max(j * j, -(-a // j) * j)
-        small[first - a::j] = array("H", [j]) * len(range(first, b + 1, j))
+        first = max(j * j, -(-a // j) * j) - a
+        runs, rest = divmod(len(range(first, size, j)), _FILL)
+        if runs:
+            fill, span = array("H", [j]) * _FILL, _FILL * j
+            for start in range(first, first + runs * span, span):
+                small[start:start + span:j] = fill
+            first += runs * span
+        small[first::j] = array("H", [j]) * rest
     return small
 
 

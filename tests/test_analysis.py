@@ -22,6 +22,7 @@ from almost_squares.analysis import (
     BTerms,
     SamplingPlan,
     _frac_bits,
+    _isqrt_half,
     _remainder_fields,
     _roots,
     b_value,
@@ -917,6 +918,7 @@ class TestSharedRoots:
 
         monkeypatch.setattr(analysis, "isqrt", counted)
         monkeypatch.setattr(core, "isqrt", counted)
+        monkeypatch.setattr(core, "_JOIN_BYTES", 1)  # one row a write, the header too
         marks = []
 
         class Out(io.StringIO):
@@ -927,60 +929,128 @@ class TestSharedRoots:
         emit_series(plan, Out())
         return [b - a for a, b in zip(marks, marks[1:])]
 
-    def test_four_roots_per_member_row(self, monkeypatch):
+    def test_two_roots_per_member_row(self, monkeypatch):
         k = 2 * 10**15  # flock 2m with m = 10^15: offsets 40..0, all in one flock
         plan = SamplingPlan("R-of-x", _member(k, 40), _member(k, 0))
-        assert self._roots_per_row(monkeypatch, plan) == [4] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [2] * 41
 
-    def test_four_roots_per_sparse_grid_row(self, monkeypatch):
+    def test_two_roots_per_sparse_grid_row(self, monkeypatch):
         # one member in 41 rows, all in one flock: A is read off the walk
         v = _member(2 * 10**15 + 1, 1000)  # 2000 and 2002 from its neighbours
         plan = SamplingPlan("R-normalized", v - 140, v + 140, step=7, at_members=False)
-        assert self._roots_per_row(monkeypatch, plan) == [4] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [2] * 41
 
-    def test_four_plus_three_roots_per_grid_row(self, monkeypatch):
+    def test_two_plus_three_roots_per_grid_row(self, monkeypatch):
         # 889 members in 41 rows: each row takes count_le's three roots for A
         plan = SamplingPlan("R-normalized", 10**6, 10**6 + 40000, step=1000, at_members=False)
-        assert self._roots_per_row(monkeypatch, plan) == [4 + 3] * 41
+        assert self._roots_per_row(monkeypatch, plan) == [2 + 3] * 41
 
 
-def _assert_roots(num, den, bits):
+def _newton(num, shift, bits, t, u):
+    # _roots' one Newton step toward isqrt(q), q = floor(y * t), from its seed
+    q = num * t >> shift
+    g = (t * u >> 2 * bits) + 1
+    return (g + q // g) >> 1
+
+
+def _assert_roots(num, shift, bits):
     # _roots against nested isqrts, v against y^3's fourth root; returns whether
-    # v needed its one step past isqrt(floor(y * t))
-    t, u, v = _roots(num, den, bits)
+    # v needed its one step past isqrt(floor(y * t)), y = num / 2^shift, and
+    # whether the Newton step landed above isqrt(floor(y * t))
+    t, u, v = _roots(num, shift, bits)
+    den = 1 << shift
     want = _root(num, den, 2, 2 * bits), _root(num, den, 4, bits), _root(num**3, den**3, 4, bits)
-    assert (t, u, v) == want, (num, den, bits)
-    return v != math.isqrt(num * t // den)
+    assert (t, u, v) == want, (num, shift, bits)
+    v0 = math.isqrt(num * t >> shift)
+    return v != v0, _newton(num, shift, bits, t, u) > v0
 
 
 class TestRoots:
-    """_roots' three floors, v = floor(y^(3/4) * 2^b) from t by one isqrt and one step."""
+    """_roots' three floors: t and u by isqrt, v = floor(y^(3/4) * 2^b) by one Newton step."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(1, 10**300), _POWERS, st.floats(1.0, 1e300)))
     @example(20.25)
     @example(4 * (10**75 - 1) ** 4 + 1)
     def test_at_the_callers_bits(self, x):
-        # y = 4x, at the remainder row's P and at b_value's P + 1
+        # y = 4x, at the remainder row's P and at b_value's P + 1; a float's
+        # ratio has a power of two below, as b_value reads it
         p, q = x.as_integer_ratio()
-        _assert_roots(4 * p, q, _frac_bits(4 * p))
-        _assert_roots(4 * p, q, _frac_bits(4 * p) + 1)
+        _assert_roots(4 * p, q.bit_length() - 1, _frac_bits(4 * p))
+        _assert_roots(4 * p, q.bit_length() - 1, _frac_bits(4 * p) + 1)
 
     def test_one_step_at_the_least_bits_the_bound_admits(self):
         # the least b with 2^(4b) >= y and one more, where the step fires
         # often, y < 1 too; at the callers' bits it fired for none of 48,000
         # seeded n up to 10^1231
         rng = random.Random(34)
-        ys = [(num, den) for den in (*range(1, 21), 10**9 + 7) for num in range(1, 400)]
-        ys += [(rng.randrange(1, 10**60), rng.randrange(1, 10**20)) for _ in range(1000)]
-        ys += [(k**4 + d, 1) for k in (2, 3, 10**6 + 3, 10**15) for d in (-1, 0, 1)]
-        fired = 0
-        for num, den in ys:
+        ys = [(num, shift) for shift in (*range(21), 30) for num in range(1, 400)]
+        ys += [(rng.randrange(1, 10**60), rng.randrange(67)) for _ in range(1000)]
+        ys += [(k**4 + d, 0) for k in (2, 3, 10**6 + 3, 10**15) for d in (-1, 0, 1)]
+        fired = above = 0
+        for num, shift in ys:
             bits = 0
-            while den << 4 * bits < num:
+            while 1 << shift + 4 * bits < num:
                 bits += 1
-            fired += _assert_roots(num, den, bits) + _assert_roots(num, den, bits + 1)
-        assert fired > 0
+            for b in (bits, bits + 1):
+                step, landed = _assert_roots(num, shift, b)
+                fired += step
+                above += landed
+        assert fired > 0 and above > 0  # both the step up and the loop down ran
+
+
+def _assert_row_roots(n):
+    # at the row's P: the Newton step lands on isqrt(q) or one above it, v is
+    # the floor that isqrt(q) and its one step give, and n^(1/4) * 2^P read
+    # off u is isqrt(t >> 1)
+    bits = _frac_bits(4 * n)
+    t, u, v = _roots(4 * n, 0, bits)
+    v0 = math.isqrt(4 * n * t)
+    assert _newton(4 * n, 0, bits, t, u) - v0 in (0, 1), n
+    assert v == v0 + ((v0 + 1) ** 4 <= 64 * n**3 << 4 * bits), n
+    assert _isqrt_half(t, u) == math.isqrt(t >> 1), n
+
+
+def _near_powers(j):
+    # j^2, j^2 +- 1, j^4, j^4 - 1, 4j^4 + j^2 and (2j^2 + j)^2: the powers, their
+    # neighbours and limit_probe's two sequences
+    return (j * j, j * j - 1, j * j + 1, j**4, j**4 - 1, 4 * j**4 + j * j, (2 * j * j + j) ** 2)
+
+
+class TestRowRoots:
+    """The row's v by one Newton step and its n^(1/4) from u, against isqrt."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 2**4092 - 1), _POWERS, st.integers(1, 10**6)))
+    @example(2**4092 - 1)
+    @example(1)
+    def test_seeded_n_below_the_bound(self, n):
+        _assert_row_roots(n)
+
+    def test_near_powers(self):
+        ns = {n for j in range(1, 3000) for n in _near_powers(j) if n >= 1}
+        ns.update(n for j in (10**40 + 7, 2**1000 + 1, 2**1022) for n in _near_powers(j))
+        for n in ns:
+            _assert_row_roots(n)
+        assert len(ns) > 20000
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 2**11995),
+            st.integers(0, 2**5997).map(lambda k: 2 * k * k),  # t >> 1 a square
+            st.integers(1, 2**5997).map(lambda k: 2 * k * k - 1),
+            st.integers(0, 2**5996).map(lambda k: k * k),
+            st.integers(1, 2**5996).map(lambda k: k * k - 1),
+        )
+    )
+    @example(0)
+    @example(2**11995)
+    @example(2 * (2**5997 - 1) ** 2 + 1)
+    def test_half_root_from_u(self, t):
+        u = math.isqrt(t)
+        assert u < 2**5998
+        assert _isqrt_half(t, u) == math.isqrt(t >> 1), t
 
 
 def _reference_line(x):
@@ -1076,7 +1146,7 @@ class TestBValueRoots:
     def test_matches_five_root_formula(self, x):
         assert repr(b_value(x)) == repr(_five_root_b_value(x))
 
-    def test_three_roots_per_call(self, monkeypatch):
+    def test_two_roots_per_call(self, monkeypatch):
         calls = []
 
         def counted(n):
@@ -1087,7 +1157,7 @@ class TestBValueRoots:
         for x in (1, 4, 20.25, 10**6 + 1, 4 * 10**80, 1e308):
             calls.clear()
             b_value(x)
-            assert len(calls) == 3, x
+            assert len(calls) == 2, x
 
 
 B = 10**310  # beyond float range

@@ -1341,6 +1341,42 @@ def test_every_streaming_verb_holds_under_a_quarter_of_its_output(argv):
     assert peak < sink.size // 4, (peak, sink.size)
 
 
+_DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+
+
+@pytest.mark.parametrize("argv, rows, demo", [
+    (["analyze", "--plan", "R-normalized", "--lo", "1", "--hi", "5000"], 600,
+     "remainder_series.csv"),
+    (["analyze", "--plan", "A-of-x", "--lo", "1", "--hi", "5000"], 5000, "count_series.csv"),
+    (["analyze", "--plan", "R-of-x", "--grid", "--lo", str(10**40), "--hi", str(10**40 + 299)],
+     300, None),
+    (["pioneers", "3000", "--format", "json"], 3000, None),
+    (["pioneers", "3000", "--format", "csv"], 3000, None),
+], ids=["remainder", "a-of-x", "remainder-grid", "pioneers-json", "pioneers-csv"])
+def test_rows_are_written_a_chunk_at_a_time(monkeypatch, argv, rows, demo):
+    # unbuffered, each write is a syscall: rows go out joined into chunks of
+    # at most about core._JOIN_BYTES, one write each, at least ten rows a
+    # write for these, and the bytes are those of one row at a time
+    sink = _Writes()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    text = "".join(sink.writes)
+    if argv[-1] == "json":
+        assert text.count('"index"') == rows
+    else:
+        assert text.count("\n") == rows + 1  # and the header
+    assert len(sink.writes) <= rows // 10 + 2, len(sink.writes)
+    assert max(map(len, sink.writes)) <= core._JOIN_BYTES
+    if demo:
+        assert text == (_DEMO_OUTPUT / demo).read_text(encoding="ascii")
+    monkeypatch.setattr(core, "_JOIN_BYTES", 1)  # one row a write, as before the chunks
+    one_by_one = _Writes()
+    with contextlib.redirect_stdout(one_by_one):
+        assert main(argv) == 0
+    assert len(one_by_one.writes) >= rows
+    assert "".join(one_by_one.writes) == text
+
+
 # --------------------------------------------------------------------------
 # fuzzed argv
 # --------------------------------------------------------------------------

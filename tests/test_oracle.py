@@ -1,6 +1,7 @@
 """Tests for the brute-force oracle, plus the slow-path identities it anchors."""
 
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -14,7 +15,7 @@ from almost_squares.core import (
     seq_a,
     seq_b,
 )
-from almost_squares.oracle import _divisors, brute_record_set, factorial_membership_scan
+from almost_squares.oracle import _FILL, _divisors, brute_record_set, factorial_membership_scan
 from brute import DivisorPair, brute_divisor_pair, brute_is_member, brute_semiperimeter
 from reference_data import FACTORIAL_MEMBERS, FIRST_59
 
@@ -166,6 +167,29 @@ class TestFullRangeAgreement:
         for a in starts:
             b = min(a + rng.randint(0, 1000), len(small_divisor_table) - 1)
             assert list(_divisors(a, b)) == small_divisor_table[a:b + 1], a
+
+    def test_wide_window_sieve_writes_whole_runs(self, small_divisor_table):
+        # windows where j = 2, 3, ... have more than _FILL multiples, written
+        # in whole runs of _FILL and a rest, each run's end at or past b
+        b = len(small_divisor_table) - 1
+        for a in (1, 2, 3, 5, 9, 4 * _FILL - 1, 4 * _FILL, 4 * _FILL + 1, b - 2 * _FILL):
+            assert list(_divisors(a, b)) == small_divisor_table[a:], a
+        for width in (2 * _FILL - 1, 2 * _FILL, 2 * _FILL + 1, 2 * _FILL + 2, 4 * _FILL):
+            assert list(_divisors(7, 6 + width)) == small_divisor_table[7:7 + width], width
+
+    def test_window_sieve_peak_stays_near_the_sieve(self):
+        # the sieve of 2*10^6 n is 4 MB of typecode "H"; a j's temporary
+        # arrays of its multiples add at most 128 KB, where one array of all
+        # of j = 2's multiples would add 2 MB
+        _divisors(1, 1000)
+        tracemalloc.start()
+        try:
+            small = _divisors(1, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sieve = 2 * 10**6 * small.itemsize
+        assert sieve <= peak < sieve + 256 * 1024, peak
 
     def test_enumeration_and_counts_to_ten_million(self):
         limit = 10**7

@@ -21,10 +21,15 @@ n up to ``--limit`` (2*10^5), the calls ``oracle-verify`` makes per n.
 With ``--digits`` it is ``is_almost_square``, ``count_le``,
 ``floor_almost_square`` and ``nth`` on 20 seeded random ints of that many
 digits, each both an n and an index j.  With ``--series N`` it is
-``analysis.emit_series`` into a ``StringIO`` on N seeded windows of each
-shape the benchmark's series workload draws: 100 to 400 rows at the
-members from near 10^6, 10^8, 10^10 and 10^12, and on a grid with a step
-of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.  With
+``analysis.emit_series`` into a ``StringIO`` on N copies of the four demo
+plans and N seeded windows of each shape the benchmark's series workload
+draws, as each of its blocks runs the demos: the demo plans behind
+``demos/output`` (A-of-x and R-normalized from 1 to 5000, R-normalized
+from 640000 to 643204, and the 60 by 60 tri-grid), 100 to 400 rows at
+the members from near 10^6, 10^8, 10^10 and 10^12, and on a grid with a
+step of 1 to 1000 from near 10^6, 10^20, 10^40, 10^70 and 10^100.  Before
+it times anything it writes every plan in both trees, and on the first
+whose row count or bytes differ it names that plan and exits 1.  With
 ``--verbs N`` it is ``cli.main``, stdout into a ``StringIO``, on N seeded
 argvs of each of ``pioneers J``, J from 10^3 to 10^5, and ``flock k``, k
 from 10^4 to 10^10, in each output format.  With ``--windows N`` it is
@@ -34,7 +39,7 @@ to 3*10^6 wide, and sparse, 1000 wide from 10^12 to 10^20.  With
 ``--points N`` it is ``cli.main`` on N seeded argvs of each of ``check``,
 ``count``, ``floor`` and ``nth`` on an int of 1 to 18 digits, in each
 output format, and on N sparse ``list`` windows, in csv: the calls whose
-cost is mostly the CLI's own, as argument parsing.  Before any of the
+cost is mostly the CLI's own, as argument parsing.  Before any of these
 three times anything it runs every argv in both trees, and on the first
 whose exit code, stdout or stderr differs it names that argv and exits 1.
 
@@ -60,6 +65,13 @@ import time
 from pathlib import Path
 
 _SLICE = 2000  # the default loop's n per slice
+# the series workload's demo plans, which each of its blocks runs
+_DEMO_PLANS = (
+    ("A-of-x", 1, 5000),
+    ("R-normalized", 1, 5000),
+    ("R-normalized", 640000, 643204),
+    ("tri-grid", 1, 60),
+)
 # the series workload's shapes: exponents of its member windows and grids,
 # and the rows per window, drawn log-uniformly
 _MEMBER_EXPONENTS = (6, 8, 10, 12)
@@ -91,9 +103,10 @@ def _draw(rng: random.Random, bounds: tuple[int, int]) -> int:
 
 
 def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
-    """SamplingPlan arguments for `windows` seeded windows of each series shape."""
+    """SamplingPlan arguments for `windows` copies of the demo plans and seeded windows of each shape."""
     plans = []
     for _ in range(windows):
+        plans += _DEMO_PLANS
         for e in _MEMBER_EXPONENTS:
             # from the first member past a seeded x to the member `rows` - 1 places later
             below = core.count_le(10**e + rng.randrange(10**e // 10))
@@ -104,6 +117,13 @@ def series_plans(core, windows: int, rng: random.Random) -> list[tuple]:
             lo, step = 10**e + rng.randrange(10**e // 10), rng.randint(1, 1000)
             plans.append(("R-of-x", lo, lo + (rows - 1) * step, step, False))
     return plans
+
+
+def series_answer(tree, plan: tuple) -> tuple[int, str]:
+    """The row count and bytes of the tree's ``emit_series`` on the plan."""
+    out = io.StringIO()
+    rows = tree[1].emit_series(tree[1].SamplingPlan(*plan), out)
+    return rows, out.getvalue()
 
 
 def series_loop(tree, plans) -> float:
@@ -237,8 +257,12 @@ def main(argv: list[str] | None = None) -> int:
         # the plans read members' areas, so they come from the second tree:
         # a first tree older than 4.0.0 returns records with no area
         plans = series_plans(trees[1][0], args.series, random.Random(1))
+        for plan in plans:
+            if series_answer(trees[0], plan) != series_answer(trees[1], plan):
+                print(f"the trees differ on plan {plan}: row count or bytes")
+                return 1
         loop, slices = series_loop, [plans[i:i + 1] for i in range(len(plans))]
-        label = f"emit_series on {len(plans)} series workload windows"
+        label = f"emit_series on {len(plans)} series workload windows and demo plans"
     elif args.digits:
         sys.set_int_max_str_digits(0)
         rng = random.Random(1)
@@ -265,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{label}, {args.rounds} rounds, alternating order")
     if calls:  # every argv was run in both trees before the rounds
         print("  equal exit codes, stdout and stderr in both trees on every argv")
+    elif args.series:  # and every plan
+        print("  equal row counts and bytes in both trees on every plan")
     print(f"  a {args.a}: median {statistics.median(times[0]) * 1e3:.2f} ms")
     print(f"  b {args.b}: median {statistics.median(times[1]) * 1e3:.2f} ms")
     print(f"  b / a per round: median {med:.4f}, quartiles {q1:.4f} to {q3:.4f}")
