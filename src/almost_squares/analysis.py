@@ -27,8 +27,9 @@ takes t = isqrt((num << 4*bits) >> shift) and u = isqrt(t), the floors
 of sqrt(y) * 2^(2*bits) and y^(1/4) * 2^bits for y = num / 2^shift, and
 v, the floor of y^(3/4) * 2^bits, with no third root: one Newton step
 toward isqrt(num*t >> shift) from the seed (t*u >> 2*bits) + 1 lands on
-that root or one above it at the callers' bits, and v is that root or one
-more (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.5).
+that root or one above it at every bits with 2^(4*bits) >= y, and v is
+that root or one more (Brent and Zimmermann, *Modern Computer
+Arithmetic*, section 1.5).
 Each other root is read off them by a shift, as floor(floor(y) / 2^j) =
 floor(y / 2^j) and floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0, or
 by a multiply.  A remainder row takes t, u, v at y = 4n: sqrt(4n) is t
@@ -124,18 +125,31 @@ def _frac_bits(num: int) -> int:
 def _roots(num: int, shift: int, bits: int) -> tuple[int, int, int]:
     """The floors t, u, v of sqrt(y)*2^(2b), y^(1/4)*2^b and y^(3/4)*2^b, by two isqrts.
 
-    y = num / 2^shift and b = bits.  t = isqrt(floor(y * 2^(4b))) and u =
-    isqrt(t).  With T = sqrt(y)*2^(2b) and V = y^(3/4)*2^b, v = floor(V) =
-    floor(sqrt(y*T)), and v0 = isqrt(q) <= v, q = floor(y*t).
+    y = num / 2^shift > 0 and b = bits, with 2^(4b) >= y; both callers
+    pass y >= 4.  t = isqrt(floor(y * 2^(4b))) and u = isqrt(t).  With T =
+    sqrt(y)*2^(2b), U = y^(1/4)*2^b and V = y^(3/4)*2^b = T*U / 2^(2b), v =
+    floor(V) = floor(sqrt(y*T)), and v0 = isqrt(q) <= v, q = floor(y*t).
 
-    v0 by one Newton step.  From any g >= 1, v1 = floor((g + floor(q/g)) / 2)
-    is at least v0, as g + q/g >= 2*sqrt(q), and at most sqrt(q) +
-    (g - sqrt(q))^2 / (2g).  The seed g = floor(t*u / 2^(2b)) + 1 lies
-    within sqrt(y) + 1 of sqrt(q): t*u <= T*U = V*2^(2b) < (t + 1)(u + 1)
-    with U = y^(1/4)*2^b, so V - sqrt(y) - 1 < g <= V + 1, and V^2 - y - 1
-    < q <= V^2.  At the callers' bits 2^b >= 2^160 * y >= 2^162, so (sqrt(y)
-    + 1)^2 <= 4y is far below 2g, and v1 is v0 or v0 + 1; the loop steps it
-    down to v0 (for any bits it steps down to v0, only more often).
+    v0 by one Newton step and at most one step down.  From any g >= 1, v1 =
+    floor((g + floor(q/g)) / 2) is at least v0, as g + q/g >= 2*sqrt(q),
+    and at most sqrt(q) + (g - sqrt(q))^2 / (2g), so v1 <= v0 + 1 wherever
+    (g - sqrt(q))^2 < 2g.  The seed is g = floor(t*u / 2^(2b)) + 1, and
+    y/V = y^(1/4) / 2^b <= 1.  If t = 0, then q = 0 and v1 = 0.  Otherwise
+    T, U >= 1, and t*u > (T - 1)(U - 1) = (V - sqrt(y) - y/V)*2^(2b) +
+    1, so V - sqrt(y) - 1 < g <= V + 1; and V^2 - y - 1 < q <= V^2, so 0
+    <= V - sqrt(q) < (y + 1)/V.  So |g - sqrt(q)| < 1 + max(sqrt(y), (y +
+    1)/V), and:
+    - at V >= 22 that is below 1 + sqrt(V), as y <= V, and 2g > 2(V -
+      sqrt(V) - 1) >= (1 + sqrt(V))^2, as sqrt(V) >= 2 + sqrt(7);
+    - at V < 22 and y >= 1, 2^b <= V and y <= V, so b <= 4 and y < 22:
+      tests/test_analysis.py takes every such t with every q that a y in
+      [t^2, (t + 1)^2) / 2^(4b) gives, 24,270 pairs, and v1 <= v0 + 1 at
+      each;
+    - at y < 1 and V >= 4 it is below 2, and 2g > 2(V - 2) >= 4;
+    - at y < 1 and V < 4, g <= 4 and q < 16, where v1 > v0 + 1 only at g =
+      1 with q >= 7 and at g = 4 with q = 0.  But g = 1 needs V < 2 + 1/V,
+      so q <= V^2 < 6, and q = 0 needs V^2 < y + 1 < 2, so g < 3.
+    So v1 is v0 or v0 + 1, and one step down reaches v0.
 
     v is v0 or v0 + 1.  As y*T < q + y + 1 and q < (v0 + 1)^2, y*T <
     (v0 + 2)^2 where y <= 2*v0 + 3.  That holds for y < 1, and for y >= 1
@@ -148,8 +162,8 @@ def _roots(num: int, shift: int, bits: int) -> tuple[int, int, int]:
     q = num * t >> shift
     g = (t * u >> 2 * bits) + 1
     v = (g + q // g) >> 1
-    r = q - v * v  # below 0 while v is above v0
-    while r < 0:
+    r = q - v * v  # below 0 where v is v0 + 1
+    if r < 0:
         v -= 1
         r += 2 * v + 1
     # (v + 1)^2 - q is 2v + 1 - r

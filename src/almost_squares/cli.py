@@ -34,25 +34,16 @@ larger ones go out in chunks of at most about 64 KB, one write each.
 pioneers joins its rows into chunks of about 2 KB (core._joined), one
 write each, as analyze and trigrid do through analysis.emit_series.
 
-oracle-verify checks the fast membership and count against the brute
-records at every n in contiguous slices of [1, limit]: one per usable
-CPU, each of at least _MIN_SLICE n, the first in this process and each
-other in a forked child.  Each sieves and scans its own slice and sends
-back its members, mismatch counts and first witnesses.  A child anchors
-its count at its first n, and a slice whose anchor the earlier slices'
-members contradict is swept again here, so the output bytes do not
-depend on how many slices there are.
+oracle-verify prints the mismatch counts and witnesses of oracle.verify.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import islice, starmap
-from math import isqrt
 from types import SimpleNamespace
 
 from ._bigint import cell, parse_int, record_cells, wide
@@ -75,10 +66,10 @@ from .core import (
     nth,
     pioneer,
 )
-# oracle-verify sieves and scans each slice itself, so nothing here calls
-# brute_record_set either; it stays imported because perfbench/tracing.py
-# replaces cli.brute_record_set by name, as above
-from .oracle import DEFAULT_SCAN_CAP, _check_limit, _divisors, brute_record_set
+# oracle-verify calls oracle.verify, so nothing here calls brute_record_set;
+# it stays imported because perfbench/tracing.py replaces
+# cli.brute_record_set by name, as above
+from .oracle import DEFAULT_SCAN_CAP, brute_record_set, verify
 
 # a name type checkers read as true: argparse is imported by build_parser
 # alone, and typing's own TYPE_CHECKING would add typing's import, about
@@ -98,16 +89,6 @@ _CHUNK_BYTES = 1 << 16
 # both bounds are constants, so memory does not grow with the window
 _TABLE_K = 1 << 16
 _CHUNK_ROWS = 128
-
-# oracle-verify prints at most this many mismatching n after its summary
-_WITNESS_LINES = 5
-
-# oracle-verify sweeps [1, limit] in one forked process per usable CPU, but
-# gives each at least this many n.  A fork, pipe and reap round trip took
-# 1.49 ms median (p90 2.66 ms) from a 3.11.7 process with the package
-# loaded (2-vCPU host), and the sweep about 1.1 us per n, so a slice this
-# long keeps that overhead at or below about 15%
-_MIN_SLICE = 10_000
 
 _RECORD = ("value", "width", "length", "semiperimeter", "flock")
 _RECORD_TEXT = "{} = {} x {} (semiperimeter {}, flock {})\n"
@@ -321,155 +302,9 @@ def cmd_trigrid(args: argparse.Namespace) -> int:
     return _emit_plan(kind="tri-grid", lo=1, hi=args.size)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _slices(limit: int) -> list[tuple[int, int]]:
-    """[1, limit] as contiguous slices (lo, hi), one per process of the sweep.
-
-    As many as there are usable CPUs and whole _MIN_SLICE runs of n, at
-    least one.  One slice, and no fork, where os.fork is missing or the
-    process runs threads besides this one: a forked child holds only the
-    forking thread, so a lock another thread held stays held in it.
-    """
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = max(1, min(_usable_cpus(), limit // _MIN_SLICE))
-    bounds = [limit * i // workers for i in range(workers + 1)]
-    return [(bounds[i] + 1, bounds[i + 1]) for i in range(workers)]
-
-
-def _sweep(lo: int, hi: int, below: int | None = None) -> tuple:
-    """Check both fast calls against the brute records at every n in [lo, hi].
-
-    Sieves d(n) on [m^2, hi], m = isqrt(lo - 1), and scans [m^2, lo) for
-    the record before lo, which the oracle's lead-in rule shows is the
-    record of one scan from 1; then one loop makes the brute record test
-    and both fast calls at each n.  below is the brute count of members
-    under lo.  None anchors it at lo's fast count less lo's brute flag,
-    read from the first n's own calls, so a fast call raises at the n and
-    in the order of one sweep.  Returns that anchor, the members in
-    [lo, hi], the membership and count mismatches and the first
-    _WITNESS_LINES witnesses.
-    """
-    m = isqrt(lo - 1)
-    start = max(m * m, 1)
-    small = _divisors(start, hi)
-    best_num, best_den = 0, 1
-    for n, d in zip(range(start, lo), small):
-        s = d + n // d
-        if n * best_den >= best_num * s:
-            best_num, best_den = n, s
-    running = below  # the brute count up to n
-    membership_bad = count_bad = 0
-    witnesses = []
-    for n, d in enumerate(islice(small, lo - start, None), lo):
-        s = d + n // d
-        brute_member = n * best_den >= best_num * s
-        if brute_member:
-            best_num, best_den = n, s
-        fast_member = is_almost_square(n) is not None
-        fast_count = count_le(n)
-        if running is None:
-            running = below = fast_count - brute_member
-        # a branch, not running += brute_member: adding the bool took about
-        # 25 ns more per n (Python 3.11, 2-vCPU host)
-        if brute_member:
-            running += 1
-        if fast_member != brute_member or fast_count != running:
-            membership_bad += fast_member != brute_member
-            count_bad += fast_count != running
-            if len(witnesses) < _WITNESS_LINES:
-                witnesses.append((n, fast_member, fast_count, brute_member, running))
-    return below, running - below, membership_bad, count_bad, witnesses
-
-
-def _fork_sweep(lo: int, hi: int) -> tuple[int, int]:
-    """Start _sweep(lo, hi) in a forked child: its pid and its pipe's read end.
-
-    The child sends back, pickled, (True, its result) or (False, the
-    exception its sweep raised).  It always leaves by os._exit, so it runs
-    no atexit handler and flushes no stdio buffer it inherited.
-    """
-    import pickle
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        try:
-            os.close(read)
-            try:
-                result = True, _sweep(lo, hi)
-            except BaseException as exc:  # the parent raises it in the sweep's place
-                result = False, exc
-            with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, read
-
-
-def _sweep_slices(slices: list[tuple[int, int]]) -> list[tuple]:
-    """_sweep over each slice, in slice order: the first here, each other in a child.
-
-    A child's exception is raised here as the one sweep would have raised
-    it: the first slice's in n order, this process's own first of all.
-    Every child is reaped before this returns or raises, and killed first
-    when it raises, on KeyboardInterrupt too.  A child's anchor is then
-    held against the members of the slices before it, and a slice whose
-    anchor differs, as where count_le is wrong at its first n, is swept
-    again here from the true count.
-    """
-    import pickle
-    import signal
-
-    children = []  # (pid, read end of its pipe), in slice order
-    try:
-        for lo, hi in slices[1:]:
-            children.append(_fork_sweep(lo, hi))
-        results = [_sweep(*slices[0], 0)]
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:  # killed, or its exception could not be pickled
-                raise ChildProcessError(f"oracle-verify's worker {pid} sent no result")
-            done, result = pickle.loads(data)
-            if not done:
-                raise result
-            results.append(result)
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read in children:
-            os.close(read)
-            os.waitpid(pid, 0)
-    below = 0
-    for i, (lo, hi) in enumerate(slices):
-        if results[i][0] != below:
-            results[i] = _sweep(lo, hi, below)
-        below += results[i][1]
-    return results
-
-
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     limit = args.limit
-    _check_limit(limit)
-    results = _sweep_slices(_slices(limit))
-    membership_bad = sum(result[2] for result in results)
-    count_bad = sum(result[3] for result in results)
-    witnesses = [w for result in results for w in result[4]][:_WITNESS_LINES]
+    membership_bad, count_bad, witnesses = verify(limit)
     ok = limit - membership_bad
     print(f"membership: {ok}/{limit} ok, {membership_bad} mismatches")
     ok = limit - count_bad

@@ -19,7 +19,7 @@ SRC = str(ROOT / "src")
 @pytest.mark.parametrize(
     "extra, label",
     [
-        (["--limit", "4000"], "oracle-verify's calls for n <= 4000"),
+        (["--limit", "4000"], "cli.main on 8 oracle-verify argvs, --limit up to 4000"),
         (["--digits", "50"], "4 point queries at 50 digits"),
         (["--series", "1"], "emit_series on 13 series workload windows and demo plans"),
         (["--verbs", "1"], "cli.main on 6 pioneers and flock argvs"),

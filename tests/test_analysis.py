@@ -996,7 +996,28 @@ class TestRoots:
                 step, landed = _assert_roots(num, shift, b)
                 fired += step
                 above += landed
-        assert fired > 0 and above > 0  # both the step up and the loop down ran
+        assert fired > 0 and above > 0  # both the step up and the step down ran
+
+    def test_one_step_down_suffices_where_v_is_below_22(self):
+        # the finite cases of _roots' proof that the Newton step lands at
+        # most one above v0 = isqrt(q): y >= 1 with V < 22, so b <= 4 and y
+        # < 22, every t with every q = floor(y * t) that a y in [t^2, (t +
+        # 1)^2) / 2^(4b) gives; and y < 1 with V < 4, where g <= 4, q < 16
+        pairs = 0
+        for b in range(5):
+            scale = 16**b
+            top = min(22, scale)  # 2^(4b) >= y
+            for t in range(math.isqrt(scale), math.isqrt(top * scale) + 1):
+                g = (t * math.isqrt(t) >> 2 * b) + 1
+                q_lo = t * max(scale, t * t) // scale
+                q_hi = t * min((t + 1) ** 2, top * scale) // scale
+                for q in range(q_lo, q_hi + 1):
+                    assert (g + q // g) >> 1 <= math.isqrt(q) + 1, (b, t, q)
+                    pairs += 1
+        assert pairs == 24_270
+        over = [(g, q) for g in range(1, 5) for q in range(16)
+                if (g + q // g) >> 1 > math.isqrt(q) + 1]
+        assert over == [(1, q) for q in range(7, 16)] + [(4, 0)]
 
 
 def _assert_row_roots(n):

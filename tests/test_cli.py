@@ -374,7 +374,7 @@ def _verify(monkeypatch, workers, limit="30000"):
         return fork()
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: workers)
+        m.setattr(oracle, "_usable_cpus", lambda: workers)
         m.setattr(os, "fork", spy)
         try:
             outcome = _main_bytes(["oracle-verify", "--limit", limit])
@@ -416,7 +416,7 @@ class TestOracleVerify:
 
     def test_mismatch_prints_witness(self, capsys, monkeypatch):
         bad = 1234
-        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n == bad))
+        monkeypatch.setattr(oracle, "count_le", lambda n: count_le(n) + (n == bad))
         code, out, _ = run(capsys, "oracle-verify", "--limit", "2000")
         assert code == 1
         summary, counts, *witnesses = out.splitlines()
@@ -440,7 +440,7 @@ class TestOracleVerify:
 
     def test_witnesses_across_slices_in_n_order(self, monkeypatch):
         bad = {7, 12, 15000, 25001, 29000, 29999}  # two in each slice of three
-        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n in bad))
+        monkeypatch.setattr(oracle, "count_le", lambda n: count_le(n) + (n in bad))
         serial, _ = _verify(monkeypatch, 1)
         code, out, err = serial
         assert (code, err) == (1, "")
@@ -478,7 +478,7 @@ class TestOracleVerify:
                 raise AssertionError("failed above 2*10^4")
             return count_le(n)
 
-        monkeypatch.setattr(cli, "count_le", broken)
+        monkeypatch.setattr(oracle, "count_le", broken)
         want = (2, "", "almost-squares: refused at 500\n")
         for workers in (1, 3):
             assert _verify(monkeypatch, workers) == (want, workers - 1)
@@ -491,7 +491,7 @@ class TestOracleVerify:
                 time.sleep(60)
             return count_le(n)
 
-        monkeypatch.setattr(cli, "count_le", interrupted)
+        monkeypatch.setattr(oracle, "count_le", interrupted)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             _verify(monkeypatch, 3)
@@ -503,7 +503,7 @@ class TestOracleVerify:
                 os.kill(os.getpid(), signal.SIGKILL)
             return count_le(n)
 
-        monkeypatch.setattr(cli, "count_le", killed)
+        monkeypatch.setattr(oracle, "count_le", killed)
         with pytest.raises(ChildProcessError, match="sent no result"):
             _verify(monkeypatch, 3)
 
@@ -531,8 +531,8 @@ class TestOracleVerify:
         # reach the reader once, and the summary once
         code = (
             "import sys\n"
-            "from almost_squares import cli\n"
-            "cli._usable_cpus = lambda: 3\n"
+            "from almost_squares import cli, oracle\n"
+            "oracle._usable_cpus = lambda: 3\n"
             "print('before')\n"
             "sys.exit(cli.main(['oracle-verify', '--limit', '30000']))\n"
         )
@@ -554,7 +554,7 @@ class TestOracleVerify:
         (lambda n: 2 * (n > 10000), "10000/30000 ok, 20000 mismatches"),
     ], ids=["first-n", "first-two-n", "offset-above-15000", "offset-2-above-10000"])
     def test_count_faults_at_slice_starts(self, monkeypatch, shift, counts):
-        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + shift(n))
+        monkeypatch.setattr(oracle, "count_le", lambda n: count_le(n) + shift(n))
         serial, _ = _verify(monkeypatch, 1)
         assert serial[0] == 1 and serial[1].splitlines()[1] == "counts:     " + counts
         for workers in (2, 3):
@@ -563,7 +563,7 @@ class TestOracleVerify:
     def test_membership_fault_at_a_slice_start(self, monkeypatch):
         # the anchor takes lo's brute flag, not its fast one
         flipped = {10001, 20001}
-        monkeypatch.setattr(cli, "is_almost_square", lambda n: (
+        monkeypatch.setattr(oracle, "is_almost_square", lambda n: (
             is_almost_square(n) if n not in flipped else
             None if is_almost_square(n) else "a member"))
         serial, _ = _verify(monkeypatch, 1)
@@ -583,8 +583,8 @@ class TestOracleVerify:
                 raise AssertionError("count failed at 20001")
             return count_le(n)
 
-        monkeypatch.setattr(cli, "is_almost_square", member)
-        monkeypatch.setattr(cli, "count_le", count)
+        monkeypatch.setattr(oracle, "is_almost_square", member)
+        monkeypatch.setattr(oracle, "count_le", count)
         want = (2, "", "almost-squares: membership refused at 20001\n")
         for workers in (1, 2, 3):
             assert _verify(monkeypatch, workers) == (want, workers - 1)
@@ -595,17 +595,17 @@ class TestOracleVerify:
         lo = floor_almost_square(15000).area
         limit = str(2 * (lo - 1))
         sweeps = []
-        sweep = cli._sweep
+        sweep = oracle._sweep
 
         def spy(*args):
             sweeps.append(args)
             return sweep(*args)
 
-        monkeypatch.setattr(cli, "_sweep", spy)
+        monkeypatch.setattr(oracle, "_sweep", spy)
         (code, _, _), forks = _verify(monkeypatch, 2, limit)
         assert (code, forks, sweeps) == (0, 1, [(1, lo - 1, 0)])
         sweeps.clear()
-        monkeypatch.setattr(cli, "count_le", lambda n: count_le(n) + (n == lo))
+        monkeypatch.setattr(oracle, "count_le", lambda n: count_le(n) + (n == lo))
         (code, out, _), forks = _verify(monkeypatch, 2, limit)
         assert (code, forks) == (1, 1)
         assert sweeps == [(1, lo - 1, 0), (lo, 2 * (lo - 1), count_le(lo - 1))]
@@ -653,13 +653,13 @@ def test_window_scan_keeps_the_records_of_one_scan(monkeypatch, record_set_full,
     # those members, so any disagreement is the window scan's
     members = record_set_full.members
     member_set = set(members)
-    monkeypatch.setattr(cli, "is_almost_square", lambda n: n if n in member_set else None)
-    monkeypatch.setattr(cli, "count_le", lambda n: bisect_right(members, n))
+    monkeypatch.setattr(oracle, "is_almost_square", lambda n: n if n in member_set else None)
+    monkeypatch.setattr(oracle, "count_le", lambda n: bisect_right(members, n))
     hi = min(lo + random.Random(lo).randint(0, 3000), record_set_full.limit)
     below = bisect_left(members, lo)
     want = (below, bisect_right(members, hi) - below, 0, 0, [])
-    assert cli._sweep(lo, hi, below) == want
-    assert cli._sweep(lo, hi) == want
+    assert oracle._sweep(lo, hi, below) == want
+    assert oracle._sweep(lo, hi) == want
 
 
 def test_internal_check_failure_exits_1(monkeypatch):

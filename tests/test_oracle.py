@@ -1,7 +1,10 @@
 """Tests for the brute-force oracle, plus the slow-path identities it anchors."""
 
+import hashlib
+import os
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from math import isqrt
 
 import pytest
@@ -15,9 +18,18 @@ from almost_squares.core import (
     seq_a,
     seq_b,
 )
-from almost_squares.oracle import _FILL, _divisors, brute_record_set, factorial_membership_scan
+from almost_squares import oracle
+from almost_squares.oracle import (
+    _FILL,
+    _divisors,
+    _records,
+    brute_record_set,
+    factorial_membership_scan,
+    verify,
+)
 from brute import DivisorPair, brute_divisor_pair, brute_is_member, brute_semiperimeter
 from reference_data import FACTORIAL_MEMBERS, FIRST_59
+from test_cli import _window_starts
 
 
 class TestBruteDivisorPair:
@@ -81,6 +93,67 @@ class TestBruteRecordSet:
     def test_ratios_nondecreasing(self, record_set_small):
         ratios = record_set_small.ratios
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+    # sha256 of one "n/s" line per member, as the scan of 5.0.0 gave them:
+    # perfbench/reference.py reads each ratio's denominator
+    @pytest.mark.parametrize("limit, members, digest", [
+        (1, 1, "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d"),
+        (2, 2, "a929eb740415d5520c6cc0ef0c3aff8c94969b23e933d060e20ad1de1f13dea8"),
+        (20, 12, "f632ad09e21705030207c54861bd396a5a411ffeb2624f4026969b54e563443c"),
+        (9999, 1001, "01f7bf74b48823f9e1bd02be842db56afa1af1e9e5f7a5f60b9a5254145f7524"),
+        (10**6, 30347, "30c0bf5bf7669a4b171dd561d61eef3000f02547c459d17281af8046bfdb5350"),
+        (10**7, 169281, "45c208e96cc6423a95ba5bb4a11d0321878a992f184a8ad57d931cff9bb79fce"),
+    ])
+    def test_members_and_ratios_unchanged(self, limit, members, digest):
+        rs = brute_record_set(limit)
+        assert [r.numerator for r in rs.ratios] == rs.members
+        text = "".join(f"{r.numerator}/{r.denominator}\n" for r in rs.ratios)
+        assert (len(rs.members), hashlib.sha256(text.encode()).hexdigest()) == (members, digest)
+
+    @pytest.mark.parametrize("lo", _window_starts())
+    def test_window_records_are_those_of_one_scan(self, record_set_full, lo):
+        # _records(lo, hi) starts its scan at m^2, m = isqrt(lo - 1)
+        members, ratios = record_set_full.members, record_set_full.ratios
+        hi = min(lo + random.Random(lo).randint(0, 3000), record_set_full.limit)
+        i, j = bisect_left(members, lo), bisect_right(members, hi)
+        window, sums = _records(lo, hi)
+        assert list(window) == members[i:j]
+        assert list(sums) == [r.denominator for r in ratios[i:j]]
+
+
+def _forks(monkeypatch, workers):
+    """os.fork as a spy that counts its calls, with `workers` usable CPUs."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+class TestVerify:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [1, 2, 9999, 10**4 + 1, 3 * 10**4])
+    def test_no_mismatch(self, monkeypatch, limit, workers):
+        forks = _forks(monkeypatch, workers)
+        assert verify(limit) == (0, 0, [])
+        assert len(forks) == min(workers, max(1, limit // 10**4)) - 1
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("limit, message", [
+        (0, "^limit must be >= 1$"),
+        (10**7 + 1, "^limit 10000001 is above the oracle scan cap of 10000000$"),
+    ])
+    def test_refused_before_any_fork(self, monkeypatch, limit, message):
+        forks = _forks(monkeypatch, 3)
+        with pytest.raises(ValueError, match=message):
+            verify(limit)
+        assert forks == []
 
 
 class TestBruteIsMember:

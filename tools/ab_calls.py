@@ -16,11 +16,13 @@ elsewhere (``git archive`` or ``git clone``):
     python tools/ab_calls.py PARENT/src src
     python tools/ab_calls.py PARENT/src src --digits 30000
 
-The default loop is ``is_almost_square(n)`` and ``count_le(n)`` for every
-n up to ``--limit`` (2*10^5), the calls ``oracle-verify`` makes per n.
-With ``--digits`` it is ``is_almost_square``, ``count_le``,
-``floor_almost_square`` and ``nth`` on 20 seeded random ints of that many
-digits, each both an n and an index j.  With ``--series N`` it is
+The default loop is ``cli.main``, stdout into a ``StringIO``, on 8 seeded
+``oracle-verify --limit L`` argvs, L drawn log-uniformly from a tenth of
+``--limit`` to ``--limit`` (2*10^5): the benchmark's oracle-verify
+workload's [2*10^4, 2*10^5] by default.  With ``--digits`` it is
+``is_almost_square``, ``count_le``, ``floor_almost_square`` and ``nth``
+on 20 seeded random ints of that many digits, each both an n and an
+index j.  With ``--series N`` it is
 ``analysis.emit_series`` into a ``StringIO`` on N copies of the four demo
 plans and N seeded windows of each shape the benchmark's series workload
 draws, as each of its blocks runs the demos: the demo plans behind
@@ -39,9 +41,10 @@ to 3*10^6 wide, and sparse, 1000 wide from 10^12 to 10^20.  With
 ``--points N`` it is ``cli.main`` on N seeded argvs of each of ``check``,
 ``count``, ``floor`` and ``nth`` on an int of 1 to 18 digits, in each
 output format, and on N sparse ``list`` windows, in csv: the calls whose
-cost is mostly the CLI's own, as argument parsing.  Before any of these
-three times anything it runs every argv in both trees, and on the first
-whose exit code, stdout or stderr differs it names that argv and exits 1.
+cost is mostly the CLI's own, as argument parsing.  Before any loop of
+``cli.main`` times anything it runs every argv in both trees, and on the
+first whose exit code, stdout or stderr differs it names that argv and
+exits 1.
 
     python tools/ab_calls.py PARENT/src src --series 4
     python tools/ab_calls.py PARENT/src src --verbs 4
@@ -64,7 +67,7 @@ import sys
 import time
 from pathlib import Path
 
-_SLICE = 2000  # the default loop's n per slice
+_ORACLE_ARGVS = 8  # the default loop's oracle-verify argvs
 # the series workload's demo plans, which each of its blocks runs
 _DEMO_PLANS = (
     ("A-of-x", 1, 5000),
@@ -171,6 +174,12 @@ def point_argvs(count: int, rng: random.Random) -> list[list[str]]:
     return argvs
 
 
+def oracle_argvs(top: int, rng: random.Random) -> list[list[str]]:
+    """_ORACLE_ARGVS seeded oracle-verify argvs, --limit log-uniform in [top // 10, top]."""
+    bounds = max(1, top // 10), top
+    return [["oracle-verify", "--limit", str(_draw(rng, bounds))] for _ in range(_ORACLE_ARGVS)]
+
+
 def main_answer(tree, argv: list[str]) -> tuple[int, str, str]:
     """The exit code, stdout and stderr of the tree's ``cli.main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -203,23 +212,13 @@ def point_loop(tree, ns) -> float:
     return time.perf_counter() - start
 
 
-def oracle_loop(tree, ns) -> float:
-    """Seconds to run oracle-verify's two calls on each n of ns."""
-    member, count = tree[0].is_almost_square, tree[0].count_le
-    start = time.perf_counter()
-    for n in ns:
-        member(n)
-        count(n)
-    return time.perf_counter() - start
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="the first src/ tree, as the base")
     parser.add_argument("b", type=Path, help="the second src/ tree, timed against it")
     parser.add_argument("--rounds", type=int, default=40, help="rounds to time (default 40)")
     parser.add_argument("--limit", type=int, default=200_000,
-                        help="the default loop's largest n (default 2*10^5)")
+                        help="the default loop's largest oracle-verify limit (default 2*10^5)")
     parser.add_argument("--digits", type=int, default=0,
                         help="time the point queries on ints of this many digits instead")
     parser.add_argument("--series", type=int, default=0, metavar="N",
@@ -237,23 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 4, --limit at least 1, and --digits, "
                      "--series, --verbs, --windows and --points at least 0")
     trees = load(args.a, "_ab_a"), load(args.b, "_ab_b")
-    calls = args.verbs or args.windows or args.points  # a loop of cli.main calls
-    if calls:
-        if args.verbs:
-            argvs = verb_argvs(args.verbs, random.Random(1))
-            label = f"cli.main on {len(argvs)} pioneers and flock argvs"
-        elif args.points:
-            argvs = point_argvs(args.points, random.Random(1))
-            label = f"cli.main on {len(argvs)} point and sparse list argvs"
-        else:
-            argvs = window_argvs(args.windows, random.Random(1))
-            label = f"cli.main on {len(argvs)} dense and sparse list windows"
-        for argv in argvs:
-            if main_answer(trees[0], argv) != main_answer(trees[1], argv):
-                print(f"the trees differ on `{' '.join(argv)}`: exit code, stdout or stderr")
-                return 1
-        loop, slices = verbs_loop, [argvs[i:i + 1] for i in range(len(argvs))]
-    elif args.series:
+    calls = not (args.series or args.digits)  # a loop of cli.main calls
+    if args.series:
         # the plans read members' areas, so they come from the second tree:
         # a first tree older than 4.0.0 returns records with no area
         plans = series_plans(trees[1][0], args.series, random.Random(1))
@@ -270,10 +254,23 @@ def main(argv: list[str] | None = None) -> int:
         loop, slices = point_loop, [ns[i:i + 1] for i in range(len(ns))]
         label = f"4 point queries at {args.digits} digits"
     else:
-        loop = oracle_loop
-        slices = [range(lo, min(lo + _SLICE, args.limit + 1))
-                  for lo in range(1, args.limit + 1, _SLICE)]
-        label = f"oracle-verify's calls for n <= {args.limit}"
+        if args.verbs:
+            argvs = verb_argvs(args.verbs, random.Random(1))
+            label = f"cli.main on {len(argvs)} pioneers and flock argvs"
+        elif args.points:
+            argvs = point_argvs(args.points, random.Random(1))
+            label = f"cli.main on {len(argvs)} point and sparse list argvs"
+        elif args.windows:
+            argvs = window_argvs(args.windows, random.Random(1))
+            label = f"cli.main on {len(argvs)} dense and sparse list windows"
+        else:
+            argvs = oracle_argvs(args.limit, random.Random(1))
+            label = f"cli.main on {len(argvs)} oracle-verify argvs, --limit up to {args.limit}"
+        for argv in argvs:
+            if main_answer(trees[0], argv) != main_answer(trees[1], argv):
+                print(f"the trees differ on `{' '.join(argv)}`: exit code, stdout or stderr")
+                return 1
+        loop, slices = verbs_loop, [argvs[i:i + 1] for i in range(len(argvs))]
     times: tuple[list[float], list[float]] = ([], [])
     for i in range(-1, args.rounds):  # round -1 warms both trees up, untimed
         gc.collect()
